@@ -12,7 +12,14 @@ import numpy as np
 
 from .attention import AttnConfig, AttnParams, multi_head_dafa
 from .conllu import ConlluError, SentencePair, parse_conllu, read_pairs
-from .depmatrix import DepMatrixConfig, base_matrix, embed_calibration, final_matrix, subgraph_matrix
+from .depmatrix import (
+    DepMatrixConfig,
+    base_matrix,
+    combine_matrices,
+    embed_calibration,
+    final_matrix,
+    subgraph_matrix,
+)
 from .fusion import FusionParams, fuse
 from .gradcheck import GradCheckConfig, check
 from .pipeline import EmbeddingTable, build_layout, dafa_layer, sequence_tokens, write_heatmap_csv
@@ -66,11 +73,9 @@ def _load_json(path):
         raise _InputError(f"{path}: {exc}") from None
 
 
-def _pair_tfidf(args, pair: SentencePair) -> TfIdfModel:
+def _pair_tfidf(model: TfIdfModel | None, pair: SentencePair) -> TfIdfModel:
     # without a fitted model, fall back to the pair's own two sentences
-    if args.tfidf:
-        return _load_tfidf(args.tfidf)
-    return TfIdfModel.fit([pair.a, pair.b])
+    return model if model is not None else TfIdfModel.fit([pair.a, pair.b])
 
 
 def _seed(args) -> int:
@@ -101,13 +106,16 @@ def _cmd_matrix(args) -> int:
     config = _dep_config(args)
     lines = []
     for pair in pairs:
+        m = base_matrix(pair.a, pair.b, config)
+        s = subgraph_matrix(pair.a, pair.b, config)
+        mf = combine_matrices(m, s, model.weights(pair.a), model.weights(pair.b))
         record = {
             "id": pair.pair_id,
             "n": pair.a.n,
             "m": pair.b.n,
-            "M": base_matrix(pair.a, pair.b, config).tolist(),
-            "S": subgraph_matrix(pair.a, pair.b, config).tolist(),
-            "MF": final_matrix(pair.a, pair.b, model, config).tolist(),
+            "M": m.tolist(),
+            "S": s.tolist(),
+            "MF": mf.tolist(),
         }
         lines.append(json.dumps(record, sort_keys=True))
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -133,7 +141,7 @@ def _cmd_attend(args) -> int:
     seed = _seed(args)
     layout = build_layout(pair.a, pair.b)
     config = _attn_config(args, layout.d_seq)
-    model = _pair_tfidf(args, pair)
+    model = _pair_tfidf(_load_tfidf(args.tfidf) if args.tfidf else None, pair)
     calibration = embed_calibration(final_matrix(pair.a, pair.b, model, _dep_config(args)), layout)
     embeddings = EmbeddingTable.build(pair.a.forms() + pair.b.forms(), config.d_model, seed)
     params = AttnParams.init(config, seed)
@@ -202,6 +210,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_demo(args) -> int:
     pairs = _load_pairs(args.pairs)
+    tfidf = _load_tfidf(args.tfidf) if args.tfidf else None
     seed = _seed(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,7 +222,7 @@ def _cmd_demo(args) -> int:
         config = AttnConfig(
             d_model=args.d_model, heads=args.heads, d_k=args.d_k, d_v=args.d_v, d_seq=layout.d_seq
         )
-        model = _pair_tfidf(args, pair)
+        model = _pair_tfidf(tfidf, pair)
         embeddings = EmbeddingTable.build(pair.a.forms() + pair.b.forms(), config.d_model, seed)
         attn_params = AttnParams.init(config, seed)
         # fusion weights are sized by d_seq, so each pair gets its own seeded set

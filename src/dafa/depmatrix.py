@@ -6,15 +6,24 @@ units, a recursive subtree-agreement matrix, and their tf-idf-weighted
 combination. The combined matrix is then embedded (shifted by +1) into
 the full packed-sequence layout so it can multiply attention logits
 elementwise without erasing positions that carry no dependency evidence.
+
+Both agreement matrices work on integer codes built inside each call
+(`_encode`): one table maps the lowercased forms of both sentences to
+ids, another maps relation labels to ids, and each token becomes a
+(tail form, head form, relation, parent) record. Equal ids mean exactly
+what `word_match` / equal labels meant cell by cell, so the outputs are
+bitwise those of the per-cell definitions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .conllu import DepSentence
+from .conllu import ROOT_FORM, DepSentence
 from .tfidf import TfIdfModel
 
 
@@ -27,6 +36,10 @@ class DepMatrixConfig:
     nu: float = 0.5
 
     def __post_init__(self):
+        for name in ("theta", "alpha", "nu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.theta <= 0:
             raise ValueError(f"theta must be > 0, got {self.theta}")
         if self.alpha < 0:
@@ -66,21 +79,20 @@ def base_matrix(a: DepSentence, b: DepSentence, config: DepMatrixConfig = DepMat
 
     Entry (i, j) compares the branch ending at token i of sentence a with
     the branch ending at token j of sentence b, so every entry lies in
-    {0, 1, 2, theta, 2*theta}.
+    {0, 1, 2, theta, 2*theta}. The three equality tests are broadcast
+    comparisons of the integer codes from `_encode`; this is the same
+    arithmetic as summing `word_match` terms and multiplying by
+    `rel_match` cell by cell.
     """
-    tri_a, tri_b = a.trigrams(), b.trigrams()
-    out = np.zeros((a.n, b.n), dtype=np.float64)
-    for i, x in enumerate(tri_a):
-        for j, y in enumerate(tri_b):
-            if x.head_index == 0 and y.head_index == 0:
-                # root branches carry no governing word: they match each
-                # other only through their tails, never through the sentinel
-                head_score = word_match(x.tail_form, y.tail_form)
-            else:
-                head_score = word_match(x.head_form, y.head_form)
-            node_score = head_score + word_match(x.tail_form, y.tail_form)
-            out[i, j] = node_score * rel_match(x.rel, y.rel, config.theta)
-    return out
+    codes_a, codes_b = _encode(a, b)
+    tail_eq = np.array(codes_a.tail)[:, None] == np.array(codes_b.tail)
+    head_eq = np.array(codes_a.head)[:, None] == np.array(codes_b.head)
+    # root branches carry no governing word: they match each other only
+    # through their tails, never through the sentinel
+    root_a, root_b = codes_a.parent.index(-1), codes_b.parent.index(-1)
+    head_eq[root_a, root_b] = tail_eq[root_a, root_b]
+    factor = np.where(np.array(codes_a.rel)[:, None] == np.array(codes_b.rel), config.theta, 1.0)
+    return (head_eq + tail_eq.astype(np.float64)) * factor
 
 
 def subgraph_matrix(a: DepSentence, b: DepSentence, config: DepMatrixConfig = DepMatrixConfig()) -> np.ndarray:
@@ -89,40 +101,97 @@ def subgraph_matrix(a: DepSentence, b: DepSentence, config: DepMatrixConfig = De
     A cell (i, j) is nonzero only when the two tail words match
     (case-insensitive) and their incoming relation labels are equal. A
     matching pair earns the fixed score alpha plus nu times the summed
-    scores of all pairs of their children, recursively. Node pairs are
-    evaluated deepest-first, so each cell is a lookup over already-scored
-    children; the trees are finite and acyclic, so this covers every pair.
+    scores of all pairs of their children, recursively.
+
+    Only matching pairs are visited: sentence a's nodes deepest-first, and
+    for each one the b nodes with the same (form, relation) code, so every
+    child pair is scored before its parents. The child sum is a plain
+    sequential sum over the matching child pairs in (a child ascending,
+    b child ascending) order. Unmatched child pairs would only add +0.0,
+    so the result is bitwise equal to summing over all child pairs; a
+    matrix product over whole depth levels would reorder the additions
+    and change the last bits.
     """
-    kids_a = [a.children(i) for i in range(1, a.n + 1)]
-    kids_b = [b.children(j) for j in range(1, b.n + 1)]
-    forms_a = [tok.form.lower() for tok in a.tokens]
-    forms_b = [tok.form.lower() for tok in b.tokens]
-    order_a = _by_depth_deepest_first(a)
-    order_b = _by_depth_deepest_first(b)
+    codes_a, codes_b = _encode(a, b)
+    key_a = list(zip(codes_a.tail, codes_a.rel))
+    key_b = list(zip(codes_b.tail, codes_b.rel))
+    nodes_b: dict[tuple[int, int], list[int]] = {}
+    for j, key in enumerate(key_b):
+        nodes_b.setdefault(key, []).append(j)
+    # each b node's children grouped by code, ascending within a group
+    kids_b: list[dict[tuple[int, int], list[int]]] = [{} for _ in key_b]
+    for y, parent in enumerate(codes_b.parent):
+        if parent >= 0:
+            kids_b[parent].setdefault(key_b[y], []).append(y)
+    kids_a = _children(codes_a.parent)
+
+    alpha, nu = config.alpha, config.nu
+    scores: list[dict[int, float]] = [{} for _ in key_a]  # scores[i][j], matching pairs only
+    for i in _deepest_first(kids_a, codes_a.parent.index(-1)):
+        kids = [(scores[x], key_a[x]) for x in kids_a[i]]
+        row = scores[i]
+        for j in nodes_b.get(key_a[i], ()):
+            kids_j = kids_b[j]
+            child_sum = 0.0
+            for kid_scores, kid_key in kids:
+                for y in kids_j.get(kid_key, ()):
+                    child_sum += kid_scores[y]
+            row[j] = alpha + nu * child_sum
 
     out = np.zeros((a.n, b.n), dtype=np.float64)
-    for i in order_a:
-        for j in order_b:
-            if forms_a[i - 1] != forms_b[j - 1] or a.tokens[i - 1].deprel != b.tokens[j - 1].deprel:
-                continue
-            total = config.alpha * word_match(a.tokens[i - 1].form, b.tokens[j - 1].form)
-            child_sum = 0.0
-            for x in kids_a[i - 1]:
-                for y in kids_b[j - 1]:
-                    child_sum += out[x - 1, y - 1]
-            out[i - 1, j - 1] = total + config.nu * child_sum
+    for i, row in enumerate(scores):
+        if row:
+            out[i, list(row)] = list(row.values())
     return out
 
 
-def _by_depth_deepest_first(s: DepSentence) -> list[int]:
-    depth = [0] * (s.n + 1)
-    for tok in s.tokens:
-        node, d = tok.index, 0
-        while node != 0:
-            node = s.tokens[node - 1].head
-            d += 1
-        depth[tok.index] = d
-    return sorted(range(1, s.n + 1), key=lambda i: -depth[i])
+class _Codes(NamedTuple):
+    """One sentence as integer codes, one entry per token in token order."""
+
+    tail: list[int]    # id of the lowercased form
+    head: list[int]    # id of the head token's lowercased form; ROOT_FORM's id for the root
+    rel: list[int]     # id of the relation label
+    parent: list[int]  # 0-based position of the head token, -1 for the root
+
+
+def _encode(a: DepSentence, b: DepSentence) -> tuple[_Codes, _Codes]:
+    """Code both sentences against one shared form table and one relation table.
+
+    Two tokens get the same form id exactly when `word_match` says their
+    forms match. The root's head slot holds the id of the lowercased
+    ROOT_FORM sentinel, as in `DepSentence.trigrams`, so a token whose
+    form is literally "<ROOT>" still matches it as it would there.
+    """
+    root = 0
+    forms: dict[str, int] = {ROOT_FORM.lower(): root}
+    rels: dict[str, int] = {}
+
+    def encode(s: DepSentence) -> _Codes:
+        tail = [forms.setdefault(tok.form.lower(), len(forms)) for tok in s.tokens]
+        return _Codes(
+            tail=tail,
+            head=[tail[tok.head - 1] if tok.head else root for tok in s.tokens],
+            rel=[rels.setdefault(tok.deprel, len(rels)) for tok in s.tokens],
+            parent=[tok.head - 1 for tok in s.tokens],
+        )
+
+    return encode(a), encode(b)
+
+
+def _children(parent: list[int]) -> list[list[int]]:
+    kids: list[list[int]] = [[] for _ in parent]
+    for node, p in enumerate(parent):
+        if p >= 0:
+            kids[p].append(node)
+    return kids
+
+
+def _deepest_first(kids: list[list[int]], root: int) -> list[int]:
+    """Breadth-first order from the root, reversed: deepest nodes first, each after its children."""
+    order = [root]
+    for node in order:  # grows while it is walked
+        order.extend(kids[node])
+    return order[::-1]
 
 
 def final_matrix(
@@ -132,8 +201,14 @@ def final_matrix(
     config: DepMatrixConfig = DepMatrixConfig(),
 ) -> np.ndarray:
     """Combined agreement, reweighted by the tail tokens' tf-idf scores."""
-    combined = np.abs(base_matrix(a, b, config) + subgraph_matrix(a, b, config))
-    return combined * np.outer(tfidf.weights(a), tfidf.weights(b))
+    return combine_matrices(
+        base_matrix(a, b, config), subgraph_matrix(a, b, config), tfidf.weights(a), tfidf.weights(b)
+    )
+
+
+def combine_matrices(m: np.ndarray, s: np.ndarray, w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
+    """MF = |M + S| * outer(w_a, w_b), from already computed M and S and per-token weights."""
+    return np.abs(m + s) * np.outer(w_a, w_b)
 
 
 def embed_calibration(mf: np.ndarray, layout: PairLayout) -> np.ndarray:

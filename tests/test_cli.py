@@ -67,9 +67,12 @@ class TestMatrixCommand:
         cfg = DepMatrixConfig(theta=2.0, alpha=1.0, nu=0.5)
         assert record["id"] == "p0"
         assert record["n"] == 4 and record["m"] == 4
-        assert np.array_equal(record["M"], base_matrix(pair.a, pair.b, cfg))
-        assert np.array_equal(record["S"], subgraph_matrix(pair.a, pair.b, cfg))
-        assert np.array_equal(record["MF"], final_matrix(pair.a, pair.b, model, cfg))
+        for key, expected in (
+            ("M", base_matrix(pair.a, pair.b, cfg)),
+            ("S", subgraph_matrix(pair.a, pair.b, cfg)),
+            ("MF", final_matrix(pair.a, pair.b, model, cfg)),
+        ):
+            assert np.asarray(record[key], dtype=np.float64).tobytes() == expected.tobytes(), key
 
     def test_missing_pairs_file(self, tmp_path, tfidf_file):
         code = run(["matrix", "--pairs", str(tmp_path / "absent.jsonl"),
@@ -88,6 +91,15 @@ class TestMatrixCommand:
         code = run(["matrix", "--pairs", str(pairs_file), "--tfidf", str(tfidf_file),
                     "--theta", "-1", "--out", str(tmp_path / "o.jsonl")])
         assert code == 1
+
+    def test_non_finite_theta_is_validation_failure(self, tmp_path, pairs_file, tfidf_file,
+                                                     capsys):
+        out = tmp_path / "o.jsonl"
+        code = run(["matrix", "--pairs", str(pairs_file), "--tfidf", str(tfidf_file),
+                    "--theta", "inf", "--out", str(out)])
+        assert code == 1
+        assert "theta must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_record_order_matches_input(self, tmp_path, tfidf_file):
         pairs = tmp_path / "many.jsonl"
@@ -216,6 +228,19 @@ class TestDemoCommand:
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert file_hash(first / name) == file_hash(second / name)
+
+    def test_tfidf_read_once_per_run(self, tmp_path, tfidf_file, monkeypatch):
+        import dafa.cli as cli
+
+        pairs = tmp_path / "three.jsonl"
+        record = json.dumps({"a": conllu_block(PAIR_A), "b": conllu_block(PAIR_B)})
+        pairs.write_text("\n".join([record] * 3) + "\n", encoding="utf-8")
+        loads = []
+        load = cli._load_tfidf
+        monkeypatch.setattr(cli, "_load_tfidf", lambda path: loads.append(path) or load(path))
+        assert run(["demo", "--pairs", str(pairs), "--tfidf", str(tfidf_file),
+                    "--out", str(tmp_path / "d")]) == 0
+        assert loads == [str(tfidf_file)]
 
     def test_inputs_not_mutated(self, tmp_path, pairs_file, tfidf_file):
         before = (file_hash(pairs_file), file_hash(tfidf_file))

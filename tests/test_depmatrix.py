@@ -247,6 +247,12 @@ class TestConfigs:
         with pytest.raises(ValueError):
             DepMatrixConfig(alpha=-0.1)
 
+    @pytest.mark.parametrize("name", ["theta", "alpha", "nu"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constants_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DepMatrixConfig(**{name: value})
+
     def test_overlapping_spans_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             PairLayout(d_seq=5, a_span=range(1, 3), b_span=range(2, 4))

@@ -31,11 +31,7 @@ from .depmatrix import (
 from .fusion import (
     FusionOutput,
     FusionParams,
-    dependency_guided,
-    filtration,
     fuse,
-    gated_fuse,
-    semantic_guided,
 )
 from .gradcheck import (
     GradCheckConfig,
@@ -50,7 +46,6 @@ from .pipeline import (
     LayerOutput,
     build_layout,
     dafa_layer,
-    init_embeddings,
     read_heatmap_csv,
     sequence_tokens,
     write_heatmap_csv,
@@ -83,14 +78,10 @@ __all__ = [
     "check",
     "dafa_layer",
     "dep_attention",
-    "dependency_guided",
     "embed_calibration",
     "fd_gradient",
-    "filtration",
     "final_matrix",
     "fuse",
-    "gated_fuse",
-    "init_embeddings",
     "multi_head_dafa",
     "parse_conllu",
     "parse_single",
@@ -99,7 +90,6 @@ __all__ = [
     "read_pairs",
     "rel_match",
     "sem_attention",
-    "semantic_guided",
     "sequence_tokens",
     "subgraph_matrix",
     "word_match",

@@ -117,7 +117,7 @@ def _cmd_matrix(args) -> int:
             "S": s.tolist(),
             "MF": mf.tolist(),
         }
-        lines.append(json.dumps(record, sort_keys=True))
+        lines.append(json.dumps(record, sort_keys=True, allow_nan=False))
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} matrix records -> {args.out}")
     return 0
@@ -154,7 +154,7 @@ def _cmd_attend(args) -> int:
         "sem_weights": [sig.sem_weights.tolist() for sig in signals],
         "dep_weights": [sig.dep_weights.tolist() for sig in signals],
     }
-    _write_text(args.out, json.dumps(payload, sort_keys=True) + "\n")
+    _write_text(args.out, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
     print(f"wrote attention signals for {pair.pair_id!r} -> {args.out}")
     return 0
 
@@ -167,6 +167,8 @@ def _cmd_fuse(args) -> int:
     dep = np.asarray(data["dep"], dtype=np.float64)
     if sem.ndim != 2 or sem.shape != dep.shape:
         raise _InputError(f"{args.signals}: 'sem' and 'dep' must be equal-shape matrices")
+    if not (np.all(np.isfinite(sem)) and np.all(np.isfinite(dep))):
+        raise ValueError(f"{args.signals}: 'sem' and 'dep' must be finite")
     if args.params is not None and not _is_int(args.params):
         try:
             params = FusionParams.from_json(_read_text(args.params))
@@ -183,7 +185,7 @@ def _cmd_fuse(args) -> int:
         "dep_refined": out.dep_refined.tolist(),
         "sem_refined": out.sem_refined.tolist(),
     }
-    _write_text(args.out, json.dumps(payload, sort_keys=True) + "\n")
+    _write_text(args.out, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
     print(f"fused {sem.shape[0]}x{sem.shape[1]} signals -> {args.out}")
     return 0
 
@@ -201,23 +203,34 @@ def _cmd_gradcheck(args) -> int:
     ops = ["fuse"] if args.op == "fuse" else ["sem_attention", "dep_attention"]
     seed = _seed(args)
     reports = [check(op, config, seed=seed, tol=args.tol, eps=args.eps) for op in ops]
-    payload = json.dumps([json.loads(r.to_json()) for r in reports], sort_keys=True, indent=2)
+    payload = json.dumps([json.loads(r.to_json()) for r in reports], sort_keys=True, indent=2,
+                         allow_nan=False)
     print(payload)
     if args.out:
         _write_text(args.out, payload + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _output_stems(pairs) -> list[str]:
+    """One output file stem per pair; an empty stem or one shared by two pairs is an error."""
+    stems, seen = [pair.pair_id.replace("/", "_") for pair in pairs], set()
+    for pair, stem in zip(pairs, stems):
+        if not stem or stem in seen:
+            raise ValueError(f"pair id {pair.pair_id!r} maps to output stem {stem!r}, "
+                             "which is empty or used by an earlier pair")
+        seen.add(stem)
+    return stems
+
+
 def _cmd_demo(args) -> int:
     pairs = _load_pairs(args.pairs)
+    stems = _output_stems(pairs)
     tfidf = _load_tfidf(args.tfidf) if args.tfidf else None
     seed = _seed(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dep_config = _dep_config(args)
-    written = 0
-    for pair in pairs:
-        stem = pair.pair_id.replace("/", "_")
+    for pair, stem in zip(pairs, stems):
         layout = build_layout(pair.a, pair.b)
         config = AttnConfig(
             d_model=args.d_model, heads=args.heads, d_k=args.d_k, d_v=args.d_v, d_seq=layout.d_seq
@@ -238,8 +251,7 @@ def _cmd_demo(args) -> int:
                               output.sem_weights[head])
             write_heatmap_csv(out_dir / f"{stem}.dep.h{head}.csv", tokens, tokens,
                               output.dep_weights[head])
-        written += 1
-    print(f"wrote {written} pair outputs -> {out_dir}")
+    print(f"wrote {len(pairs)} pair outputs -> {out_dir}")
     return 0
 
 
@@ -333,13 +345,8 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConlluError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    # ConlluError and JSONDecodeError are ValueErrors, so this handler comes first
+    except (_InputError, ConlluError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -160,7 +160,7 @@ class FusionParams:
             name: (float(v) if np.ndim(v) == 0 else np.asarray(v).tolist())
             for name, v in self.to_dict().items()
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "FusionParams":
@@ -196,66 +196,12 @@ def _check_signal(name: str, signal, params: FusionParams) -> np.ndarray:
     return signal
 
 
-def _guided_pool(signal, feature, w_proj, w_query, b_query, w_score, b_score):
-    """Pool one signal matrix into a vector, scored against a conditioning feature.
-
-    Returns (pooled vector of size d_v, softmax weights of size d_seq).
-    """
-    d_seq = signal.shape[0]
-    t_sig = np.tanh(w_proj @ signal.T)            # (d_seq, d_seq)
-    t_feat = np.tanh(w_query @ feature + b_query) # (d_seq,)
-    scores = w_score[:d_seq] @ t_sig + (w_score[d_seq:] @ t_feat + b_score)
-    weights = softmax(scores)
-    return signal.T @ weights, weights
-
-
-def semantic_guided(dep, s_i, params: FusionParams) -> np.ndarray:
-    """Refined dependency feature for one position, conditioned on its semantic feature."""
-    dep = _check_signal("dep", dep, params)
-    s_i = np.asarray(s_i, dtype=np.float64)
-    pooled, _ = _guided_pool(
-        dep, s_i, params.w_dep_proj, params.w_sem_query, params.b_sem_query,
-        params.w_dep_score, params.b_dep_score,
-    )
-    return pooled
-
-
-def dependency_guided(sem, dstar_i, params: FusionParams) -> np.ndarray:
-    """Refined semantic feature for one position, conditioned on its refined dependency feature."""
-    sem = _check_signal("sem", sem, params)
-    dstar_i = np.asarray(dstar_i, dtype=np.float64)
-    pooled, _ = _guided_pool(
-        sem, dstar_i, params.w_sem_proj, params.w_dep_query, params.b_dep_query,
-        params.w_sem_score, params.b_sem_score,
-    )
-    return pooled
-
-
-def gated_fuse(dstar_i, sstar_i, params: FusionParams) -> tuple[np.ndarray, float]:
-    """Blend tanh transforms of the refined features; returns (blend, gate)."""
-    dstar_i = np.asarray(dstar_i, dtype=np.float64)
-    sstar_i = np.asarray(sstar_i, dtype=np.float64)
-    hd = np.tanh(params.w_dep_hidden @ dstar_i + params.b_dep_hidden)
-    hs = np.tanh(params.w_sem_hidden @ sstar_i + params.b_sem_hidden)
-    gate = float(sigmoid(params.w_fusion_gate @ np.concatenate([hd, hs])))
-    return gate * hs + (1.0 - gate) * hd, gate
-
-
-def filtration(s_i, v_i, params: FusionParams) -> tuple[np.ndarray, float]:
-    """Scale the projected blend by a gate conditioned on the original semantic feature."""
-    s_i = np.asarray(s_i, dtype=np.float64)
-    v_i = np.asarray(v_i, dtype=np.float64)
-    projected = params.w_value @ v_i + params.b_value
-    gate = float(sigmoid(params.w_filter_gate @ np.concatenate([s_i, projected])))
-    return gate * np.tanh(params.w_output @ v_i + params.b_output), gate
-
-
 def _forward_trace(sem, dep, params: FusionParams) -> dict:
     """Run the whole network for every position at once, keeping intermediates.
 
-    The per-position loop of the public operations is batched here: row i
-    of each cached matrix corresponds to position i. Shared with the
-    analytic backward pass so both differentiate the same forward code.
+    Row i of each cached matrix corresponds to position i. `fuse` returns
+    the per-position results from this trace, and the analytic backward
+    pass differentiates it, so both run the same forward code.
     """
     d_seq = params.d_seq
     wd_top, wd_bot = params.w_dep_score[:d_seq], params.w_dep_score[d_seq:]

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .attention import CalibratedSignals, dep_attention, sem_attention
+from .attention import dep_attention, sem_attention
 from .fusion import FusionOutput, FusionParams, _forward_trace, fuse
 
 DEFAULT_EPS = 1e-5
@@ -31,8 +31,6 @@ def probe_loss(output) -> float:
     """Half the squared sum of the operation's primary output matrix."""
     if isinstance(output, FusionOutput):
         matrix = output.fused
-    elif isinstance(output, CalibratedSignals):
-        matrix = output.dep
     else:
         matrix = np.asarray(output, dtype=np.float64)
     return 0.5 * float(np.sum(matrix * matrix))
@@ -239,7 +237,7 @@ class GradReport:
         return max(self.abs_errors.values()) if self.abs_errors else 0.0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True, allow_nan=False)
 
 
 def compare_gradients(analytic: dict, fd: dict, tol: float, abs_floor: float = ABS_FLOOR):
@@ -272,40 +270,31 @@ def check(
     """Run one seeded analytic-vs-finite-difference comparison."""
     cfg = config or GradCheckConfig()
     rng = np.random.default_rng(seed)
+    params = None
     if op_name == "fuse":
         params = FusionParams.init(cfg.d_seq, cfg.d_v, cfg.d_hid, rng)
-        sem = rng.uniform(-1.0, 1.0, (cfg.d_seq, cfg.d_v))
-        dep = rng.uniform(-1.0, 1.0, (cfg.d_seq, cfg.d_v))
-        analytic = fuse_gradients(sem, dep, params)
-        flat = {**params.to_dict(), "sem": sem, "dep": dep}
+        inputs = {name: rng.uniform(-1.0, 1.0, (cfg.d_seq, cfg.d_v)) for name in ("sem", "dep")}
+        flat = {**params.to_dict(), **inputs}
 
         def loss(values: dict) -> float:
             p = FusionParams.from_dict(values)
             return probe_loss(fuse(values["sem"], values["dep"], p))
-
-        fd = fd_gradient(loss, flat, eps)
-    elif op_name in ("sem_attention", "dep_attention"):
-        q = rng.uniform(-1.0, 1.0, (cfg.d_seq, cfg.d_k))
-        k = rng.uniform(-1.0, 1.0, (cfg.d_seq, cfg.d_k))
-        v = rng.uniform(-1.0, 1.0, (cfg.d_seq, cfg.d_v))
+    else:  # an unknown op_name draws q, k, v, then analytic_gradient rejects it
+        dims = {"q": cfg.d_k, "k": cfg.d_k, "v": cfg.d_v}
+        inputs = {name: rng.uniform(-1.0, 1.0, (cfg.d_seq, d)) for name, d in dims.items()}
+        flat = dict(inputs)
+        calibration = None
         if op_name == "dep_attention":
             calibration = 1.0 + rng.uniform(0.0, 1.0, (cfg.d_seq, cfg.d_seq))
-            analytic = dep_attention_gradients(q, k, v, calibration)
-            fd = fd_gradient(
-                lambda w: probe_loss(dep_attention(w["q"], w["k"], w["v"], calibration)[1]),
-                {"q": q, "k": k, "v": v},
-                eps,
-            )
-        else:
-            analytic = sem_attention_gradients(q, k, v)
-            fd = fd_gradient(
-                lambda w: probe_loss(sem_attention(w["q"], w["k"], w["v"])[1]),
-                {"q": q, "k": k, "v": v},
-                eps,
-            )
-    else:
-        raise ValueError(f"unknown op {op_name!r}; expected one of {OP_NAMES}")
+            inputs["calibration"] = calibration
 
+        def loss(w: dict) -> float:
+            if calibration is None:
+                return probe_loss(sem_attention(w["q"], w["k"], w["v"])[1])
+            return probe_loss(dep_attention(w["q"], w["k"], w["v"], calibration)[1])
+
+    analytic = analytic_gradient(op_name, inputs, params)
+    fd = fd_gradient(loss, flat, eps)
     rel_errors, abs_errors, passed = compare_gradients(analytic, fd, tol)
     return GradReport(
         op_name=op_name, seed=seed, tol=tol, eps=eps,

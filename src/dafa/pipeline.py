@@ -62,10 +62,6 @@ class EmbeddingTable:
         return np.stack([self.lookup(form) for form in forms])
 
 
-def init_embeddings(forms, d_model: int, seed: int) -> EmbeddingTable:
-    return EmbeddingTable.build(forms, d_model, seed)
-
-
 @dataclass(frozen=True, eq=False)
 class LayerOutput:
     """Everything one layer evaluation produces for a pair."""
@@ -90,7 +86,7 @@ class LayerOutput:
             "filter_gates": self.filter_gates.tolist(),
             "calibration": self.calibration.tolist(),
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "LayerOutput":

@@ -56,6 +56,7 @@ class TfIdfModel:
         return json.dumps(
             {"doc_count": self.doc_count, "df": dict(sorted(self.df.items()))},
             sort_keys=True,
+            allow_nan=False,
         )
 
     @classmethod

@@ -178,6 +178,35 @@ class TestFuseCommand:
         signals.write_text(json.dumps({"sem": [[0.0]], "dep": [[0.0], [0.0]]}), encoding="utf-8")
         assert run(["fuse", "--signals", str(signals), "--out", str(tmp_path / "o.json")]) == 2
 
+    @pytest.mark.parametrize("name, value", [("sem", float("nan")), ("dep", float("inf")),
+                                             ("sem", float("-inf"))])
+    def test_non_finite_signals_rejected(self, tmp_path, capsys, name, value):
+        data = {"sem": np.zeros((3, 2)).tolist(), "dep": np.zeros((3, 2)).tolist()}
+        data[name][1][0] = value
+        signals = tmp_path / "signals.json"
+        signals.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "fused.json"
+        assert run(["fuse", "--signals", str(signals), "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_params_write_no_output(self, tmp_path, capsys):
+        from dafa.fusion import FusionParams
+
+        params = FusionParams.init(3, 2, 2, seed=8).to_dict()
+        params["b_output"] = np.full(2, np.nan)
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({k: np.asarray(v).tolist() for k, v in params.items()}),
+                               encoding="utf-8")
+        signals = tmp_path / "signals.json"
+        signals.write_text(json.dumps({"sem": np.zeros((3, 2)).tolist(),
+                                       "dep": np.zeros((3, 2)).tolist()}), encoding="utf-8")
+        out = tmp_path / "fused.json"
+        assert run(["fuse", "--signals", str(signals), "--params", str(params_path),
+                    "--out", str(out)]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
     def test_fuse_passes(self, capsys):
@@ -241,6 +270,18 @@ class TestDemoCommand:
         assert run(["demo", "--pairs", str(pairs), "--tfidf", str(tfidf_file),
                     "--out", str(tmp_path / "d")]) == 0
         assert loads == [str(tfidf_file)]
+
+    @pytest.mark.parametrize("ids", [["dup", "dup"], [""], ["x/y", "x_y"]],
+                             ids=["duplicate", "empty", "sanitised-collision"])
+    def test_bad_pair_ids_rejected_before_writing(self, tmp_path, capsys, ids):
+        pairs = tmp_path / "pairs.jsonl"
+        records = [json.dumps({"id": pid, "a": conllu_block(PAIR_A), "b": conllu_block(PAIR_B)})
+                   for pid in ids]
+        pairs.write_text("\n".join(records) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "demo"
+        assert run(["demo", "--pairs", str(pairs), "--out", str(out_dir)]) == 1
+        assert "pair id" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_inputs_not_mutated(self, tmp_path, pairs_file, tfidf_file):
         before = (file_hash(pairs_file), file_hash(tfidf_file))

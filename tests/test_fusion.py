@@ -1,19 +1,11 @@
-"""Fusion network tests against naive per-position loop evaluations."""
+"""Fusion network tests: `fuse` against naive scalar-loop evaluations of each stage."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dafa.fusion import (
-    PARAM_FIELDS,
-    FusionParams,
-    dependency_guided,
-    filtration,
-    fuse,
-    gated_fuse,
-    semantic_guided,
-)
+from dafa.fusion import PARAM_FIELDS, FusionParams, fuse
 
 
 def naive_guided(signal, feature, w_proj, w_query, b_query, w_score, b_score):
@@ -43,127 +35,177 @@ def naive_guided(signal, feature, w_proj, w_query, b_query, w_score, b_score):
     )
 
 
+def naive_dense_tanh(w, b, x):
+    """tanh(w @ x + b) as scalar loops."""
+    return [math.tanh(sum(w[r][c] * x[c] for c in range(len(x))) + b[r]) for r in range(len(b))]
+
+
+def naive_sigmoid_dot(w, x):
+    return 1.0 / (1.0 + math.exp(-sum(wi * xi for wi, xi in zip(w, x))))
+
+
+def naive_gate_and_filter(s_i, dstar, sstar, params):
+    """Scalar gate/filter composition for one position (oracle).
+
+    Returns (fused row, fusion gate, filter gate, hidden blend).
+    """
+    hd = naive_dense_tanh(params.w_dep_hidden, params.b_dep_hidden, dstar)
+    hs = naive_dense_tanh(params.w_sem_hidden, params.b_sem_hidden, sstar)
+    gate = naive_sigmoid_dot(params.w_fusion_gate, hd + hs)
+    blend = [gate * s + (1.0 - gate) * d for d, s in zip(hd, hs)]
+    projected = [
+        sum(params.w_value[r][c] * blend[c] for c in range(len(blend))) + params.b_value[r]
+        for r in range(len(params.b_value))
+    ]
+    filt = naive_sigmoid_dot(params.w_filter_gate, list(s_i) + projected)
+    squashed = naive_dense_tanh(params.w_output, params.b_output, blend)
+    return np.array([filt * x for x in squashed]), gate, filt, np.array(blend)
+
+
 def naive_fuse_position(sem, dep, params, i):
-    """Compose the public single-position operations (oracle for fuse)."""
-    dstar = semantic_guided(dep, sem[i], params)
-    sstar = dependency_guided(sem, dstar, params)
-    blend, gate = gated_fuse(dstar, sstar, params)
-    out, filt = filtration(sem[i], blend, params)
+    """Whole network for position i from the scalar oracles."""
+    dstar = naive_guided(dep, sem[i], params.w_dep_proj, params.w_sem_query, params.b_sem_query,
+                         params.w_dep_score, params.b_dep_score)
+    sstar = naive_guided(sem, dstar, params.w_sem_proj, params.w_dep_query, params.b_dep_query,
+                         params.w_sem_score, params.b_sem_score)
+    out, gate, filt, blend = naive_gate_and_filter(sem[i], dstar, sstar, params)
     return out, gate, filt, dstar, sstar, blend
 
 
+def random_signals(seed, d_seq, d_v, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-scale, scale, (d_seq, d_v)), rng.uniform(-scale, scale, (d_seq, d_v))
+
+
+def with_values(params, **values):
+    return FusionParams.from_dict({**params.to_dict(), **values})
+
+
 class TestSemanticGuided:
+    """`dep_refined`: the dependency signal pooled under scores conditioned on sem[i]."""
+
     def test_single_position_returns_dep_row(self):
         params = FusionParams.init(d_seq=1, d_v=3, d_hid=2, seed=0)
         dep = np.array([[0.4, -0.2, 0.9]])
-        out = semantic_guided(dep, np.array([0.1, 0.2, 0.3]), params)
-        assert np.allclose(out, dep[0], atol=0.0)
+        out = fuse(np.array([[0.1, 0.2, 0.3]]), dep, params)
+        assert np.allclose(out.dep_refined, dep, atol=0.0)
 
     def test_zero_params_give_column_mean(self):
         params = FusionParams.zeros(d_seq=3, d_v=2, d_hid=2)
-        rng = np.random.default_rng(1)
-        dep = rng.normal(size=(3, 2))
-        out = semantic_guided(dep, rng.normal(size=2), params)
-        assert np.allclose(out, dep.mean(axis=0), atol=1e-15)
+        sem, dep = random_signals(1, 3, 2)
+        out = fuse(sem, dep, params)
+        for row in out.dep_refined:
+            assert np.allclose(row, dep.mean(axis=0), atol=1e-15)
 
     def test_matches_naive_loop(self):
         params = FusionParams.init(d_seq=3, d_v=2, d_hid=2, seed=2)
-        rng = np.random.default_rng(3)
-        dep = rng.normal(size=(3, 2))
-        s_i = rng.normal(size=2)
-        expected = naive_guided(
-            dep, s_i, params.w_dep_proj, params.w_sem_query, params.b_sem_query,
-            params.w_dep_score, params.b_dep_score,
-        )
-        assert np.allclose(semantic_guided(dep, s_i, params), expected, atol=1e-12)
+        sem, dep = random_signals(3, 3, 2)
+        out = fuse(sem, dep, params)
+        for i in range(3):
+            expected = naive_guided(
+                dep, sem[i], params.w_dep_proj, params.w_sem_query, params.b_sem_query,
+                params.w_dep_score, params.b_dep_score,
+            )
+            assert np.allclose(out.dep_refined[i], expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         params = FusionParams.init(d_seq=3, d_v=2, d_hid=2, seed=4)
-        with pytest.raises(ValueError):
-            semantic_guided(np.zeros((2, 2)), np.zeros(2), params)
+        with pytest.raises(ValueError, match="dep"):
+            fuse(np.zeros((3, 2)), np.zeros((2, 2)), params)
 
 
 class TestDependencyGuided:
+    """`sem_refined`: the semantic signal pooled under scores conditioned on dep_refined[i]."""
+
     def test_single_position_returns_sem_row(self):
         params = FusionParams.init(d_seq=1, d_v=2, d_hid=2, seed=5)
         sem = np.array([[1.5, -0.5]])
-        assert np.allclose(dependency_guided(sem, np.zeros(2), params), sem[0], atol=0.0)
+        out = fuse(sem, np.zeros((1, 2)), params)
+        assert np.allclose(out.sem_refined, sem, atol=0.0)
 
     def test_zero_params_give_column_mean(self):
         params = FusionParams.zeros(d_seq=4, d_v=3, d_hid=2)
-        rng = np.random.default_rng(6)
-        sem = rng.normal(size=(4, 3))
-        out = dependency_guided(sem, rng.normal(size=3), params)
-        assert np.allclose(out, sem.mean(axis=0), atol=1e-15)
+        sem, dep = random_signals(6, 4, 3)
+        out = fuse(sem, dep, params)
+        for row in out.sem_refined:
+            assert np.allclose(row, sem.mean(axis=0), atol=1e-15)
 
     def test_matches_naive_loop(self):
         params = FusionParams.init(d_seq=3, d_v=2, d_hid=2, seed=7)
-        rng = np.random.default_rng(8)
-        sem = rng.normal(size=(3, 2))
-        dstar = rng.normal(size=2)
-        expected = naive_guided(
-            sem, dstar, params.w_sem_proj, params.w_dep_query, params.b_dep_query,
-            params.w_sem_score, params.b_sem_score,
-        )
-        assert np.allclose(dependency_guided(sem, dstar, params), expected, atol=1e-12)
+        sem, dep = random_signals(8, 3, 2)
+        out = fuse(sem, dep, params)
+        for i in range(3):
+            expected = naive_guided(
+                sem, out.dep_refined[i], params.w_sem_proj, params.w_dep_query,
+                params.b_dep_query, params.w_sem_score, params.b_sem_score,
+            )
+            assert np.allclose(out.sem_refined[i], expected, atol=1e-12)
 
 
 class TestGatedFuse:
+    """`hidden_blend` and `fusion_gate`: the gated mix of the two refined features."""
+
     def test_zero_params(self):
         params = FusionParams.zeros(d_seq=2, d_v=2, d_hid=3)
-        blend, gate = gated_fuse(np.ones(2), np.ones(2), params)
-        assert gate == 0.5
-        assert np.all(blend == 0.0)
+        out = fuse(np.ones((2, 2)), np.ones((2, 2)), params)
+        assert np.all(out.fusion_gate == 0.5)
+        assert np.all(out.hidden_blend == 0.0)
 
     def test_identical_branches_make_gate_irrelevant(self):
-        params = FusionParams.init(d_seq=2, d_v=2, d_hid=3, seed=9)
-        params = FusionParams.from_dict(
-            {**params.to_dict(), "w_sem_hidden": params.w_dep_hidden,
-             "b_sem_hidden": params.b_dep_hidden}
+        # uniform pooling over identical signals makes d* = s*; identical hidden
+        # layers then give hd = hs, and any gate mixes them to that same value
+        params = FusionParams.init(d_seq=3, d_v=2, d_hid=3, seed=9)
+        params = with_values(
+            params, w_sem_hidden=params.w_dep_hidden, b_sem_hidden=params.b_dep_hidden,
+            w_dep_score=np.zeros(6), b_dep_score=0.0, w_sem_score=np.zeros(6), b_sem_score=0.0,
         )
-        x = np.array([0.3, -0.8])
-        blend, _ = gated_fuse(x, x, params)
-        expected = np.tanh(params.w_dep_hidden @ x + params.b_dep_hidden)
-        assert np.allclose(blend, expected, atol=1e-15)
+        x = np.array([[0.3, -0.8], [0.1, 0.5], [-0.6, 0.2]])
+        out = fuse(x, x, params)
+        assert np.array_equal(out.dep_refined, out.sem_refined)
+        expected = np.tanh(out.dep_refined @ params.w_dep_hidden.T + params.b_dep_hidden)
+        assert np.allclose(out.hidden_blend, expected, atol=1e-15)
+        assert np.all(out.fusion_gate != 0.5)
 
     def test_blend_between_branches(self):
-        rng = np.random.default_rng(10)
         for seed in range(10):
             params = FusionParams.init(d_seq=2, d_v=3, d_hid=4, seed=seed)
-            dstar, sstar = rng.normal(size=3), rng.normal(size=3)
-            blend, gate = gated_fuse(dstar, sstar, params)
-            hd = np.tanh(params.w_dep_hidden @ dstar + params.b_dep_hidden)
-            hs = np.tanh(params.w_sem_hidden @ sstar + params.b_sem_hidden)
-            assert 0.0 < gate < 1.0
-            assert np.all(blend >= np.minimum(hd, hs) - 1e-12)
-            assert np.all(blend <= np.maximum(hd, hs) + 1e-12)
+            sem, dep = random_signals(10 + seed, 2, 3, scale=2.0)
+            out = fuse(sem, dep, params)
+            hd = np.tanh(out.dep_refined @ params.w_dep_hidden.T + params.b_dep_hidden)
+            hs = np.tanh(out.sem_refined @ params.w_sem_hidden.T + params.b_sem_hidden)
+            assert np.all((out.fusion_gate > 0.0) & (out.fusion_gate < 1.0))
+            assert np.all(out.hidden_blend >= np.minimum(hd, hs) - 1e-12)
+            assert np.all(out.hidden_blend <= np.maximum(hd, hs) + 1e-12)
 
 
 class TestFiltration:
+    """`filter_gate` and `fused`: the projected blend scaled by a gate driven by sem[i]."""
+
     def test_zero_params(self):
         params = FusionParams.zeros(d_seq=2, d_v=2, d_hid=3)
-        out, gate = filtration(np.ones(2), np.ones(3), params)
-        assert gate == 0.5
-        assert np.all(out == 0.0)
+        out = fuse(np.ones((2, 2)), np.ones((2, 2)), params)
+        assert np.all(out.filter_gate == 0.5)
+        assert np.all(out.fused == 0.0)
 
     def test_very_negative_gate_filters_out(self):
-        params = FusionParams.zeros(d_seq=2, d_v=2, d_hid=2)
-        params = FusionParams.from_dict(
-            {**params.to_dict(),
-             "w_filter_gate": np.full(4, -50.0),
-             "w_output": np.ones((2, 2))}
+        params = with_values(
+            FusionParams.zeros(d_seq=2, d_v=2, d_hid=2),
+            b_dep_hidden=np.ones(2), b_sem_hidden=np.ones(2), w_output=np.ones((2, 2)),
         )
-        out, gate = filtration(np.ones(2), np.ones(2), params)
-        assert gate < 1e-15
-        assert np.all(np.abs(out) < 1e-12)
+        sem = np.ones((2, 2))
+        open_gate = fuse(sem, sem, params)
+        assert np.all(np.abs(open_gate.fused) > 0.1)
+        closed = fuse(sem, sem, with_values(params, w_filter_gate=np.full(4, -50.0)))
+        assert np.all(closed.filter_gate < 1e-15)
+        assert np.all(np.abs(closed.fused) < 1e-12)
 
     def test_output_bounded_by_gate(self):
-        rng = np.random.default_rng(11)
         for seed in range(10):
             params = FusionParams.init(d_seq=2, d_v=3, d_hid=2, seed=seed)
-            out, gate = filtration(rng.normal(size=3), rng.normal(size=2), params)
-            assert 0.0 < gate < 1.0
-            assert np.all(np.abs(out) < gate)
+            sem, dep = random_signals(11 + seed, 2, 3, scale=2.0)
+            out = fuse(sem, dep, params)
+            assert np.all((out.filter_gate > 0.0) & (out.filter_gate < 1.0))
+            assert np.all(np.abs(out.fused) < out.filter_gate[:, None])
 
 
 class TestFuse:
@@ -193,15 +235,13 @@ class TestFuse:
         # the gate chain for position 0 reads other rows only through the
         # pooled vectors; reproducing those vectors reproduces the outputs
         params = FusionParams.init(d_seq=3, d_v=2, d_hid=2, seed=14)
-        rng = np.random.default_rng(15)
-        sem = rng.uniform(-1, 1, (3, 2))
-        dep = rng.uniform(-1, 1, (3, 2))
+        sem, dep = random_signals(15, 3, 2)
         out = fuse(sem, dep, params)
-        dstar0 = out.dep_refined[0]
-        sstar0 = out.sem_refined[0]
-        blend, gate = gated_fuse(dstar0, sstar0, params)
-        final, filt = filtration(sem[0], blend, params)
+        final, gate, filt, blend = naive_gate_and_filter(
+            sem[0], out.dep_refined[0], out.sem_refined[0], params
+        )
         assert np.allclose(out.fused[0], final, atol=1e-12)
+        assert np.allclose(out.hidden_blend[0], blend, atol=1e-12)
         assert out.fusion_gate[0] == pytest.approx(gate, abs=1e-12)
         assert out.filter_gate[0] == pytest.approx(filt, abs=1e-12)
 
@@ -232,7 +272,7 @@ class TestFuse:
 
     def test_shape_mismatch(self):
         params = FusionParams.init(d_seq=2, d_v=2, d_hid=2, seed=19)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sem"):
             fuse(np.zeros((2, 3)), np.zeros((2, 2)), params)
 
 
@@ -271,3 +311,8 @@ class TestFusionParams:
         values["w_dep_score"] = np.zeros(3)
         with pytest.raises(ValueError, match="w_dep_score"):
             FusionParams.from_dict(values)
+
+    def test_non_finite_json_rejected(self):
+        params = with_values(FusionParams.init(2, 2, 2, seed=24), b_output=np.array([np.nan, 0.0]))
+        with pytest.raises(ValueError):
+            params.to_json()

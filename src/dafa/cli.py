@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import AttnConfig, AttnParams, multi_head_dafa
-from .conllu import ConlluError, SentencePair, parse_conllu, read_pairs
+from .conllu import SentencePair, parse_conllu, read_pairs
 from .depmatrix import (
     DepMatrixConfig,
     base_matrix,
@@ -32,45 +32,38 @@ class _InputError(Exception):
     """Unreadable or unparseable input; maps to exit code 2."""
 
 
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _InputError(str(exc)) from None
+def _load(path, parse, what=None):
+    """Read one input file and parse its text; any failure is an _InputError naming the path.
 
-
-def _load_corpus(path):
+    `parse` may raise TypeError as well as ValueError: JSON of the wrong structure (a list or
+    an object where a number belongs) fails numpy's float conversion with a TypeError. When
+    `what` is given, an empty result is an error naming the records it lacks.
+    """
     try:
-        sentences = parse_conllu(_read_text(path))
-    except ConlluError as exc:
+        value = parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, TypeError) as exc:
         raise _InputError(f"{path}: {exc}") from None
-    if not sentences:
-        raise _InputError(f"{path}: no sentences found")
-    return sentences
+    if what is not None and not value:
+        raise _InputError(f"{path}: no {what} found")
+    return value
 
 
-def _load_pairs(path) -> list[SentencePair]:
-    try:
-        pairs = read_pairs(_read_text(path))
-    except ConlluError as exc:
-        raise _InputError(f"{path}: {exc}") from None
-    if not pairs:
-        raise _InputError(f"{path}: no pair records found")
-    return pairs
+def _parse_signals(text: str) -> tuple[np.ndarray, np.ndarray]:
+    data = json.loads(text)
+    if not isinstance(data, dict) or "sem" not in data or "dep" not in data:
+        raise ValueError("expected object with 'sem' and 'dep' matrices")
+    sem = np.asarray(data["sem"], dtype=np.float64)
+    dep = np.asarray(data["dep"], dtype=np.float64)
+    if sem.ndim != 2 or sem.shape != dep.shape:
+        raise ValueError("'sem' and 'dep' must be equal-shape matrices")
+    return sem, dep
 
 
-def _load_tfidf(path) -> TfIdfModel:
-    try:
-        return TfIdfModel.from_json(_read_text(path))
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise _InputError(f"{path}: {exc}") from None
-
-
-def _load_json(path):
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}: {exc}") from None
+def _parse_config(text: str) -> dict:
+    overrides = json.loads(text)
+    if not isinstance(overrides, dict) or any(type(v) is not int for v in overrides.values()):
+        raise ValueError("attention config must be a JSON object of integers")
+    return overrides
 
 
 def _pair_tfidf(model: TfIdfModel | None, pair: SentencePair) -> TfIdfModel:
@@ -94,15 +87,15 @@ def _write_text(path, text: str) -> None:
 
 
 def _cmd_tfidf_fit(args) -> int:
-    model = TfIdfModel.fit(_load_corpus(args.corpus))
+    model = TfIdfModel.fit(_load(args.corpus, parse_conllu, "sentences"))
     _write_text(args.out, model.to_json() + "\n")
     print(f"fitted tf-idf on {model.doc_count} sentences -> {args.out}")
     return 0
 
 
 def _cmd_matrix(args) -> int:
-    pairs = _load_pairs(args.pairs)
-    model = _load_tfidf(args.tfidf)
+    pairs = _load(args.pairs, read_pairs, "pair records")
+    model = _load(args.tfidf, TfIdfModel.from_json)
     config = _dep_config(args)
     lines = []
     for pair in pairs:
@@ -124,24 +117,22 @@ def _cmd_matrix(args) -> int:
 
 
 def _attn_config(args, d_seq: int) -> AttnConfig:
-    overrides = _load_json(args.config) if args.config else {}
-    if not isinstance(overrides, dict):
-        raise _InputError(f"{args.config}: attention config must be a JSON object")
+    overrides = _load(args.config, _parse_config) if args.config else {}
     return AttnConfig(
-        d_model=int(overrides.get("d_model", args.d_model)),
-        heads=int(overrides.get("heads", args.heads)),
-        d_k=int(overrides.get("d_k", args.d_k)),
-        d_v=int(overrides.get("d_v", args.d_v)),
+        d_model=overrides.get("d_model", args.d_model),
+        heads=overrides.get("heads", args.heads),
+        d_k=overrides.get("d_k", args.d_k),
+        d_v=overrides.get("d_v", args.d_v),
         d_seq=d_seq,
     )
 
 
 def _cmd_attend(args) -> int:
-    pair = _load_pairs(args.pair)[0]
+    pair = _load(args.pair, read_pairs, "pair records")[0]
     seed = _seed(args)
     layout = build_layout(pair.a, pair.b)
     config = _attn_config(args, layout.d_seq)
-    model = _pair_tfidf(_load_tfidf(args.tfidf) if args.tfidf else None, pair)
+    model = _pair_tfidf(_load(args.tfidf, TfIdfModel.from_json) if args.tfidf else None, pair)
     calibration = embed_calibration(final_matrix(pair.a, pair.b, model, _dep_config(args)), layout)
     embeddings = EmbeddingTable.build(pair.a.forms() + pair.b.forms(), config.d_model, seed)
     params = AttnParams.init(config, seed)
@@ -160,20 +151,11 @@ def _cmd_attend(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    data = _load_json(args.signals)
-    if not isinstance(data, dict) or "sem" not in data or "dep" not in data:
-        raise _InputError(f"{args.signals}: expected object with 'sem' and 'dep' matrices")
-    sem = np.asarray(data["sem"], dtype=np.float64)
-    dep = np.asarray(data["dep"], dtype=np.float64)
-    if sem.ndim != 2 or sem.shape != dep.shape:
-        raise _InputError(f"{args.signals}: 'sem' and 'dep' must be equal-shape matrices")
+    sem, dep = _load(args.signals, _parse_signals)
     if not (np.all(np.isfinite(sem)) and np.all(np.isfinite(dep))):
         raise ValueError(f"{args.signals}: 'sem' and 'dep' must be finite")
     if args.params is not None and not _is_int(args.params):
-        try:
-            params = FusionParams.from_json(_read_text(args.params))
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise _InputError(f"{args.params}: {exc}") from None
+        params = _load(args.params, FusionParams.from_json)
     else:
         seed = int(args.params) if args.params is not None else _seed(args)
         params = FusionParams.init(sem.shape[0], sem.shape[1], args.d_hid, seed)
@@ -193,7 +175,7 @@ def _cmd_fuse(args) -> int:
 def _is_int(text: str) -> bool:
     try:
         int(text)
-    except (TypeError, ValueError):
+    except ValueError:
         return False
     return True
 
@@ -212,20 +194,20 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _output_stems(pairs) -> list[str]:
-    """One output file stem per pair; an empty stem or one shared by two pairs is an error."""
+    """One output file stem per pair; a stem that is empty, hidden or already used is an error."""
     stems, seen = [pair.pair_id.replace("/", "_") for pair in pairs], set()
     for pair, stem in zip(pairs, stems):
-        if not stem or stem in seen:
+        if not stem or stem.startswith(".") or stem in seen:
             raise ValueError(f"pair id {pair.pair_id!r} maps to output stem {stem!r}, "
-                             "which is empty or used by an earlier pair")
+                             "which is empty, starts with '.' or is used by an earlier pair")
         seen.add(stem)
     return stems
 
 
 def _cmd_demo(args) -> int:
-    pairs = _load_pairs(args.pairs)
+    pairs = _load(args.pairs, read_pairs, "pair records")
     stems = _output_stems(pairs)
-    tfidf = _load_tfidf(args.tfidf) if args.tfidf else None
+    tfidf = _load(args.tfidf, TfIdfModel.from_json) if args.tfidf else None
     seed = _seed(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -345,8 +327,7 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    # ConlluError and JSONDecodeError are ValueErrors, so this handler comes first
-    except (_InputError, ConlluError, OSError, json.JSONDecodeError) as exc:
+    except (_InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -82,9 +82,9 @@ class FusionParams:
     w_dep_query: np.ndarray   # (d_seq, d_v)
     b_dep_query: np.ndarray   # (d_seq,)
     w_dep_score: np.ndarray   # (2 * d_seq,)
-    b_dep_score: float
+    b_dep_score: np.ndarray   # ()
     w_sem_score: np.ndarray   # (2 * d_seq,)
-    b_sem_score: float
+    b_sem_score: np.ndarray   # ()
     w_dep_hidden: np.ndarray  # (d_hid, d_v)
     b_dep_hidden: np.ndarray  # (d_hid,)
     w_sem_hidden: np.ndarray  # (d_hid, d_v)
@@ -109,18 +109,15 @@ class FusionParams:
         return self.w_dep_hidden.shape[0]
 
     def __post_init__(self):
+        # convert every field first: from_dict hands over plain lists, and d_seq etc. read shapes
+        for name in PARAM_FIELDS:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         dims = _dims_map(self.d_seq, self.d_v, self.d_hid)
         for name, shape_spec, _ in _PARAM_SPECS:
-            value = getattr(self, name)
+            shape = getattr(self, name).shape
             expected = tuple(dims[s] for s in shape_spec)
-            if expected == ():
-                if np.ndim(value) != 0:
-                    raise ValueError(f"{name} must be a scalar")
-                continue
-            value = np.asarray(value, dtype=np.float64)
-            object.__setattr__(self, name, value)
-            if value.shape != expected:
-                raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
+            if shape != expected:
+                raise ValueError(f"{name} has shape {shape}, expected {expected}")
 
     @classmethod
     def init(cls, d_seq: int, d_v: int, d_hid: int, seed) -> "FusionParams":
@@ -132,21 +129,14 @@ class FusionParams:
         values = {}
         for name, shape_spec, fan_spec in _PARAM_SPECS:
             bound = 1.0 / math.sqrt(dims[fan_spec])
-            shape = tuple(dims[s] for s in shape_spec)
-            if shape == ():
-                values[name] = float(rng.uniform(-bound, bound))
-            else:
-                values[name] = rng.uniform(-bound, bound, shape)
+            values[name] = rng.uniform(-bound, bound, tuple(dims[s] for s in shape_spec))
         return cls(**values)
 
     @classmethod
     def zeros(cls, d_seq: int, d_v: int, d_hid: int) -> "FusionParams":
         dims = _dims_map(d_seq, d_v, d_hid)
-        values = {
-            name: 0.0 if shape_spec == () else np.zeros(tuple(dims[s] for s in shape_spec))
-            for name, shape_spec, _ in _PARAM_SPECS
-        }
-        return cls(**values)
+        return cls(**{name: np.zeros(tuple(dims[s] for s in shape_spec))
+                      for name, shape_spec, _ in _PARAM_SPECS})
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
@@ -156,21 +146,18 @@ class FusionParams:
         return cls(**{name: values[name] for name in PARAM_FIELDS})
 
     def to_json(self) -> str:
-        payload = {
-            name: (float(v) if np.ndim(v) == 0 else np.asarray(v).tolist())
-            for name, v in self.to_dict().items()
-        }
+        payload = {name: v.tolist() for name, v in self.to_dict().items()}
         return json.dumps(payload, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "FusionParams":
         data = json.loads(text)
-        values = {}
-        for name, shape_spec, _ in _PARAM_SPECS:
+        if not isinstance(data, dict):
+            raise ValueError("fusion params JSON must be an object")
+        for name in PARAM_FIELDS:
             if name not in data:
                 raise ValueError(f"fusion params JSON missing {name!r}")
-            values[name] = float(data[name]) if shape_spec == () else np.asarray(data[name], dtype=np.float64)
-        return cls(**values)
+        return cls.from_dict(data)
 
 
 @dataclass(frozen=True, eq=False)

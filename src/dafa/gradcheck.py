@@ -37,30 +37,20 @@ def probe_loss(output) -> float:
 
 
 def fd_gradient(f, params: dict, eps: float = DEFAULT_EPS) -> dict:
-    """Central-difference gradient of a scalar function over a dict of arrays/scalars."""
+    """Central-difference gradient of a scalar function over a dict of arrays."""
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    work = {
-        name: (float(value) if np.ndim(value) == 0 else np.array(value, dtype=np.float64))
-        for name, value in params.items()
-    }
+    work = {name: np.array(value, dtype=np.float64) for name, value in params.items()}
 
     def evaluate() -> float:
-        value = f(work)
+        # float() copies the value out: f may return (a view of) an entry of `work`
+        value = float(f(work))
         if not np.isfinite(value):
             raise ValueError("function under test returned a non-finite value")
         return value
 
     grads: dict = {}
     for name, value in work.items():
-        if np.ndim(value) == 0:
-            work[name] = value + eps
-            hi = evaluate()
-            work[name] = value - eps
-            lo = evaluate()
-            work[name] = value
-            grads[name] = (hi - lo) / (2.0 * eps)
-            continue
         grad = np.zeros_like(value)
         for idx in np.ndindex(value.shape):
             orig = value[idx]
@@ -227,14 +217,6 @@ class GradReport:
     rel_errors: dict = field(default_factory=dict)
     abs_errors: dict = field(default_factory=dict)
     passed: bool = False
-
-    @property
-    def max_rel_error(self) -> float:
-        return max(self.rel_errors.values()) if self.rel_errors else 0.0
-
-    @property
-    def max_abs_error(self) -> float:
-        return max(self.abs_errors.values()) if self.abs_errors else 0.0
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, allow_nan=False)

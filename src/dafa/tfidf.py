@@ -26,10 +26,11 @@ class TfIdfModel:
     df: Mapping[str, int]
 
     def __post_init__(self):
-        if self.doc_count < 1:
-            raise ValueError(f"doc_count must be >= 1, got {self.doc_count}")
+        # type() rather than isinstance(): a JSON true is a bool, and bool subclasses int
+        if type(self.doc_count) is not int or self.doc_count < 1:
+            raise ValueError(f"doc_count must be an integer >= 1, got {self.doc_count!r}")
         for form, count in self.df.items():
-            if not isinstance(count, int) or not 1 <= count <= self.doc_count:
+            if type(count) is not int or not 1 <= count <= self.doc_count:
                 raise ValueError(f"df[{form!r}] = {count!r} outside [1, {self.doc_count}]")
 
     @classmethod
@@ -64,8 +65,7 @@ class TfIdfModel:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("tf-idf model JSON must be an object")
-        doc_count = data.get("doc_count")
         df = data.get("df")
-        if not isinstance(doc_count, int) or not isinstance(df, dict):
-            raise ValueError("tf-idf model JSON needs integer 'doc_count' and object 'df'")
-        return cls(doc_count=doc_count, df=df)
+        if not isinstance(df, dict):
+            raise ValueError("tf-idf model JSON needs an object 'df'")
+        return cls(doc_count=data.get("doc_count"), df=df)

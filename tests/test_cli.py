@@ -208,6 +208,42 @@ class TestFuseCommand:
         assert not out.exists()
 
 
+def _params_with(**changes):
+    from dafa.fusion import FusionParams
+
+    data = json.loads(FusionParams.init(3, 2, 2, seed=8).to_json())
+    return json.dumps({**data, **changes})
+
+
+ZERO_SIGNALS = json.dumps({"sem": np.zeros((3, 2)).tolist(), "dep": np.zeros((3, 2)).tolist()})
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("fuse", "--params", _params_with(b_dep_score=[0.1])),
+    ("fuse", "--params", _params_with(w_dep_proj={"a": 1})),
+    ("fuse", "--signals", json.dumps({"sem": {"0": [0.0]}, "dep": {"0": [0.0]}})),
+    ("fuse", "--signals", json.dumps({"sem": [["x", "y"]], "dep": [["x", "y"]]})),
+    ("attend", "--config", json.dumps({"d_model": [16]})),
+    ("attend", "--config", json.dumps({"heads": 1.7})),
+], ids=["params-list-scalar", "params-dict-array", "signals-dict", "signals-non-numeric",
+        "config-list", "config-float"])
+def test_malformed_input_file_is_input_error(tmp_path, capsys, pairs_file, command, flag, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.json"
+    if command == "fuse":
+        signals = tmp_path / "signals.json"
+        signals.write_text(ZERO_SIGNALS, encoding="utf-8")
+        argv = ["fuse", "--signals", str(signals), "--params", "3", flag, str(bad)]
+    else:
+        argv = ["attend", "--pair", str(pairs_file), flag, str(bad)]
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestGradcheckCommand:
     def test_fuse_passes(self, capsys):
         assert run(["gradcheck", "--op", "fuse", "--seed", "7", "--tol", "1e-5"]) == 0
@@ -265,14 +301,17 @@ class TestDemoCommand:
         record = json.dumps({"a": conllu_block(PAIR_A), "b": conllu_block(PAIR_B)})
         pairs.write_text("\n".join([record] * 3) + "\n", encoding="utf-8")
         loads = []
-        load = cli._load_tfidf
-        monkeypatch.setattr(cli, "_load_tfidf", lambda path: loads.append(path) or load(path))
+        load = TfIdfModel.from_json
+        monkeypatch.setattr(cli.TfIdfModel, "from_json",
+                            lambda text: loads.append(text) or load(text))
         assert run(["demo", "--pairs", str(pairs), "--tfidf", str(tfidf_file),
                     "--out", str(tmp_path / "d")]) == 0
-        assert loads == [str(tfidf_file)]
+        assert loads == [tfidf_file.read_text(encoding="utf-8")]
 
-    @pytest.mark.parametrize("ids", [["dup", "dup"], [""], ["x/y", "x_y"]],
-                             ids=["duplicate", "empty", "sanitised-collision"])
+    @pytest.mark.parametrize("ids", [["dup", "dup"], [""], ["x/y", "x_y"], ["."], [".."],
+                                     [".hidden"], ["../up"]],
+                             ids=["duplicate", "empty", "sanitised-collision", "dot", "dot-dot",
+                                  "hidden", "parent-path"])
     def test_bad_pair_ids_rejected_before_writing(self, tmp_path, capsys, ids):
         pairs = tmp_path / "pairs.jsonl"
         records = [json.dumps({"id": pid, "a": conllu_block(PAIR_A), "b": conllu_block(PAIR_B)})

@@ -275,6 +275,17 @@ class TestFuse:
         with pytest.raises(ValueError, match="sem"):
             fuse(np.zeros((2, 3)), np.zeros((2, 2)), params)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the pooling query adds one constant per row, which the row "
+                              "softmax cancels, so the dep pooling ignores sem")
+    def test_dep_pooling_depends_on_sem(self):
+        params = FusionParams.init(d_seq=5, d_v=3, d_hid=3, seed=16)
+        sem, dep = random_signals(17, 5, 3)
+        other_sem, _ = random_signals(18, 5, 3)
+        before = fuse(sem, dep, params).dep_pool_weights
+        after = fuse(other_sem, dep, params).dep_pool_weights
+        assert np.max(np.abs(after - before)) > 1e-12
+
 
 class TestFusionParams:
     def test_init_deterministic(self):

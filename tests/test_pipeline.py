@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_sentence
 from dafa.attention import AttnConfig, AttnParams, multi_head_dafa
@@ -109,7 +111,37 @@ def layer_fixture(a, b, seed=42, heads=2, theta=2.0):
     return output, config, embeddings, attn_params, fusion_params, layout
 
 
+def uniform_tree(n, fanout):
+    """n tokens, one form and one relation; node i hangs under node (i - 2) // fanout + 1.
+
+    fanout 1 is a chain and fanout n - 1 a star. Every token pair across two such
+    trees matches in form and relation, so the subtree score, and C with it, grows
+    with the tree sizes (max C is about 7.1e3 for two stars of 120 tokens).
+    """
+    return make_sentence([("w", 0, "root")] +
+                         [("w", (i - 2) // fanout + 1, "dep") for i in range(2, n + 1)])
+
+
+uniform_trees = st.builds(
+    lambda n, shape: uniform_tree(n, max(n - 1, 1) if shape == "star" else shape),
+    st.integers(1, 150), st.sampled_from(["star", 1, 2, 3, 4]),
+)
+
+
 class TestDafaLayer:
+    @settings(max_examples=25, deadline=None)
+    @example(a=uniform_tree(120, 119), b=uniform_tree(120, 119))
+    @given(a=uniform_trees, b=uniform_trees)
+    def test_uniform_trees_stay_finite_and_stochastic(self, a, b):
+        out = layer_fixture(a, b)[0]
+        assert np.all(np.isfinite(out.fused)) and np.all(np.isfinite(out.calibration))
+        assert np.all(out.calibration >= 1.0)
+        for weights in (out.sem_weights, out.dep_weights):
+            assert np.all(np.isfinite(weights))
+            assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) <= 1e-12
+        for gates in (out.fusion_gates, out.filter_gates):
+            assert np.all((gates > 0.0) & (gates < 1.0))
+
     def test_identical_pair_concentrates_aligned_cells(self):
         # same sentence both sides, theta = 1, every tf weight equal
         s = star(["exceeded", "apple", "goals", "easily"], ["nsubj", "obj", "advmod"])

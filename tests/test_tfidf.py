@@ -130,6 +130,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             TfIdfModel.from_json('{"doc_count": 2, "df": {"a": 3}}')
 
+    @pytest.mark.parametrize("text", ['{"doc_count": true, "df": {}}',
+                                      '{"doc_count": 2, "df": {"a": true}}'],
+                             ids=["doc_count", "df"])
+    def test_boolean_counts_rejected(self, text):
+        with pytest.raises(ValueError):
+            TfIdfModel.from_json(text)
+
     def test_non_object_rejected(self):
         with pytest.raises(ValueError):
             TfIdfModel.from_json("[1, 2]")

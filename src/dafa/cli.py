@@ -59,10 +59,16 @@ def _parse_signals(text: str) -> tuple[np.ndarray, np.ndarray]:
     return sem, dep
 
 
+_CONFIG_KEYS = ("d_model", "heads", "d_k", "d_v")
+
+
 def _parse_config(text: str) -> dict:
     overrides = json.loads(text)
     if not isinstance(overrides, dict) or any(type(v) is not int for v in overrides.values()):
         raise ValueError("attention config must be a JSON object of integers")
+    unknown = sorted(set(overrides) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown attention config keys {unknown}, expected {_CONFIG_KEYS}")
     return overrides
 
 
@@ -118,17 +124,16 @@ def _cmd_matrix(args) -> int:
 
 def _attn_config(args, d_seq: int) -> AttnConfig:
     overrides = _load(args.config, _parse_config) if args.config else {}
-    return AttnConfig(
-        d_model=overrides.get("d_model", args.d_model),
-        heads=overrides.get("heads", args.heads),
-        d_k=overrides.get("d_k", args.d_k),
-        d_v=overrides.get("d_v", args.d_v),
-        d_seq=d_seq,
-    )
+    return AttnConfig(**{key: overrides.get(key, getattr(args, key)) for key in _CONFIG_KEYS},
+                      d_seq=d_seq)
 
 
 def _cmd_attend(args) -> int:
-    pair = _load(args.pair, read_pairs, "pair records")[0]
+    pairs = _load(args.pair, read_pairs, "pair records")
+    pair = pairs[0]
+    if len(pairs) > 1:
+        print(f"note: {args.pair} has {len(pairs)} pair records; using the first, "
+              f"{pair.pair_id!r}", file=sys.stderr)
     seed = _seed(args)
     layout = build_layout(pair.a, pair.b)
     config = _attn_config(args, layout.d_seq)

@@ -157,7 +157,12 @@ class FusionParams:
         for name in PARAM_FIELDS:
             if name not in data:
                 raise ValueError(f"fusion params JSON missing {name!r}")
-        return cls.from_dict(data)
+        params = cls.from_dict(data)
+        # checked here, not in __post_init__: gradcheck builds params per loss evaluation
+        for name in PARAM_FIELDS:
+            if not np.all(np.isfinite(getattr(params, name))):
+                raise ValueError(f"fusion params {name!r} must be finite")
+        return params
 
 
 @dataclass(frozen=True, eq=False)

@@ -76,31 +76,17 @@ class LayerOutput:
     calibration: np.ndarray   # (d_seq, d_seq)
 
     def to_json(self) -> str:
+        """Ids, tokens, fused output, gates and calibration; the attention weights are not
+        included, because `dafa demo` writes each head's weights once, as heatmap CSVs."""
         payload = {
             "pair_id": self.pair_id,
             "tokens": list(self.tokens),
             "fused": self.fused.tolist(),
-            "sem_weights": self.sem_weights.tolist(),
-            "dep_weights": self.dep_weights.tolist(),
             "fusion_gates": self.fusion_gates.tolist(),
             "filter_gates": self.filter_gates.tolist(),
             "calibration": self.calibration.tolist(),
         }
         return json.dumps(payload, sort_keys=True, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LayerOutput":
-        data = json.loads(text)
-        return cls(
-            pair_id=data["pair_id"],
-            tokens=list(data["tokens"]),
-            fused=np.asarray(data["fused"], dtype=np.float64),
-            sem_weights=np.asarray(data["sem_weights"], dtype=np.float64),
-            dep_weights=np.asarray(data["dep_weights"], dtype=np.float64),
-            fusion_gates=np.asarray(data["fusion_gates"], dtype=np.float64),
-            filter_gates=np.asarray(data["filter_gates"], dtype=np.float64),
-            calibration=np.asarray(data["calibration"], dtype=np.float64),
-        )
 
 
 def dafa_layer(
@@ -152,12 +138,12 @@ def dafa_layer(
 
 def write_heatmap_csv(path, row_labels, col_labels, matrix) -> None:
     """Labelled CSV heatmap; values keep full float round-trip precision."""
-    matrix = np.asarray(matrix, dtype=np.float64)
+    # csv writes a Python float as its repr, the shortest text that parses back to it
+    rows = np.asarray(matrix, dtype=np.float64).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["", *col_labels])
-        for label, row in zip(row_labels, matrix):
-            writer.writerow([label, *[repr(float(x)) for x in row]])
+        writer.writerows([label, *row] for label, row in zip(row_labels, rows))
 
 
 def read_heatmap_csv(path):

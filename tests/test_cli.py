@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import conllu_block
+from dafa.attention import AttnConfig, AttnParams
 from dafa.cli import run
 from dafa.conllu import read_pairs
 from dafa.depmatrix import DepMatrixConfig, base_matrix, final_matrix, subgraph_matrix
-from dafa.pipeline import LayerOutput, read_heatmap_csv
+from dafa.fusion import FusionParams
+from dafa.pipeline import EmbeddingTable, build_layout, dafa_layer, read_heatmap_csv
 from dafa.tfidf import TfIdfModel
 
 PAIR_A = [("Apple", 2, "nsubj"), ("exceeded", 0, "root"), ("the", 4, "det"), ("company", 2, "obj")]
@@ -140,6 +142,32 @@ class TestAttendCommand:
         assert len(data["sem_weights"]) == 3
         assert np.asarray(data["sem"][0]).shape[1] == 4
 
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, pairs_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"head": 5, "d_v": 4}), encoding="utf-8")
+        out = tmp_path / "attend.json"
+        assert run(["attend", "--pair", str(pairs_file), "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:")
+        assert "['head']" in err
+        assert not out.exists()
+
+    def test_multi_record_file_notes_the_record_used(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        records = [json.dumps({"id": pid, "a": conllu_block(PAIR_A), "b": conllu_block(PAIR_B)})
+                   for pid in ("first", "second", "third")]
+        pairs.write_text("\n".join(records) + "\n", encoding="utf-8")
+        out = tmp_path / "attend.json"
+        assert run(["attend", "--pair", str(pairs), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "3 pair records" in err and "'first'" in err
+        assert json.loads(out.read_text(encoding="utf-8"))["id"] == "first"
+
+    def test_single_record_file_prints_no_note(self, tmp_path, capsys, pairs_file):
+        assert run(["attend", "--pair", str(pairs_file), "--out", str(tmp_path / "a.json")]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestFuseCommand:
     def test_fuse_from_seed(self, tmp_path):
@@ -159,8 +187,6 @@ class TestFuseCommand:
         assert np.all(np.abs(np.asarray(data["fused"])) < 1)
 
     def test_fuse_from_params_file(self, tmp_path):
-        from dafa.fusion import FusionParams
-
         params = FusionParams.init(3, 2, 2, seed=8)
         params_path = tmp_path / "params.json"
         params_path.write_text(params.to_json(), encoding="utf-8")
@@ -191,8 +217,6 @@ class TestFuseCommand:
         assert not out.exists()
 
     def test_non_finite_params_write_no_output(self, tmp_path, capsys):
-        from dafa.fusion import FusionParams
-
         params = FusionParams.init(3, 2, 2, seed=8).to_dict()
         params["b_output"] = np.full(2, np.nan)
         params_path = tmp_path / "params.json"
@@ -203,14 +227,13 @@ class TestFuseCommand:
                                        "dep": np.zeros((3, 2)).tolist()}), encoding="utf-8")
         out = tmp_path / "fused.json"
         assert run(["fuse", "--signals", str(signals), "--params", str(params_path),
-                    "--out", str(out)]) == 1
-        assert "error" in capsys.readouterr().err
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {params_path}:") and "'b_output'" in err
         assert not out.exists()
 
 
 def _params_with(**changes):
-    from dafa.fusion import FusionParams
-
     data = json.loads(FusionParams.init(3, 2, 2, seed=8).to_json())
     return json.dumps({**data, **changes})
 
@@ -277,11 +300,29 @@ class TestDemoCommand:
         out_dir = tmp_path / "demo"
         assert run(["demo", "--pairs", str(pairs_file), "--tfidf", str(tfidf_file),
                     "--seed", "42", "--out", str(out_dir)]) == 0
-        output = LayerOutput.from_json((out_dir / "p0.json").read_text(encoding="utf-8"))
-        assert output.pair_id == "p0"
-        rows, cols, sem = read_heatmap_csv(out_dir / "p0.sem.h0.csv")
-        assert rows == output.tokens and cols == output.tokens
-        assert np.array_equal(sem, output.sem_weights[0])
+        # the same layer in process, with demo's default sizes
+        pair = read_pairs(pairs_file.read_text(encoding="utf-8"))[0]
+        layout = build_layout(pair.a, pair.b)
+        config = AttnConfig(d_model=16, heads=2, d_k=8, d_v=8, d_seq=layout.d_seq)
+        expected = dafa_layer(
+            pair.a, pair.b, TfIdfModel.from_json(tfidf_file.read_text(encoding="utf-8")),
+            EmbeddingTable.build(pair.a.forms() + pair.b.forms(), 16, 42),
+            AttnParams.init(config, 42), FusionParams.init(layout.d_seq, 8, 8, 42),
+            config, DepMatrixConfig(), pair_id=pair.pair_id,
+        )
+        for head in range(config.heads):
+            for kind in ("sem", "dep"):
+                rows, cols, weights = read_heatmap_csv(out_dir / f"p0.{kind}.h{head}.csv")
+                assert rows == expected.tokens and cols == expected.tokens
+                assert weights.tobytes() == getattr(expected, f"{kind}_weights")[head].tobytes()
+        data = json.loads((out_dir / "p0.json").read_text(encoding="utf-8"))
+        assert set(data) == {"pair_id", "tokens", "fused", "fusion_gates", "filter_gates",
+                             "calibration"}
+        assert data["pair_id"] == "p0" and data["tokens"] == expected.tokens
+        for name in ("fused", "fusion_gates", "filter_gates", "calibration"):
+            value = np.asarray(data[name], dtype=np.float64)
+            assert value.shape == getattr(expected, name).shape, name
+            assert value.tobytes() == getattr(expected, name).tobytes(), name
 
     def test_byte_identical_across_runs(self, tmp_path, pairs_file, tfidf_file):
         first = tmp_path / "run1"

@@ -1,5 +1,6 @@
 """Fusion network tests: `fuse` against naive scalar-loop evaluations of each stage."""
 
+import json
 import math
 
 import numpy as np
@@ -322,6 +323,14 @@ class TestFusionParams:
         values["w_dep_score"] = np.zeros(3)
         with pytest.raises(ValueError, match="w_dep_score"):
             FusionParams.from_dict(values)
+
+    @pytest.mark.parametrize("name, value", [("b_output", math.nan), ("w_dep_score", math.inf),
+                                             ("b_sem_score", -math.inf)])
+    def test_non_finite_values_rejected_on_load(self, name, value):
+        data = json.loads(FusionParams.init(2, 2, 2, seed=25).to_json())
+        data[name] = np.full(np.shape(data[name]), value).tolist()
+        with pytest.raises(ValueError, match=name):
+            FusionParams.from_json(json.dumps(data))
 
     def test_non_finite_json_rejected(self):
         params = with_values(FusionParams.init(2, 2, 2, seed=24), b_output=np.array([np.nan, 0.0]))

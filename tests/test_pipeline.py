@@ -1,5 +1,7 @@
 """Pipeline tests: layout arithmetic, embeddings, the full layer, CSV/JSON round-trips."""
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -15,7 +17,6 @@ from dafa.pipeline import (
     CLS_TOKEN,
     SEP_TOKEN,
     EmbeddingTable,
-    LayerOutput,
     build_layout,
     dafa_layer,
     read_heatmap_csv,
@@ -241,12 +242,16 @@ class TestLayerOutputJson:
         a = star(["sun", "rises"], ["nsubj"])
         b = star(["sun", "sets"], ["nsubj"])
         out, *_ = layer_fixture(a, b)
-        again = LayerOutput.from_json(out.to_json())
-        assert again.pair_id == out.pair_id
-        assert again.tokens == out.tokens
-        for name in ("fused", "sem_weights", "dep_weights", "fusion_gates",
-                     "filter_gates", "calibration"):
-            assert np.array_equal(getattr(again, name), getattr(out, name))
+        data = json.loads(out.to_json())
+        # the attention weights are written only as heatmap CSVs
+        assert set(data) == {"pair_id", "tokens", "fused", "fusion_gates", "filter_gates",
+                             "calibration"}
+        assert data["pair_id"] == out.pair_id
+        assert data["tokens"] == out.tokens
+        for name in ("fused", "fusion_gates", "filter_gates", "calibration"):
+            again = np.asarray(data[name], dtype=np.float64)
+            assert again.shape == getattr(out, name).shape, name
+            assert again.tobytes() == getattr(out, name).tobytes(), name
 
     def test_json_is_deterministic(self):
         a = star(["sun", "rises"], ["nsubj"])
@@ -254,6 +259,32 @@ class TestLayerOutputJson:
         first, *_ = layer_fixture(a, b)
         second, *_ = layer_fixture(a, b)
         assert first.to_json() == second.to_json()
+
+
+def naive_write_heatmap_csv(path, row_labels, col_labels, matrix) -> None:
+    """The per-element writer that write_heatmap_csv replaced; its byte-level oracle."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["", *col_labels])
+        for label, row in zip(row_labels, matrix):
+            writer.writerow([label, *[repr(float(x)) for x in row]])
+
+
+labels = st.text(st.sampled_from('ab,"\' \n<>|'), max_size=6) | st.text(
+    st.characters(exclude_categories=("Cs",)), max_size=4)
+heat_values = (st.sampled_from([0.1, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0])
+               | st.floats(0.0, 1.0) | st.floats())
+
+
+@st.composite
+def heatmaps(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    matrix = draw(st.lists(st.lists(heat_values, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    return (draw(st.lists(labels, min_size=rows, max_size=rows)),
+            draw(st.lists(labels, min_size=cols, max_size=cols)),
+            np.array(matrix, dtype=np.float64).reshape(rows, cols))
 
 
 class TestHeatmapCsv:
@@ -266,6 +297,19 @@ class TestHeatmapCsv:
         row_labels, col_labels, again = read_heatmap_csv(path)
         assert row_labels == labels and col_labels == labels
         assert np.array_equal(again, matrix)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=heatmaps())
+    @example(case=(["a,b", 'say "hi"'], ["<CLS>", "x,y", '"', "", "z"],
+                   np.array([[0.1, -0.0, 5e-324, 1e300, 1.0], [-0.1, 0.0, -5e-324, -1e300, 2.0]])))
+    @example(case=(["<CLS>", "a", "b", "<SEP>"], ["<CLS>", "a", "b", "<SEP>"],
+                   np.random.default_rng(5).dirichlet(np.ones(4), size=4)))
+    def test_bytes_match_per_element_writer(self, tmp_path_factory, case):
+        row_labels, col_labels, matrix = case
+        out_dir = tmp_path_factory.mktemp("heat")
+        write_heatmap_csv(out_dir / "new.csv", row_labels, col_labels, matrix)
+        naive_write_heatmap_csv(out_dir / "old.csv", row_labels, col_labels, matrix)
+        assert (out_dir / "new.csv").read_bytes() == (out_dir / "old.csv").read_bytes()
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1,7 +1,10 @@
 """Scaled dot-product attention with an elementwise logit-calibration path.
 
 Everything is positions-major: row i of a signal matrix is the feature
-vector of sequence position i. The semantic path is plain scaled
+vector of sequence position i. `sem_attention` and `dep_attention` also
+take optional leading axes: q, k, v (and the calibration) may be stacks
+(..., rows, features) whose leading axes broadcast, and each slice gives
+the same bits as a 2-D call on it. The semantic path is plain scaled
 dot-product attention; the dependency path multiplies the raw logits
 elementwise by a calibration matrix (>= 1 cross-sentence, exactly 1
 elsewhere) before scaling and softmax, so calibrated cells gain or keep
@@ -82,20 +85,24 @@ class CalibratedSignals:
 
 def _as_qkv(q, k, v):
     q, k, v = (np.asarray(x, dtype=np.float64) for x in (q, k, v))
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ValueError("q, k, v must be 2-D matrices")
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"q and k feature sizes differ: {q.shape[1]} vs {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"k and v row counts differ: {k.shape[0]} vs {v.shape[0]}")
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ValueError("q, k, v must have at least 2 axes (..., rows, features)")
+    if q.shape[-1] != k.shape[-1]:
+        raise ValueError(
+            f"q and k feature sizes (last axis) differ: {q.shape[-1]} vs {k.shape[-1]}"
+        )
+    if k.shape[-2] != v.shape[-2]:
+        raise ValueError(
+            f"k and v row counts (second-to-last axis) differ: {k.shape[-2]} vs {v.shape[-2]}"
+        )
     return q, k, v
 
 
 def sem_attention(q, k, v) -> tuple[np.ndarray, np.ndarray]:
-    """Standard scaled dot-product attention; returns (weights, output)."""
+    """Standard scaled dot-product attention over the last two axes; returns (weights, output)."""
     q, k, v = _as_qkv(q, k, v)
-    logits = (q @ k.T) / math.sqrt(q.shape[1])
-    weights = softmax(logits, axis=1)
+    logits = (q @ k.swapaxes(-1, -2)) / math.sqrt(q.shape[-1])
+    weights = softmax(logits, axis=-1)
     return weights, weights @ v
 
 
@@ -104,16 +111,19 @@ def dep_attention(q, k, v, calibration) -> tuple[np.ndarray, np.ndarray]:
 
     With an all-ones calibration this reproduces sem_attention bit for bit.
     Negative logits are amplified negatively by calibration > 1; that
-    asymmetry is intentional and not clamped.
+    asymmetry is intentional and not clamped. The calibration's last two
+    axes are (q rows, k rows); its leading axes broadcast with the logits'.
     """
     q, k, v = _as_qkv(q, k, v)
     calibration = np.asarray(calibration, dtype=np.float64)
-    if calibration.shape != (q.shape[0], k.shape[0]):
+    logit_shape = (q.shape[-2], k.shape[-2])
+    if calibration.shape[-2:] != logit_shape:
         raise ValueError(
-            f"calibration shape {calibration.shape} does not match logits {(q.shape[0], k.shape[0])}"
+            f"calibration shape {calibration.shape} does not end in the logits' "
+            f"(q rows, k rows) {logit_shape}"
         )
-    logits = ((q @ k.T) * calibration) / math.sqrt(q.shape[1])
-    weights = softmax(logits, axis=1)
+    logits = ((q @ k.swapaxes(-1, -2)) * calibration) / math.sqrt(q.shape[-1])
+    weights = softmax(logits, axis=-1)
     return weights, weights @ v
 
 

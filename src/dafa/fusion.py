@@ -12,6 +12,12 @@ One parameter set is shared across positions. The "stack" inside the
 guided attentions places a tanh of the projected signal matrix
 (d_seq, d_seq) on top of the query feature tiled across columns, giving
 the 2*d_seq rows the score vectors contract against.
+
+The forward (`_forward_trace`) also takes optional leading axes: the
+signals and every weight may carry extra axes in front of their own
+shape, which broadcast, and each slice gives the same bits as the 2-D
+call on it. `fuse`, the analytic backward and the finite-difference
+oracle (which stacks perturbed copies along one leading axis) all run it.
 """
 
 from __future__ import annotations
@@ -188,41 +194,58 @@ def _check_signal(name: str, signal, params: FusionParams) -> np.ndarray:
     return signal
 
 
-def _forward_trace(sem, dep, params: FusionParams) -> dict:
+def _mv(matrix, vector):
+    """Matrix-vector product over leading axes: (..., m, n) x (..., n) -> (..., m)."""
+    return (matrix @ vector[..., None])[..., 0]
+
+
+def _forward_trace(sem, dep, w) -> dict:
     """Run the whole network for every position at once, keeping intermediates.
 
-    Row i of each cached matrix corresponds to position i. `fuse` returns
-    the per-position results from this trace, and the analytic backward
-    pass differentiates it, so both run the same forward code.
+    `w` maps each name in PARAM_FIELDS to its weight array. The signals
+    (..., d_seq, d_v) and each weight may have leading axes in front of
+    their own shape; they broadcast, and every output gains them. Row i
+    of each cached matrix corresponds to position i. `fuse` returns the
+    per-position results from this trace, the analytic backward pass
+    differentiates it and the finite differences evaluate it, so all run
+    the same forward code.
     """
-    d_seq = params.d_seq
-    wd_top, wd_bot = params.w_dep_score[:d_seq], params.w_dep_score[d_seq:]
-    ws_top, ws_bot = params.w_sem_score[:d_seq], params.w_sem_score[d_seq:]
+    d_seq = w["w_dep_proj"].shape[-2]
+    wd_top, wd_bot = w["w_dep_score"][..., :d_seq], w["w_dep_score"][..., d_seq:]
+    ws_top, ws_bot = w["w_sem_score"][..., :d_seq], w["w_sem_score"][..., d_seq:]
 
-    t_dep = np.tanh(params.w_dep_proj @ dep.T)   # (d_seq, d_seq)
-    t_sem = np.tanh(params.w_sem_proj @ sem.T)   # (d_seq, d_seq)
+    t_dep = np.tanh(w["w_dep_proj"] @ dep.swapaxes(-1, -2))   # (..., d_seq, d_seq)
+    t_sem = np.tanh(w["w_sem_proj"] @ sem.swapaxes(-1, -2))
 
-    u_sem = sem @ params.w_sem_query.T + params.b_sem_query   # (d_seq, d_seq), row i = query(s_i)
+    # row i = query(s_i); (..., d_seq, d_seq)
+    u_sem = sem @ w["w_sem_query"].swapaxes(-1, -2) + w["b_sem_query"][..., None, :]
     tu_sem = np.tanh(u_sem)
-    dep_scores = (wd_top @ t_dep)[None, :] + (tu_sem @ wd_bot)[:, None] + params.b_dep_score
-    dep_pool = softmax(dep_scores, axis=1)
-    dep_refined = dep_pool @ dep                              # (d_seq, d_v)
+    dep_scores = (wd_top[..., None, :] @ t_dep + tu_sem @ wd_bot[..., None]
+                  + w["b_dep_score"][..., None, None])
+    dep_pool = softmax(dep_scores, axis=-1)
+    dep_refined = dep_pool @ dep                                  # (..., d_seq, d_v)
 
-    u_dep = dep_refined @ params.w_dep_query.T + params.b_dep_query
+    u_dep = dep_refined @ w["w_dep_query"].swapaxes(-1, -2) + w["b_dep_query"][..., None, :]
     tu_dep = np.tanh(u_dep)
-    sem_scores = (ws_top @ t_sem)[None, :] + (tu_dep @ ws_bot)[:, None] + params.b_sem_score
-    sem_pool = softmax(sem_scores, axis=1)
+    sem_scores = (ws_top[..., None, :] @ t_sem + tu_dep @ ws_bot[..., None]
+                  + w["b_sem_score"][..., None, None])
+    sem_pool = softmax(sem_scores, axis=-1)
     sem_refined = sem_pool @ sem
 
-    hd = np.tanh(dep_refined @ params.w_dep_hidden.T + params.b_dep_hidden)  # (d_seq, d_hid)
-    hs = np.tanh(sem_refined @ params.w_sem_hidden.T + params.b_sem_hidden)
-    fusion_gate = sigmoid(np.concatenate([hd, hs], axis=1) @ params.w_fusion_gate)
-    blend = fusion_gate[:, None] * hs + (1.0 - fusion_gate)[:, None] * hd
+    hd = np.tanh(dep_refined @ w["w_dep_hidden"].swapaxes(-1, -2)
+                 + w["b_dep_hidden"][..., None, :])              # (..., d_seq, d_hid)
+    hs = np.tanh(sem_refined @ w["w_sem_hidden"].swapaxes(-1, -2)
+                 + w["b_sem_hidden"][..., None, :])
+    fusion_gate = sigmoid(_mv(np.concatenate([hd, hs], axis=-1), w["w_fusion_gate"]))
+    blend = fusion_gate[..., None] * hs + (1.0 - fusion_gate)[..., None] * hd
 
-    projected = blend @ params.w_value.T + params.b_value     # (d_seq, d_v)
-    filter_gate = sigmoid(np.concatenate([sem, projected], axis=1) @ params.w_filter_gate)
-    squashed = np.tanh(blend @ params.w_output.T + params.b_output)
-    fused = filter_gate[:, None] * squashed
+    projected = blend @ w["w_value"].swapaxes(-1, -2) + w["b_value"][..., None, :]
+    # sem may have fewer leading axes than the weights
+    sem_wide = np.broadcast_to(sem, projected.shape)
+    filter_gate = sigmoid(_mv(np.concatenate([sem_wide, projected], axis=-1),
+                              w["w_filter_gate"]))
+    squashed = np.tanh(blend @ w["w_output"].swapaxes(-1, -2) + w["b_output"][..., None, :])
+    fused = filter_gate[..., None] * squashed
 
     return {
         "t_dep": t_dep, "t_sem": t_sem,
@@ -240,7 +263,7 @@ def fuse(sem, dep, params: FusionParams) -> FusionOutput:
     """Fuse the two signal matrices position by position into final features."""
     sem = _check_signal("sem", sem, params)
     dep = _check_signal("dep", dep, params)
-    trace = _forward_trace(sem, dep, params)
+    trace = _forward_trace(sem, dep, params.to_dict())
     return FusionOutput(
         fused=trace["fused"],
         fusion_gate=trace["fusion_gate"],

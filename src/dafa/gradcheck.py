@@ -3,7 +3,10 @@
 Every differentiable operation is scalarized through a fixed probe loss
 (half the squared sum of its output matrix). The analytic gradients walk
 the same forward trace the operations use; the oracle re-estimates each
-scalar parameter's gradient with central finite differences. A parameter
+scalar parameter's gradient with central finite differences. The oracle
+is batched: it stacks the +eps and -eps copies of a block of scalars
+along one leading axis and evaluates the loss once per block, through
+the same forward, which takes leading axes. A parameter
 passes when its relative error is below the tolerance or its absolute
 error is below a small floor (which absorbs parameters whose true
 gradient is zero, where relative error is meaningless).
@@ -12,12 +15,13 @@ gradient is zero, where relative error is meaningless).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .attention import dep_attention, sem_attention
-from .fusion import FusionOutput, FusionParams, _forward_trace, fuse
+from .fusion import FusionOutput, FusionParams, _forward_trace
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-5
@@ -26,42 +30,66 @@ _REL_DENOM_FLOOR = 1e-12
 
 OP_NAMES = ("fuse", "sem_attention", "dep_attention")
 
+# scalars perturbed per batched loss call (each gives a +eps and a -eps row); bounds the
+# stacked arrays' memory
+_FD_BLOCK = 32
 
-def probe_loss(output) -> float:
-    """Half the squared sum of the operation's primary output matrix."""
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def probe_loss(output):
+    """Half the squared sum of the operation's primary output matrix (its last two axes).
+
+    A stack (..., rows, cols) gives one loss per leading index.
+    """
     if isinstance(output, FusionOutput):
         matrix = output.fused
     else:
         matrix = np.asarray(output, dtype=np.float64)
-    return 0.5 * float(np.sum(matrix * matrix))
+    return 0.5 * np.sum(matrix * matrix, axis=(-2, -1))
 
 
 def fd_gradient(f, params: dict, eps: float = DEFAULT_EPS) -> dict:
-    """Central-difference gradient of a scalar function over a dict of arrays."""
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    work = {name: np.array(value, dtype=np.float64) for name, value in params.items()}
+    """Central-difference gradient of a loss over a dict of arrays, evaluated in batches.
 
-    def evaluate() -> float:
-        # float() copies the value out: f may return (a view of) an entry of `work`
-        value = float(f(work))
-        if not np.isfinite(value):
+    `f` takes a dict holding every array of `params` with one extra leading
+    axis of R rows, and returns R finite losses, one per row (shape (R,)).
+    The scalars of all arrays, in dict order and then in C order, are
+    perturbed in blocks of up to 32: in a block's call, row 2j holds block
+    scalar j raised by eps and row 2j+1 holds it lowered by eps, and every
+    other entry of each row is unperturbed.
+    """
+    _require_positive("eps", eps)
+    base = {name: np.array(value, dtype=np.float64) for name, value in params.items()}
+    offsets = np.cumsum([value.size for value in base.values()])[:-1]
+
+    def unflatten(flat: np.ndarray) -> dict:
+        """Split the last axis of `flat` back into the named arrays' shapes."""
+        parts = np.split(flat, offsets, axis=-1)
+        return {name: part.reshape(flat.shape[:-1] + value.shape)
+                for (name, value), part in zip(base.items(), parts)}
+
+    point = np.concatenate([value.ravel() for value in base.values()])
+    grad = np.empty(point.size)
+    for lo in range(0, point.size, _FD_BLOCK):
+        count = min(_FD_BLOCK, point.size - lo)
+        rows = np.repeat(point[None], 2 * count, axis=0)
+        j = np.arange(count)
+        rows[2 * j, lo + j] += eps
+        rows[2 * j + 1, lo + j] -= eps
+        losses = np.asarray(f(unflatten(rows)), dtype=np.float64)
+        if not np.all(np.isfinite(losses)):
             raise ValueError("function under test returned a non-finite value")
-        return value
-
-    grads: dict = {}
-    for name, value in work.items():
-        grad = np.zeros_like(value)
-        for idx in np.ndindex(value.shape):
-            orig = value[idx]
-            value[idx] = orig + eps
-            hi = evaluate()
-            value[idx] = orig - eps
-            lo = evaluate()
-            value[idx] = orig
-            grad[idx] = (hi - lo) / (2.0 * eps)
-        grads[name] = grad
-    return grads
+        if losses.shape != (2 * count,):
+            raise ValueError(
+                f"function under test must return one loss per perturbation row: "
+                f"expected shape {(2 * count,)}, got {losses.shape}"
+            )
+        grad[lo:lo + count] = (losses[0::2] - losses[1::2]) / (2.0 * eps)
+    return unflatten(grad)
 
 
 def _softmax_rows_backward(weights: np.ndarray, g_weights: np.ndarray) -> np.ndarray:
@@ -102,7 +130,7 @@ def fuse_gradients(sem, dep, params: FusionParams) -> dict:
     """
     sem = np.asarray(sem, dtype=np.float64)
     dep = np.asarray(dep, dtype=np.float64)
-    t = _forward_trace(sem, dep, params)
+    t = _forward_trace(sem, dep, params.to_dict())
     d_seq, d_v, d_hid = params.d_seq, params.d_v, params.d_hid
     wd_top, wd_bot = params.w_dep_score[:d_seq], params.w_dep_score[d_seq:]
     ws_top, ws_bot = params.w_sem_score[:d_seq], params.w_sem_score[d_seq:]
@@ -205,6 +233,11 @@ class GradCheckConfig:
     d_v: int = 3
     d_hid: int = 3
 
+    def __post_init__(self):
+        for name in ("d_seq", "d_k", "d_v", "d_hid"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class GradReport:
@@ -250,6 +283,8 @@ def check(
     eps: float = DEFAULT_EPS,
 ) -> GradReport:
     """Run one seeded analytic-vs-finite-difference comparison."""
+    _require_positive("tol", tol)
+    _require_positive("eps", eps)
     cfg = config or GradCheckConfig()
     rng = np.random.default_rng(seed)
     params = None
@@ -258,9 +293,8 @@ def check(
         inputs = {name: rng.uniform(-1.0, 1.0, (cfg.d_seq, cfg.d_v)) for name in ("sem", "dep")}
         flat = {**params.to_dict(), **inputs}
 
-        def loss(values: dict) -> float:
-            p = FusionParams.from_dict(values)
-            return probe_loss(fuse(values["sem"], values["dep"], p))
+        def loss(values: dict) -> np.ndarray:
+            return probe_loss(_forward_trace(values["sem"], values["dep"], values)["fused"])
     else:  # an unknown op_name draws q, k, v, then analytic_gradient rejects it
         dims = {"q": cfg.d_k, "k": cfg.d_k, "v": cfg.d_v}
         inputs = {name: rng.uniform(-1.0, 1.0, (cfg.d_seq, d)) for name, d in dims.items()}
@@ -270,7 +304,7 @@ def check(
             calibration = 1.0 + rng.uniform(0.0, 1.0, (cfg.d_seq, cfg.d_seq))
             inputs["calibration"] = calibration
 
-        def loss(w: dict) -> float:
+        def loss(w: dict) -> np.ndarray:
             if calibration is None:
                 return probe_loss(sem_attention(w["q"], w["k"], w["v"])[1])
             return probe_loss(dep_attention(w["q"], w["k"], w["v"], calibration)[1])

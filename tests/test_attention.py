@@ -118,6 +118,50 @@ class TestDepAttention:
             dep_attention(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), np.ones((3, 3)))
 
 
+class TestLeadingAxes:
+    """Stacks (B, rows, features) give, slice by slice, the bits of the 2-D calls."""
+
+    @pytest.mark.parametrize("n_q, n_k, d_k, d_v", [(1, 1, 1, 1), (3, 5, 2, 4), (6, 6, 8, 1)])
+    def test_stack_equals_slices(self, n_q, n_k, d_k, d_v):
+        rng = np.random.default_rng(10 * n_q + n_k)
+        b = 5
+        q, k = rng.normal(size=(b, n_q, d_k)), rng.normal(size=(b, n_k, d_k))
+        v = rng.normal(size=(b, n_k, d_v))
+        c = 1.0 + rng.uniform(0, 1, (b, n_q, n_k))
+        sem = sem_attention(q, k, v)
+        dep = dep_attention(q, k, v, c)
+        shared_c = dep_attention(q, k, v, c[0])
+        for i in range(b):
+            for stacked, single in ((sem, sem_attention(q[i], k[i], v[i])),
+                                    (dep, dep_attention(q[i], k[i], v[i], c[i])),
+                                    (shared_c, dep_attention(q[i], k[i], v[i], c[0]))):
+                assert stacked[0][i].tobytes() == single[0].tobytes()
+                assert stacked[1][i].tobytes() == single[1].tobytes()
+
+    def test_shared_operands_broadcast(self):
+        rng = np.random.default_rng(11)
+        q = rng.normal(size=(2, 3, 4, 3))
+        k, v = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+        c = 1.0 + rng.uniform(0, 1, (3, 4, 5))
+        weights, out = dep_attention(q, k, v, c)
+        assert weights.shape == (2, 3, 4, 5) and out.shape == (2, 3, 4, 2)
+        for i, j in np.ndindex(2, 3):
+            single = dep_attention(q[i, j], k, v, c[j])
+            assert weights[i, j].tobytes() == single[0].tobytes()
+            assert out[i, j].tobytes() == single[1].tobytes()
+
+    def test_shape_messages_name_the_last_axes(self):
+        q = np.zeros((2, 4, 3))
+        with pytest.raises(ValueError, match=r"feature sizes \(last axis\) differ: 3 vs 5"):
+            sem_attention(q, np.zeros((2, 4, 5)), np.zeros((2, 4, 2)))
+        with pytest.raises(ValueError, match=r"row counts \(second-to-last axis\) differ: 4 vs 6"):
+            sem_attention(q, np.zeros((2, 4, 3)), np.zeros((2, 6, 2)))
+        with pytest.raises(ValueError, match=r"shape \(2, 4, 4\) does not end in .* \(4, 6\)"):
+            dep_attention(q, np.zeros((2, 6, 3)), np.zeros((2, 6, 2)), np.ones((2, 4, 4)))
+        with pytest.raises(ValueError, match="at least 2 axes"):
+            sem_attention(np.zeros(3), np.zeros((1, 3)), np.zeros((1, 2)))
+
+
 class TestSoftmaxProperties:
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)

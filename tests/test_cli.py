@@ -289,6 +289,18 @@ class TestGradcheckCommand:
         monkeypatch.setattr(cli, "check", fake_check)
         assert run(["gradcheck", "--op", "fuse", "--seed", "7"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
+        ("--eps", "-1e-5"), ("--eps", "0"), ("--eps", "nan"), ("--eps", "inf"),
+        ("--d-seq", "0"), ("--d-k", "0"), ("--d-v", "-2"), ("--d-hid", "0"),
+    ])
+    def test_bad_settings_rejected(self, capsys, flag, value):
+        assert run(["gradcheck", "--op", "attend", "--seed", "7", f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        field = flag[2:].replace("-", "_")
+        assert captured.err.startswith(f"error: {field} must be "), captured.err
+
     def test_report_written_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert run(["gradcheck", "--op", "fuse", "--seed", "2", "--out", str(out)]) == 0

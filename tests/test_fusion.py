@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dafa.fusion import PARAM_FIELDS, FusionParams, fuse
+from dafa.fusion import PARAM_FIELDS, FusionParams, _forward_trace, fuse
 
 
 def naive_guided(signal, feature, w_proj, w_query, b_query, w_score, b_score):
@@ -336,3 +336,39 @@ class TestFusionParams:
         params = with_values(FusionParams.init(2, 2, 2, seed=24), b_output=np.array([np.nan, 0.0]))
         with pytest.raises(ValueError):
             params.to_json()
+
+
+class TestForwardTraceLeadingAxes:
+    """A (B, ...) stack through the forward gives, slice by slice, the bits of the 2-D calls."""
+
+    @pytest.mark.parametrize("d_seq, d_v, d_hid", [(1, 1, 1), (4, 3, 2), (6, 8, 5)])
+    def test_stack_equals_slices(self, d_seq, d_v, d_hid):
+        b = 4
+        rng = np.random.default_rng(d_seq * 100 + d_v * 10 + d_hid)
+        params = [FusionParams.init(d_seq, d_v, d_hid, seed=s).to_dict() for s in range(b)]
+        stacked = {name: np.stack([p[name] for p in params]) for name in PARAM_FIELDS}
+        sem = rng.uniform(-1, 1, (b, d_seq, d_v))
+        dep = rng.uniform(-1, 1, (b, d_seq, d_v))
+        trace = _forward_trace(sem, dep, stacked)
+        for i in range(b):
+            single = _forward_trace(sem[i], dep[i], params[i])
+            assert trace.keys() == single.keys()
+            for key, value in single.items():
+                assert trace[key][i].tobytes() == value.tobytes(), (i, key)
+
+    def test_shared_signals_or_weights_broadcast(self):
+        b, d_seq, d_v, d_hid = 3, 5, 4, 3
+        rng = np.random.default_rng(12)
+        params = [FusionParams.init(d_seq, d_v, d_hid, seed=s).to_dict() for s in range(b)]
+        stacked = {name: np.stack([p[name] for p in params]) for name in PARAM_FIELDS}
+        sem = rng.uniform(-1, 1, (b, d_seq, d_v))
+        dep = rng.uniform(-1, 1, (b, d_seq, d_v))
+        shared_signals = _forward_trace(sem[0], dep[0], stacked)     # 2-D signals, stacked weights
+        shared_weights = _forward_trace(sem, dep, params[0])         # stacked signals, 2-D weights
+        for i in range(b):
+            for trace, single in (
+                (shared_signals, _forward_trace(sem[0], dep[0], params[i])),
+                (shared_weights, _forward_trace(sem[i], dep[i], params[0])),
+            ):
+                for key, value in single.items():
+                    assert trace[key][i].tobytes() == value.tobytes(), (i, key)

@@ -1,11 +1,17 @@
 """Gradient machinery tests: probe loss, fd oracle, analytic-vs-fd agreement."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, target
+from hypothesis import strategies as st
 
+from dafa import gradcheck
 from dafa.attention import dep_attention, sem_attention
-from dafa.fusion import FusionParams, fuse
+from dafa.fusion import FusionParams, _forward_trace, fuse
 from dafa.gradcheck import (
+    OP_NAMES,
     GradCheckConfig,
     analytic_gradient,
     check,
@@ -16,6 +22,29 @@ from dafa.gradcheck import (
     probe_loss,
     sem_attention_gradients,
 )
+
+
+def naive_fd_gradient(f, params: dict, eps: float) -> dict:
+    """Per-scalar central differences: two scalar evaluations of `f` per entry (oracle)."""
+    work = {name: np.array(value, dtype=np.float64) for name, value in params.items()}
+    grads: dict = {}
+    for name, value in work.items():
+        grad = np.zeros_like(value)
+        for idx in np.ndindex(value.shape):
+            orig = value[idx]
+            value[idx] = orig + eps
+            hi = float(f(work))
+            value[idx] = orig - eps
+            lo = float(f(work))
+            value[idx] = orig
+            grad[idx] = (hi - lo) / (2.0 * eps)
+        grads[name] = grad
+    return grads
+
+
+def fuse_loss(values):
+    """Probe loss of the fusion forward over one leading axis of perturbation rows."""
+    return probe_loss(_forward_trace(values["sem"], values["dep"], values)["fused"])
 
 
 class TestProbeLoss:
@@ -29,6 +58,14 @@ class TestProbeLoss:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 5))
         assert probe_loss(x) == pytest.approx(0.5 * float((x ** 2).sum()), rel=1e-15)
+
+    def test_stack_gives_each_slice_its_own_loss(self):
+        rng = np.random.default_rng(1)
+        stack = rng.normal(size=(3, 4, 5))
+        losses = probe_loss(stack)
+        assert losses.shape == (3,)
+        for i in range(3):
+            assert losses[i] == 0.5 * float(np.sum(stack[i] * stack[i]))
 
     def test_fusion_output_uses_final_features(self):
         params = FusionParams.init(2, 2, 2, seed=1)
@@ -48,7 +85,7 @@ class TestFdGradient:
 
     def test_array_entries_probed_independently(self):
         coeff = np.array([2.0, -1.0, 0.5])
-        g = fd_gradient(lambda p: float(coeff @ p["w"]), {"w": np.zeros(3)}, eps=1e-5)
+        g = fd_gradient(lambda p: p["w"] @ coeff, {"w": np.zeros(3)}, eps=1e-5)
         assert np.allclose(g["w"], coeff, atol=1e-9)
 
     def test_fuse_probe_is_finite(self):
@@ -57,11 +94,7 @@ class TestFdGradient:
         sem = rng.uniform(-1, 1, (3, 2))
         dep = rng.uniform(-1, 1, (3, 2))
         flat = {**params.to_dict(), "sem": sem, "dep": dep}
-
-        def loss(values):
-            return probe_loss(fuse(values["sem"], values["dep"], FusionParams.from_dict(values)))
-
-        g = fd_gradient(loss, flat, eps=1e-5)
+        g = fd_gradient(fuse_loss, flat, eps=1e-5)
         for value in g.values():
             assert np.all(np.isfinite(value))
 
@@ -73,6 +106,60 @@ class TestFdGradient:
         with pytest.raises(ValueError, match="non-finite"):
             fd_gradient(lambda p: float("nan"), {"x": 1.0}, eps=1e-5)
 
+    @pytest.mark.parametrize("loss", [
+        lambda p: float(np.sum(p["w"])),       # one scalar for the whole stack
+        lambda p: np.sum(p["w"], axis=0),      # one value per entry, not per row
+        lambda p: p["w"][:, :1],               # one per row, with a trailing axis
+    ])
+    def test_loss_must_return_one_value_per_row(self, loss):
+        with pytest.raises(ValueError, match=r"expected shape \(6,\), got"):
+            fd_gradient(loss, {"w": np.zeros(3)}, eps=1e-5)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-5])
+    def test_nonfinite_or_negative_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            fd_gradient(lambda p: p["x"], {"x": 1.0}, eps=eps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        op=st.sampled_from(OP_NAMES),
+        d_seq=st.integers(1, 6), d_k=st.integers(1, 8),
+        d_v=st.integers(1, 8), d_hid=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # attention scalar counts d_seq * (2 d_k + d_v): 3, 31, 32 (one full block), 33, 34
+    @example(op="sem_attention", d_seq=1, d_k=1, d_v=1, d_hid=1, seed=0)
+    @example(op="dep_attention", d_seq=1, d_k=8, d_v=15, d_hid=1, seed=1)
+    @example(op="sem_attention", d_seq=4, d_k=3, d_v=2, d_hid=1, seed=2)
+    @example(op="dep_attention", d_seq=3, d_k=5, d_v=1, d_hid=1, seed=3)
+    @example(op="dep_attention", d_seq=2, d_k=8, d_v=1, d_hid=1, seed=4)
+    # fuse: 26 scalars at all sizes 1; 538 scalars, 17 blocks, several arrays per block
+    @example(op="fuse", d_seq=1, d_k=1, d_v=1, d_hid=1, seed=5)
+    @example(op="fuse", d_seq=6, d_k=1, d_v=8, d_hid=5, seed=6)
+    def test_check_matches_per_scalar_oracle(self, op, d_seq, d_k, d_v, d_hid, seed):
+        """`check`'s batched gradients equal the per-scalar loop on the same loss."""
+        calls = []
+
+        def recording_fd_gradient(f, params, eps):
+            grads = fd_gradient(f, params, eps)
+            calls.append((f, params, eps, grads))
+            return grads
+
+        config = GradCheckConfig(d_seq=d_seq, d_k=d_k, d_v=d_v, d_hid=d_hid)
+        with mock.patch.object(gradcheck, "fd_gradient", recording_fd_gradient):
+            assert check(op, config, seed=seed).passed
+        (f, params, eps, batched), = calls
+
+        def one_row(values):
+            losses = f({name: np.asarray(value)[None] for name, value in values.items()})
+            return losses[0]
+
+        oracle = naive_fd_gradient(one_row, params, eps)
+        assert list(batched) == list(oracle)
+        worst = max(float(np.max(np.abs(batched[name] - oracle[name]))) for name in oracle)
+        target(worst, label="max |batched - per-scalar| gradient")
+        assert worst <= 1e-9
+
 
 class TestAnalyticGradients:
     def test_zero_param_fuse_matches_fd(self):
@@ -82,11 +169,7 @@ class TestAnalyticGradients:
         dep = rng.uniform(-1, 1, (3, 2))
         analytic = fuse_gradients(sem, dep, params)
         flat = {**params.to_dict(), "sem": sem, "dep": dep}
-
-        def loss(values):
-            return probe_loss(fuse(values["sem"], values["dep"], FusionParams.from_dict(values)))
-
-        fd = fd_gradient(loss, flat, eps=1e-5)
+        fd = fd_gradient(fuse_loss, flat, eps=1e-5)
         rel, _, _ = compare_gradients(analytic, fd, tol=1e-7)
         assert max(rel.values()) < 1e-7
 
@@ -175,3 +258,14 @@ class TestCheck:
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
             check("mystery", seed=0)
+
+    @pytest.mark.parametrize("field", ["tol", "eps"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_nonpositive_or_nonfinite_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+            check("sem_attention", seed=0, **{field: value})
+
+    @pytest.mark.parametrize("field", ["d_seq", "d_k", "d_v", "d_hid"])
+    def test_config_sizes_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            GradCheckConfig(**{field: 0})

@@ -11,7 +11,13 @@ unreliable dependency evidence can be suppressed.
 One parameter set is shared across positions. The "stack" inside the
 guided attentions places a tanh of the projected signal matrix
 (d_seq, d_seq) on top of the query feature tiled across columns, giving
-the 2*d_seq rows the score vectors contract against.
+the 2*d_seq rows the score vectors contract against. The tiled half adds
+one constant to each score row, and so does the score bias; the row
+softmax cancels both. So each pooling is one row shared by every
+position, and the forward computes it once: steps (1)-(3) give one row,
+and only step (4), which reads s_i, is per position. `FusionOutput`
+keeps its per-position shapes; its shared fields are read-only
+broadcast views of the one row.
 
 The forward (`_forward_trace`) also takes optional leading axes: the
 signals and every weight may carry extra axes in front of their own
@@ -79,6 +85,10 @@ class FusionParams:
     into per-position scores. Gates: *_hidden transform the refined
     vectors to d_hid, w_fusion_gate blends them, w_value / w_output map
     the blend back to d_v, and w_filter_gate scales the final feature.
+    The row softmax cancels the query half of each score and the score
+    bias, so the forward never reads w_*_query, b_*_query,
+    w_*_score[d_seq:] or b_*_score; they stay for the JSON format and
+    the seeded draw order.
     """
 
     w_dep_proj: np.ndarray    # (d_seq, d_v)
@@ -173,7 +183,13 @@ class FusionParams:
 
 @dataclass(frozen=True, eq=False)
 class FusionOutput:
-    """Final features plus gate values and intermediates kept for diagnostics."""
+    """Final features plus gate values and intermediates kept for diagnostics.
+
+    Only `fused` and `filter_gate` vary by position. The pooling softmax
+    cancels the query half and the bias of each score, so every position
+    shares one pool row; the other fields are read-only `np.broadcast_to`
+    views of that one row (and of what follows from it) at the shapes below.
+    """
 
     fused: np.ndarray             # (d_seq, d_v), rows strictly inside (-1, 1)
     fusion_gate: np.ndarray       # (d_seq,), strictly inside (0, 1)
@@ -200,56 +216,48 @@ def _mv(matrix, vector):
 
 
 def _forward_trace(sem, dep, w) -> dict:
-    """Run the whole network for every position at once, keeping intermediates.
+    """Run the whole network at once, keeping intermediates.
 
     `w` maps each name in PARAM_FIELDS to its weight array. The signals
     (..., d_seq, d_v) and each weight may have leading axes in front of
-    their own shape; they broadcast, and every output gains them. Row i
-    of each cached matrix corresponds to position i. `fuse` returns the
-    per-position results from this trace, the analytic backward pass
-    differentiates it and the finite differences evaluate it, so all run
-    the same forward code.
-    """
-    d_seq = w["w_dep_proj"].shape[-2]
-    wd_top, wd_bot = w["w_dep_score"][..., :d_seq], w["w_dep_score"][..., d_seq:]
-    ws_top, ws_bot = w["w_sem_score"][..., :d_seq], w["w_sem_score"][..., d_seq:]
+    their own shape; they broadcast, and every output gains them.
 
+    Each guided pooling is computed once, as one row shared by every
+    position: the query half of its score, `tanh(w_*_query @ f_i + b) @
+    w_*_score[d_seq:]`, and the score bias add one constant to all of
+    row i, which the row softmax cancels. So `dep_pool` / `sem_pool`
+    have shape (..., 1, d_seq), and the refined vectors, hidden layers,
+    fusion gate, blend, projection and squashed output are one row each;
+    only the filtration gate and the fused output, which read sem[i], are
+    per position. The query weights, `w_*_score[d_seq:]` and `b_*_score`
+    are not read. `fuse` returns the results from this trace, the
+    analytic backward pass differentiates it and the finite differences
+    evaluate it, so all run the same forward code.
+    """
+    d_seq, d_v = w["w_dep_proj"].shape[-2:]
     t_dep = np.tanh(w["w_dep_proj"] @ dep.swapaxes(-1, -2))   # (..., d_seq, d_seq)
     t_sem = np.tanh(w["w_sem_proj"] @ sem.swapaxes(-1, -2))
 
-    # row i = query(s_i); (..., d_seq, d_seq)
-    u_sem = sem @ w["w_sem_query"].swapaxes(-1, -2) + w["b_sem_query"][..., None, :]
-    tu_sem = np.tanh(u_sem)
-    dep_scores = (wd_top[..., None, :] @ t_dep + tu_sem @ wd_bot[..., None]
-                  + w["b_dep_score"][..., None, None])
-    dep_pool = softmax(dep_scores, axis=-1)
-    dep_refined = dep_pool @ dep                                  # (..., d_seq, d_v)
-
-    u_dep = dep_refined @ w["w_dep_query"].swapaxes(-1, -2) + w["b_dep_query"][..., None, :]
-    tu_dep = np.tanh(u_dep)
-    sem_scores = (ws_top[..., None, :] @ t_sem + tu_dep @ ws_bot[..., None]
-                  + w["b_sem_score"][..., None, None])
-    sem_pool = softmax(sem_scores, axis=-1)
+    dep_pool = softmax(w["w_dep_score"][..., None, :d_seq] @ t_dep, axis=-1)  # (..., 1, d_seq)
+    dep_refined = dep_pool @ dep                                  # (..., 1, d_v)
+    sem_pool = softmax(w["w_sem_score"][..., None, :d_seq] @ t_sem, axis=-1)
     sem_refined = sem_pool @ sem
 
     hd = np.tanh(dep_refined @ w["w_dep_hidden"].swapaxes(-1, -2)
-                 + w["b_dep_hidden"][..., None, :])              # (..., d_seq, d_hid)
+                 + w["b_dep_hidden"][..., None, :])              # (..., 1, d_hid)
     hs = np.tanh(sem_refined @ w["w_sem_hidden"].swapaxes(-1, -2)
                  + w["b_sem_hidden"][..., None, :])
     fusion_gate = sigmoid(_mv(np.concatenate([hd, hs], axis=-1), w["w_fusion_gate"]))
     blend = fusion_gate[..., None] * hs + (1.0 - fusion_gate)[..., None] * hd
 
     projected = blend @ w["w_value"].swapaxes(-1, -2) + w["b_value"][..., None, :]
-    # sem may have fewer leading axes than the weights
-    sem_wide = np.broadcast_to(sem, projected.shape)
-    filter_gate = sigmoid(_mv(np.concatenate([sem_wide, projected], axis=-1),
-                              w["w_filter_gate"]))
+    w_filter = w["w_filter_gate"]
+    filter_gate = sigmoid(_mv(sem, w_filter[..., :d_v]) + _mv(projected, w_filter[..., d_v:]))
     squashed = np.tanh(blend @ w["w_output"].swapaxes(-1, -2) + w["b_output"][..., None, :])
-    fused = filter_gate[..., None] * squashed
+    fused = filter_gate[..., None] * squashed                     # (..., d_seq, d_v)
 
     return {
         "t_dep": t_dep, "t_sem": t_sem,
-        "tu_sem": tu_sem, "tu_dep": tu_dep,
         "dep_pool": dep_pool, "sem_pool": sem_pool,
         "dep_refined": dep_refined, "sem_refined": sem_refined,
         "hd": hd, "hs": hs,
@@ -264,13 +272,18 @@ def fuse(sem, dep, params: FusionParams) -> FusionOutput:
     sem = _check_signal("sem", sem, params)
     dep = _check_signal("dep", dep, params)
     trace = _forward_trace(sem, dep, params.to_dict())
+    d_seq = params.d_seq
+
+    def per_position(row):
+        return np.broadcast_to(row, (d_seq,) + row.shape[1:])
+
     return FusionOutput(
         fused=trace["fused"],
-        fusion_gate=trace["fusion_gate"],
+        fusion_gate=per_position(trace["fusion_gate"]),
         filter_gate=trace["filter_gate"],
-        dep_refined=trace["dep_refined"],
-        sem_refined=trace["sem_refined"],
-        hidden_blend=trace["blend"],
-        dep_pool_weights=trace["dep_pool"],
-        sem_pool_weights=trace["sem_pool"],
+        dep_refined=per_position(trace["dep_refined"]),
+        sem_refined=per_position(trace["sem_refined"]),
+        hidden_blend=per_position(trace["blend"]),
+        dep_pool_weights=per_position(trace["dep_pool"]),
+        sem_pool_weights=per_position(trace["sem_pool"]),
     )

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .attention import dep_attention, sem_attention
-from .fusion import FusionOutput, FusionParams, _forward_trace
+from .fusion import FusionOutput, FusionParams, _check_signal, _forward_trace
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-5
@@ -99,6 +99,12 @@ def _softmax_rows_backward(weights: np.ndarray, g_weights: np.ndarray) -> np.nda
 def _attention_gradients(q, k, v, calibration=None) -> dict:
     """Probe-loss gradients of one attention path with respect to q, k, v."""
     q, k, v = (np.asarray(x, dtype=np.float64) for x in (q, k, v))
+    operands = {"q": q, "k": k, "v": v}
+    if calibration is not None:
+        operands["calibration"] = calibration
+    if any(x.ndim != 2 for x in operands.values()):
+        shapes = ", ".join(f"{name} {x.shape}" for name, x in operands.items())
+        raise ValueError(f"attention gradients take 2-D operands only, got {shapes}")
     if calibration is None:
         weights, out = sem_attention(q, k, v)
     else:
@@ -124,32 +130,35 @@ def dep_attention_gradients(q, k, v, calibration) -> dict:
 def fuse_gradients(sem, dep, params: FusionParams) -> dict:
     """Probe-loss gradients for every fusion parameter and both input signals.
 
-    Mirrors the batched forward trace step by step in reverse; row i of
-    each cached matrix is position i, so per-position sums become matrix
-    contractions.
+    Mirrors the forward trace step by step in reverse. Every row that the
+    trace shares across positions collects the gradient summed over
+    positions. The softmax cancels the pooling query half and the score
+    bias, so `w_*_query`, `b_*_query`, `w_*_score[d_seq:]` and `b_*_score`
+    get exact zeros.
     """
-    sem = np.asarray(sem, dtype=np.float64)
-    dep = np.asarray(dep, dtype=np.float64)
+    sem = _check_signal("sem", sem, params)
+    dep = _check_signal("dep", dep, params)
     t = _forward_trace(sem, dep, params.to_dict())
     d_seq, d_v, d_hid = params.d_seq, params.d_v, params.d_hid
-    wd_top, wd_bot = params.w_dep_score[:d_seq], params.w_dep_score[d_seq:]
-    ws_top, ws_bot = params.w_sem_score[:d_seq], params.w_sem_score[d_seq:]
-    g: dict = {}
+    g: dict = {name: np.zeros_like(getattr(params, name))
+               for name in ("w_sem_query", "b_sem_query", "w_dep_query", "b_dep_query",
+                            "b_dep_score", "b_sem_score")}
 
-    g_fused = t["fused"]
-    g_filter = np.sum(g_fused * t["squashed"], axis=1)
-    g_squashed = t["filter_gate"][:, None] * g_fused
+    g_fused = t["fused"]                                          # (d_seq, d_v)
+    g_filter = g_fused @ t["squashed"][0]                         # (d_seq,)
+    g_squashed = t["filter_gate"][None, :] @ g_fused              # shared rows are (1, ·)
     g_out_pre = g_squashed * (1.0 - t["squashed"] ** 2)
     g["w_output"] = g_out_pre.T @ t["blend"]
-    g["b_output"] = g_out_pre.sum(axis=0)
+    g["b_output"] = g_out_pre[0]
     g_blend = g_out_pre @ params.w_output
 
     g_zf = g_filter * t["filter_gate"] * (1.0 - t["filter_gate"])
-    g["w_filter_gate"] = np.concatenate([sem, t["projected"]], axis=1).T @ g_zf
-    g_sem = g_zf[:, None] * params.w_filter_gate[None, :d_v]
-    g_projected = g_zf[:, None] * params.w_filter_gate[None, d_v:]
+    g_zf_total = g_zf.sum()
+    g["w_filter_gate"] = np.concatenate([sem.T @ g_zf, g_zf_total * t["projected"][0]])
+    g_sem_filter = np.outer(g_zf, params.w_filter_gate[:d_v])
+    g_projected = g_zf_total * params.w_filter_gate[None, d_v:]
     g["w_value"] = g_projected.T @ t["blend"]
-    g["b_value"] = g_projected.sum(axis=0)
+    g["b_value"] = g_projected[0]
     g_blend += g_projected @ params.w_value
 
     g_gate = np.sum(g_blend * (t["hs"] - t["hd"]), axis=1)
@@ -162,54 +171,27 @@ def fuse_gradients(sem, dep, params: FusionParams) -> dict:
 
     g_hd_pre = g_hd * (1.0 - t["hd"] ** 2)
     g["w_dep_hidden"] = g_hd_pre.T @ t["dep_refined"]
-    g["b_dep_hidden"] = g_hd_pre.sum(axis=0)
+    g["b_dep_hidden"] = g_hd_pre[0]
     g_dep_refined = g_hd_pre @ params.w_dep_hidden
 
     g_hs_pre = g_hs * (1.0 - t["hs"] ** 2)
     g["w_sem_hidden"] = g_hs_pre.T @ t["sem_refined"]
-    g["b_sem_hidden"] = g_hs_pre.sum(axis=0)
+    g["b_sem_hidden"] = g_hs_pre[0]
     g_sem_refined = g_hs_pre @ params.w_sem_hidden
 
-    # dependency-guided pooling of the semantic signal
-    g_sem_pool = g_sem_refined @ sem.T
-    g_sem += t["sem_pool"].T @ g_sem_refined
-    g_sem_scores = _softmax_rows_backward(t["sem_pool"], g_sem_pool)
-    g["b_sem_score"] = float(g_sem_scores.sum())
-    g_base_s = g_sem_scores.sum(axis=0)
-    g_shift_s = g_sem_scores.sum(axis=1)
-    g["w_sem_score"] = np.concatenate([t["t_sem"] @ g_base_s, t["tu_dep"].T @ g_shift_s])
-    g_t_sem = np.outer(ws_top, g_base_s)
-    g_tu_dep = np.outer(g_shift_s, ws_bot)
-    g_u_dep = g_tu_dep * (1.0 - t["tu_dep"] ** 2)
-    g["w_dep_query"] = g_u_dep.T @ t["dep_refined"]
-    g["b_dep_query"] = g_u_dep.sum(axis=0)
-    g_dep_refined += g_u_dep @ params.w_dep_query
+    # the two guided poolings and their shared signal projections
+    for name, signal, g_refined in (("sem", sem, g_sem_refined), ("dep", dep, g_dep_refined)):
+        pool, tanh_proj = t[f"{name}_pool"], t[f"t_{name}"]
+        g_signal = pool.T @ g_refined
+        g_scores = _softmax_rows_backward(pool, g_refined @ signal.T)[0]   # (d_seq,)
+        g[f"w_{name}_score"] = np.concatenate([tanh_proj @ g_scores, np.zeros(d_seq)])
+        w_top = getattr(params, f"w_{name}_score")[:d_seq]
+        g_proj = np.outer(w_top, g_scores) * (1.0 - tanh_proj ** 2)
+        g[f"w_{name}_proj"] = g_proj @ signal
+        g_signal += g_proj.T @ getattr(params, f"w_{name}_proj")
+        g[name] = g_signal
 
-    # semantic-guided pooling of the dependency signal
-    g_dep_pool = g_dep_refined @ dep.T
-    g_dep = t["dep_pool"].T @ g_dep_refined
-    g_dep_scores = _softmax_rows_backward(t["dep_pool"], g_dep_pool)
-    g["b_dep_score"] = float(g_dep_scores.sum())
-    g_base_d = g_dep_scores.sum(axis=0)
-    g_shift_d = g_dep_scores.sum(axis=1)
-    g["w_dep_score"] = np.concatenate([t["t_dep"] @ g_base_d, t["tu_sem"].T @ g_shift_d])
-    g_t_dep = np.outer(wd_top, g_base_d)
-    g_tu_sem = np.outer(g_shift_d, wd_bot)
-    g_u_sem = g_tu_sem * (1.0 - t["tu_sem"] ** 2)
-    g["w_sem_query"] = g_u_sem.T @ sem
-    g["b_sem_query"] = g_u_sem.sum(axis=0)
-    g_sem += g_u_sem @ params.w_sem_query
-
-    # shared signal projections
-    g_proj_dep = g_t_dep * (1.0 - t["t_dep"] ** 2)
-    g["w_dep_proj"] = g_proj_dep @ dep
-    g_dep += g_proj_dep.T @ params.w_dep_proj
-    g_proj_sem = g_t_sem * (1.0 - t["t_sem"] ** 2)
-    g["w_sem_proj"] = g_proj_sem @ sem
-    g_sem += g_proj_sem.T @ params.w_sem_proj
-
-    g["sem"] = g_sem
-    g["dep"] = g_dep
+    g["sem"] += g_sem_filter
     return g
 
 

@@ -5,8 +5,82 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, target
+from hypothesis import strategies as st
 
 from dafa.fusion import PARAM_FIELDS, FusionParams, _forward_trace, fuse
+from dafa.nnops import sigmoid, softmax
+
+# max |fuse - naive_forward_trace| allowed per output. The two differ only in rounding: the
+# oracle adds to each score row a constant that its row softmax cancels. The filtration gate
+# and the fused output carry that rounding on through w_value and w_filter_gate, and with
+# weights at 20x the oracle's own error on them reaches 1.2e-12 against an 80-bit evaluation
+# (the last @example below), so they get 1e-11; 1e-12 holds everywhere else.
+ORACLE_TOL = {"fused": 1e-11, "filter_gate": 1e-11, "fusion_gate": 1e-12,
+              "dep_refined": 1e-12, "sem_refined": 1e-12, "hidden_blend": 1e-12,
+              "dep_pool_weights": 1e-12, "sem_pool_weights": 1e-12}
+
+
+def naive_forward_trace(sem, dep, w) -> dict:
+    """The full-matrix forward that builds every L x L score row (oracle).
+
+    Row i of each pool is softmax(w_*_score @ [tanh(W_proj X^T); tanh(W_query f_i + b)
+    tiled] + b_*_score), so every per-position result is computed d_seq times.
+    """
+    def mv(matrix, vector):
+        return (matrix @ vector[..., None])[..., 0]
+
+    d_seq = w["w_dep_proj"].shape[-2]
+    wd_top, wd_bot = w["w_dep_score"][..., :d_seq], w["w_dep_score"][..., d_seq:]
+    ws_top, ws_bot = w["w_sem_score"][..., :d_seq], w["w_sem_score"][..., d_seq:]
+
+    t_dep = np.tanh(w["w_dep_proj"] @ dep.swapaxes(-1, -2))   # (..., d_seq, d_seq)
+    t_sem = np.tanh(w["w_sem_proj"] @ sem.swapaxes(-1, -2))
+
+    # row i = query(s_i); (..., d_seq, d_seq)
+    u_sem = sem @ w["w_sem_query"].swapaxes(-1, -2) + w["b_sem_query"][..., None, :]
+    tu_sem = np.tanh(u_sem)
+    dep_scores = (wd_top[..., None, :] @ t_dep + tu_sem @ wd_bot[..., None]
+                  + w["b_dep_score"][..., None, None])
+    dep_pool = softmax(dep_scores, axis=-1)
+    dep_refined = dep_pool @ dep                                  # (..., d_seq, d_v)
+
+    u_dep = dep_refined @ w["w_dep_query"].swapaxes(-1, -2) + w["b_dep_query"][..., None, :]
+    tu_dep = np.tanh(u_dep)
+    sem_scores = (ws_top[..., None, :] @ t_sem + tu_dep @ ws_bot[..., None]
+                  + w["b_sem_score"][..., None, None])
+    sem_pool = softmax(sem_scores, axis=-1)
+    sem_refined = sem_pool @ sem
+
+    hd = np.tanh(dep_refined @ w["w_dep_hidden"].swapaxes(-1, -2)
+                 + w["b_dep_hidden"][..., None, :])              # (..., d_seq, d_hid)
+    hs = np.tanh(sem_refined @ w["w_sem_hidden"].swapaxes(-1, -2)
+                 + w["b_sem_hidden"][..., None, :])
+    fusion_gate = sigmoid(mv(np.concatenate([hd, hs], axis=-1), w["w_fusion_gate"]))
+    blend = fusion_gate[..., None] * hs + (1.0 - fusion_gate)[..., None] * hd
+
+    projected = blend @ w["w_value"].swapaxes(-1, -2) + w["b_value"][..., None, :]
+    sem_wide = np.broadcast_to(sem, projected.shape)
+    filter_gate = sigmoid(mv(np.concatenate([sem_wide, projected], axis=-1),
+                             w["w_filter_gate"]))
+    squashed = np.tanh(blend @ w["w_output"].swapaxes(-1, -2) + w["b_output"][..., None, :])
+    fused = filter_gate[..., None] * squashed
+
+    # keyed by the FusionOutput field each entry is compared with
+    return {
+        "dep_pool_weights": dep_pool, "sem_pool_weights": sem_pool,
+        "dep_refined": dep_refined, "sem_refined": sem_refined,
+        "fusion_gate": fusion_gate, "filter_gate": filter_gate,
+        "hidden_blend": blend, "fused": fused,
+    }
+
+
+def oracle_excess(sem, dep, params) -> dict:
+    """Max |fuse - naive_forward_trace| on each output, as a fraction of its ORACLE_TOL."""
+    out = fuse(sem, dep, params)
+    naive = naive_forward_trace(sem, dep, params.to_dict())
+    return {field: float(np.max(np.abs(getattr(out, field) - naive[field]))) / tol
+            for field, tol in ORACLE_TOL.items()}
 
 
 def naive_guided(signal, feature, w_proj, w_query, b_query, w_score, b_score):
@@ -278,7 +352,7 @@ class TestFuse:
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="the pooling query adds one constant per row, which the row "
-                              "softmax cancels, so the dep pooling ignores sem")
+                              "softmax cancels, so the dep pooling ignores sem (difference 0)")
     def test_dep_pooling_depends_on_sem(self):
         params = FusionParams.init(d_seq=5, d_v=3, d_hid=3, seed=16)
         sem, dep = random_signals(17, 5, 3)
@@ -286,6 +360,64 @@ class TestFuse:
         before = fuse(sem, dep, params).dep_pool_weights
         after = fuse(other_sem, dep, params).dep_pool_weights
         assert np.max(np.abs(after - before)) > 1e-12
+
+    def test_dep_pooling_ignores_sem_exactly(self):
+        # what the xfail above pins: the forward never reads the pooling query, so the
+        # difference is exactly 0, not merely below the tolerance
+        params = FusionParams.init(d_seq=5, d_v=3, d_hid=3, seed=16)
+        sem, dep = random_signals(17, 5, 3)
+        other_sem, _ = random_signals(18, 5, 3)
+        before = fuse(sem, dep, params).dep_pool_weights
+        after = fuse(other_sem, dep, params).dep_pool_weights
+        assert np.array_equal(after, before)
+
+    def test_shared_fields_are_read_only_views_of_one_row(self):
+        params = FusionParams.init(d_seq=5, d_v=3, d_hid=2, seed=26)
+        sem, dep = random_signals(27, 5, 3)
+        out = fuse(sem, dep, params)
+        shapes = {"fused": (5, 3), "filter_gate": (5,), "fusion_gate": (5,),
+                  "dep_refined": (5, 3), "sem_refined": (5, 3), "hidden_blend": (5, 2),
+                  "dep_pool_weights": (5, 5), "sem_pool_weights": (5, 5)}
+        for name, shape in shapes.items():
+            assert getattr(out, name).shape == shape, name
+        for name in ("fusion_gate", "dep_refined", "sem_refined", "hidden_blend",
+                     "dep_pool_weights", "sem_pool_weights"):
+            value = getattr(out, name)
+            assert not value.flags.writeable, name
+            assert np.array_equal(value, np.broadcast_to(value[0], value.shape)), name
+
+
+class TestFullMatrixOracle:
+    """`fuse` computes each pooling once; the trace that built all L rows is its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d_seq=st.integers(1, 64), d_v=st.integers(1, 8), d_hid=st.integers(1, 5),
+        signal_scale=st.floats(0.0, 30.0), weight_scale=st.floats(0.0, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d_seq=64, d_v=8, d_hid=5, signal_scale=30.0, weight_scale=20.0, seed=0)
+    # fused differs by 7.9e-13 here: 3.7e-13 from an 80-bit evaluation for fuse, 1.2e-12 for
+    # the oracle
+    @example(d_seq=28, d_v=4, d_hid=4, signal_scale=29.15163267200947,
+             weight_scale=15.741992587707912, seed=2134001144)
+    def test_matches_oracle(self, d_seq, d_v, d_hid, signal_scale, weight_scale, seed):
+        rng = np.random.default_rng(seed)
+        params = FusionParams.init(d_seq, d_v, d_hid, rng)
+        params = FusionParams.from_dict(
+            {name: weight_scale * value for name, value in params.to_dict().items()})
+        sem = rng.uniform(-signal_scale, signal_scale, (d_seq, d_v))
+        dep = rng.uniform(-signal_scale, signal_scale, (d_seq, d_v))
+        excess = oracle_excess(sem, dep, params)
+        target(max(excess.values()), label="max |fuse - full-matrix oracle| / ORACLE_TOL")
+        assert max(excess.values()) <= 1.0, excess
+
+    def test_matches_oracle_at_layer_length(self):
+        # L = 450 is inside the long-pair benchmark's range, with its d_v = d_hid = 8
+        params = FusionParams.init(450, 8, 8, seed=42)
+        sem, dep = random_signals(43, 450, 8)
+        excess = oracle_excess(sem, dep, params)
+        assert max(excess.values()) <= 1.0, excess
 
 
 class TestFusionParams:

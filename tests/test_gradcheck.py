@@ -207,6 +207,53 @@ class TestAnalyticGradients:
         _, _, passed = compare_gradients(analytic, fd, tol=1e-6)
         assert passed
 
+    @pytest.mark.parametrize("shape", [(5, 3), (1, 3), (4, 1), (2, 4, 3)])
+    @pytest.mark.parametrize("bad", ["sem", "dep"])
+    def test_fuse_signal_shapes_checked(self, shape, bad):
+        params = FusionParams.init(4, 3, 2, seed=10)
+        inputs = {"sem": np.zeros((4, 3)), "dep": np.zeros((4, 3)), bad: np.zeros(shape)}
+        with pytest.raises(ValueError, match=rf"{bad} has shape"):
+            fuse_gradients(inputs["sem"], inputs["dep"], params)
+        with pytest.raises(ValueError, match=rf"{bad} has shape"):
+            analytic_gradient("fuse", inputs, params)
+
+    @pytest.mark.parametrize("calibration", [None, np.ones((3, 3)), np.ones((2, 3, 3))])
+    def test_attention_gradients_take_2d_operands_only(self, calibration):
+        rng = np.random.default_rng(11)
+        q, k, v = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 2))
+        if calibration is not None and calibration.ndim == 3:
+            q, k, v = q[0], k[0], v[0]
+        with pytest.raises(ValueError, match=r"2-D operands only, got q \(.*\), k \(.*\), v "):
+            if calibration is None:
+                sem_attention_gradients(q, k, v)
+            else:
+                dep_attention_gradients(q, k, v, calibration)
+
+
+# the softmax over each pooling row cancels these: the forward never reads them
+CANCELLED = ("w_sem_query", "b_sem_query", "w_dep_query", "b_dep_query",
+             "b_dep_score", "b_sem_score")
+
+
+class TestCancelledParameters:
+    @pytest.mark.parametrize("d_seq, d_v, d_hid, seed", [(1, 1, 1, 0), (4, 3, 3, 1), (6, 8, 5, 2)])
+    def test_exact_zero_gradients_and_the_rest_pass(self, d_seq, d_v, d_hid, seed):
+        rng = np.random.default_rng(seed)
+        params = FusionParams.init(d_seq, d_v, d_hid, rng)
+        sem, dep = rng.uniform(-1, 1, (2, d_seq, d_v))
+        analytic = fuse_gradients(sem, dep, params)
+        fd = fd_gradient(fuse_loss, {**params.to_dict(), "sem": sem, "dep": dep})
+        for grads in (analytic, fd):
+            for name in CANCELLED:
+                assert np.all(grads[name] == 0.0), name
+            for name in ("w_dep_score", "w_sem_score"):
+                assert np.all(grads[name][d_seq:] == 0.0), name
+        rest = [name for name in analytic if name not in CANCELLED]
+        _, _, passed = compare_gradients({name: analytic[name] for name in rest},
+                                         {name: fd[name] for name in rest}, tol=1e-5)
+        assert passed
+        assert check("fuse", GradCheckConfig(d_seq=d_seq, d_v=d_v, d_hid=d_hid), seed=seed).passed
+
 
 class TestCheck:
     def test_healthy_ops_pass(self):

@@ -13,7 +13,6 @@ from .conllu import (
     DepSentence,
     SentencePair,
     Token,
-    Trigram,
     parse_conllu,
     parse_single,
     read_pairs,
@@ -24,9 +23,7 @@ from .depmatrix import (
     base_matrix,
     embed_calibration,
     final_matrix,
-    rel_match,
     subgraph_matrix,
-    word_match,
 )
 from .fusion import (
     FusionOutput,
@@ -71,7 +68,6 @@ __all__ = [
     "SentencePair",
     "TfIdfModel",
     "Token",
-    "Trigram",
     "analytic_gradient",
     "base_matrix",
     "build_layout",
@@ -88,10 +84,8 @@ __all__ = [
     "probe_loss",
     "read_heatmap_csv",
     "read_pairs",
-    "rel_match",
     "sem_attention",
     "sequence_tokens",
     "subgraph_matrix",
-    "word_match",
     "write_heatmap_csv",
 ]

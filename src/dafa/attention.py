@@ -37,12 +37,11 @@ class AttnConfig:
 
 @dataclass(frozen=True, eq=False)
 class AttnParams:
-    """Per-head query/key/value projections plus the standard output projection."""
+    """Per-head query/key/value projections."""
 
     w_q: np.ndarray  # (heads, d_model, d_k)
     w_k: np.ndarray  # (heads, d_model, d_k)
     w_v: np.ndarray  # (heads, d_model, d_v)
-    w_o: np.ndarray  # (heads * d_v, d_model)
 
     @property
     def heads(self) -> int:
@@ -53,12 +52,10 @@ class AttnParams:
         """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per matrix."""
         rng = np.random.default_rng(seed)
         proj = 1.0 / math.sqrt(config.d_model)
-        out = 1.0 / math.sqrt(config.heads * config.d_v)
         return cls(
             w_q=rng.uniform(-proj, proj, (config.heads, config.d_model, config.d_k)),
             w_k=rng.uniform(-proj, proj, (config.heads, config.d_model, config.d_k)),
             w_v=rng.uniform(-proj, proj, (config.heads, config.d_model, config.d_v)),
-            w_o=rng.uniform(-out, out, (config.heads * config.d_v, config.d_model)),
         )
 
     def check_config(self, config: AttnConfig) -> None:
@@ -66,7 +63,6 @@ class AttnParams:
             "w_q": (config.heads, config.d_model, config.d_k),
             "w_k": (config.heads, config.d_model, config.d_k),
             "w_v": (config.heads, config.d_model, config.d_v),
-            "w_o": (config.heads * config.d_v, config.d_model),
         }
         for name, shape in expected.items():
             if getattr(self, name).shape != shape:

@@ -81,7 +81,12 @@ def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("DAFA_SEED")
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"DAFA_SEED must be an integer, got {env!r}") from None
 
 
 def _dep_config(args) -> DepMatrixConfig:
@@ -214,19 +219,23 @@ def _cmd_demo(args) -> int:
     stems = _output_stems(pairs)
     tfidf = _load(args.tfidf, TfIdfModel.from_json) if args.tfidf else None
     seed = _seed(args)
+    # every setting is checked before the output directory exists
+    dep_config = _dep_config(args)
+    configs = [
+        AttnConfig(d_model=args.d_model, heads=args.heads, d_k=args.d_k, d_v=args.d_v,
+                   d_seq=build_layout(pair.a, pair.b).d_seq)
+        for pair in pairs
+    ]
+    if args.d_hid < 1:
+        raise ValueError(f"d_hid must be >= 1, got {args.d_hid}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dep_config = _dep_config(args)
-    for pair, stem in zip(pairs, stems):
-        layout = build_layout(pair.a, pair.b)
-        config = AttnConfig(
-            d_model=args.d_model, heads=args.heads, d_k=args.d_k, d_v=args.d_v, d_seq=layout.d_seq
-        )
+    for pair, stem, config in zip(pairs, stems, configs):
         model = _pair_tfidf(tfidf, pair)
         embeddings = EmbeddingTable.build(pair.a.forms() + pair.b.forms(), config.d_model, seed)
         attn_params = AttnParams.init(config, seed)
         # fusion weights are sized by d_seq, so each pair gets its own seeded set
-        fusion_params = FusionParams.init(layout.d_seq, config.d_v, args.d_hid, seed)
+        fusion_params = FusionParams.init(config.d_seq, config.d_v, args.d_hid, seed)
         output = dafa_layer(
             pair.a, pair.b, model, embeddings, attn_params, fusion_params,
             config, dep_config, pair_id=pair.pair_id,

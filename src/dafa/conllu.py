@@ -1,4 +1,4 @@
-"""CoNLL-U ingestion: validated dependency trees and their branch units."""
+"""CoNLL-U ingestion: validated dependency trees."""
 
 from __future__ import annotations
 
@@ -50,17 +50,6 @@ class Token:
 
 
 @dataclass(frozen=True)
-class Trigram:
-    """One dependency branch: governing form, relation label, dependent form."""
-
-    head_form: str
-    rel: str
-    tail_form: str
-    tail_index: int
-    head_index: int
-
-
-@dataclass(frozen=True)
 class DepSentence:
     """A dependency-parsed sentence forming a single rooted tree.
 
@@ -105,32 +94,6 @@ class DepSentence:
 
     def forms(self) -> list[str]:
         return [tok.form for tok in self.tokens]
-
-    def children(self, i: int) -> list[int]:
-        """Indices of tokens headed by token i, in ascending order."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"token index {i} outside 1..{self.n}")
-        return [tok.index for tok in self.tokens if tok.head == i]
-
-    def trigrams(self) -> list[Trigram]:
-        """One branch per token, with the token as tail.
-
-        The root token has no governing word; its head slot carries the
-        ROOT_FORM sentinel so root branches only match other root branches.
-        """
-        out = []
-        for tok in self.tokens:
-            head_form = ROOT_FORM if tok.head == 0 else self.tokens[tok.head - 1].form
-            out.append(
-                Trigram(
-                    head_form=head_form,
-                    rel=tok.deprel,
-                    tail_form=tok.form,
-                    tail_index=tok.index,
-                    head_index=tok.head,
-                )
-            )
-        return out
 
     def to_conllu(self) -> str:
         lines = [

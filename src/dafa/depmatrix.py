@@ -10,9 +10,10 @@ elementwise without erasing positions that carry no dependency evidence.
 Both agreement matrices work on integer codes built inside each call
 (`_encode`): one table maps the lowercased forms of both sentences to
 ids, another maps relation labels to ids, and each token becomes a
-(tail form, head form, relation, parent) record. Equal ids mean exactly
-what `word_match` / equal labels meant cell by cell, so the outputs are
-bitwise those of the per-cell definitions.
+(tail form, head form, relation, parent) record. Two forms get equal ids
+exactly when their lowercased forms are equal, and two labels exactly
+when the labels are equal, so the outputs are bitwise those of comparing
+the tokens cell by cell.
 """
 
 from __future__ import annotations
@@ -64,16 +65,6 @@ class PairLayout:
             raise ValueError("sentence spans overlap")
 
 
-def word_match(a: str, b: str) -> float:
-    """1.0 for case-insensitive form equality, else 0.0."""
-    return 1.0 if a.lower() == b.lower() else 0.0
-
-
-def rel_match(a: str, b: str, theta: float) -> float:
-    """theta for equal relation labels, else 1.0."""
-    return theta if a == b else 1.0
-
-
 def base_matrix(a: DepSentence, b: DepSentence, config: DepMatrixConfig = DepMatrixConfig()) -> np.ndarray:
     """Branch agreement: (head match + tail match) scaled by the relation factor.
 
@@ -81,8 +72,9 @@ def base_matrix(a: DepSentence, b: DepSentence, config: DepMatrixConfig = DepMat
     the branch ending at token j of sentence b, so every entry lies in
     {0, 1, 2, theta, 2*theta}. The three equality tests are broadcast
     comparisons of the integer codes from `_encode`; this is the same
-    arithmetic as summing `word_match` terms and multiplying by
-    `rel_match` cell by cell.
+    arithmetic as adding a head match and a tail match (1.0 when the
+    lowercased forms are equal, else 0.0) and multiplying by theta for
+    equal relation labels (else 1.0), cell by cell.
     """
     codes_a, codes_b = _encode(a, b)
     tail_eq = np.array(codes_a.tail)[:, None] == np.array(codes_b.tail)
@@ -157,10 +149,10 @@ class _Codes(NamedTuple):
 def _encode(a: DepSentence, b: DepSentence) -> tuple[_Codes, _Codes]:
     """Code both sentences against one shared form table and one relation table.
 
-    Two tokens get the same form id exactly when `word_match` says their
-    forms match. The root's head slot holds the id of the lowercased
-    ROOT_FORM sentinel, as in `DepSentence.trigrams`, so a token whose
-    form is literally "<ROOT>" still matches it as it would there.
+    Two tokens get the same form id exactly when their lowercased forms
+    are equal. The root has no governing word, so its head slot holds the
+    id of the lowercased ROOT_FORM sentinel; a token whose form is
+    literally "<ROOT>" (in any case) shares that id.
     """
     root = 0
     forms: dict[str, int] = {ROOT_FORM.lower(): root}

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .attention import dep_attention, sem_attention
-from .fusion import FusionOutput, FusionParams, _check_signal, _forward_trace
+from .fusion import FusionParams, _check_signal, _forward_trace
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-5
@@ -41,14 +41,11 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def probe_loss(output):
-    """Half the squared sum of the operation's primary output matrix (its last two axes).
+    """Half the squared sum of an operation's output matrix (its last two axes).
 
     A stack (..., rows, cols) gives one loss per leading index.
     """
-    if isinstance(output, FusionOutput):
-        matrix = output.fused
-    else:
-        matrix = np.asarray(output, dtype=np.float64)
+    matrix = np.asarray(output, dtype=np.float64)
     return 0.5 * np.sum(matrix * matrix, axis=(-2, -1))
 
 

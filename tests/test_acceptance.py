@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import conllu_block, make_sentence, random_sentence
+from conftest import conllu_block, make_sentence, naive_subgraph, random_sentence
 from dafa.attention import dep_attention, sem_attention
 from dafa.cli import run
 from dafa.depmatrix import (
@@ -41,20 +41,6 @@ def criterion(number, label, limit_seconds):
     elapsed = time.perf_counter() - start
     assert elapsed < limit_seconds, f"criterion {number} took {elapsed:.2f}s (limit {limit_seconds}s)"
     print(f"ACCEPTANCE {number} ({label}): PASS ({elapsed:.2f}s)")
-
-
-def naive_subgraph(a, b, config):
-    def score(i, j):
-        ta, tb = a.tokens[i - 1], b.tokens[j - 1]
-        if ta.form.lower() != tb.form.lower() or ta.deprel != tb.deprel:
-            return 0.0
-        total = config.alpha
-        for x in a.children(i):
-            for y in b.children(j):
-                total += config.nu * score(x, y)
-        return total
-
-    return np.array([[score(i, j) for j in range(1, b.n + 1)] for i in range(1, a.n + 1)])
 
 
 def test_criterion_1_neutrality_on_disjoint_vocabularies():

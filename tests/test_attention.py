@@ -204,13 +204,11 @@ class TestMultiHead:
         assert np.array_equal(sig.dep_weights, dw)
 
     def test_identical_heads_produce_identical_signals(self):
-        cfg = self.config(heads=2)
         single = AttnParams.init(self.config(heads=1), seed=11)
         params = AttnParams(
             w_q=np.repeat(single.w_q, 2, axis=0),
             w_k=np.repeat(single.w_k, 2, axis=0),
             w_v=np.repeat(single.w_v, 2, axis=0),
-            w_o=np.zeros((2 * cfg.d_v, cfg.d_model)),
         )
         rng = np.random.default_rng(12)
         x = rng.normal(size=(4, 6))
@@ -252,7 +250,7 @@ class TestMultiHead:
         first = AttnParams.init(cfg, seed=21)
         second = AttnParams.init(cfg, seed=21)
         assert np.array_equal(first.w_q, second.w_q)
-        assert np.array_equal(first.w_o, second.w_o)
+        assert np.array_equal(first.w_v, second.w_v)
 
     def test_signals_are_weights_times_values(self):
         cfg = self.config(heads=2)

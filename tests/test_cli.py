@@ -375,6 +375,16 @@ class TestDemoCommand:
         assert "pair id" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--theta", "-1"), ("--heads", "0"),
+                                             ("--d-hid", "0"), ("--d-model", "0")])
+    def test_bad_settings_rejected_before_writing(self, tmp_path, capsys, pairs_file, flag,
+                                                  value):
+        out_dir = tmp_path / "demo"
+        assert run(["demo", "--pairs", str(pairs_file), flag, value, "--out", str(out_dir)]) == 1
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: {field} must be "), field
+        assert not out_dir.exists()
+
     def test_inputs_not_mutated(self, tmp_path, pairs_file, tfidf_file):
         before = (file_hash(pairs_file), file_hash(tfidf_file))
         assert run(["demo", "--pairs", str(pairs_file), "--tfidf", str(tfidf_file),
@@ -392,6 +402,14 @@ class TestDemoCommand:
                     "--seed", "7", "--out", str(explicit_dir)]) == 0
         for name in sorted(p.name for p in env_dir.iterdir()):
             assert file_hash(env_dir / name) == file_hash(explicit_dir / name)
+
+    def test_non_integer_env_seed_named_in_error(self, tmp_path, capsys, pairs_file,
+                                                 monkeypatch):
+        monkeypatch.setenv("DAFA_SEED", "abc")
+        out_dir = tmp_path / "demo"
+        assert run(["demo", "--pairs", str(pairs_file), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "error: DAFA_SEED must be an integer, got 'abc'\n"
+        assert not out_dir.exists()
 
 
 class TestArgumentErrors:

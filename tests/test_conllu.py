@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import conllu_block, make_sentence, random_sentence
+from conftest import children, conllu_block, make_sentence, random_sentence, trigrams
 from dafa.conllu import (
     ROOT_FORM,
     ConlluError,
@@ -108,24 +108,24 @@ class TestParseConllu:
 class TestChildren:
     def test_root_of_chain(self):
         s = make_sentence([("a", 2, "dep"), ("b", 0, "root")])
-        assert s.children(2) == [1]
+        assert children(s, 2) == [1]
 
     def test_leaf_has_none(self):
         s = make_sentence([("a", 2, "dep"), ("b", 0, "root")])
-        assert s.children(1) == []
+        assert children(s, 1) == []
 
     def test_star_tree_ascending(self):
         s = make_sentence(
             [("hub", 0, "root"), ("x", 1, "dep"), ("y", 1, "dep"), ("z", 1, "dep")]
         )
-        assert s.children(1) == [2, 3, 4]
+        assert children(s, 1) == [2, 3, 4]
 
     def test_out_of_range(self):
         s = make_sentence([("a", 0, "root")])
         with pytest.raises(IndexError):
-            s.children(2)
+            children(s, 2)
         with pytest.raises(IndexError):
-            s.children(0)
+            children(s, 0)
 
     def test_children_partition_tokens(self):
         rng = np.random.default_rng(11)
@@ -133,20 +133,20 @@ class TestChildren:
             s = random_sentence(rng, int(rng.integers(1, 12)), ("u", "v", "w"))
             covered = [s.root_index]
             for i in range(1, s.n + 1):
-                covered.extend(s.children(i))
+                covered.extend(children(s, i))
             assert sorted(covered) == list(range(1, s.n + 1))
 
 
 class TestTrigrams:
     def test_branch_fields(self):
         s = make_sentence([("Apple", 2, "nsubj"), ("exceeded", 0, "root")])
-        tri = s.trigrams()[0]
+        tri = trigrams(s)[0]
         assert (tri.head_form, tri.rel, tri.tail_form) == ("exceeded", "nsubj", "Apple")
         assert tri.head_index == 2 and tri.tail_index == 1
 
     def test_root_uses_sentinel(self):
         s = make_sentence([("Apple", 2, "nsubj"), ("exceeded", 0, "root")])
-        root_tri = s.trigrams()[1]
+        root_tri = trigrams(s)[1]
         assert root_tri.head_form == ROOT_FORM
         assert root_tri.rel == "root"
         assert root_tri.tail_form == "exceeded"
@@ -155,7 +155,7 @@ class TestTrigrams:
         s = make_sentence(
             [("a", 3, "det"), ("b", 3, "amod"), ("c", 0, "root"), ("d", 3, "obj"), ("e", 4, "nmod")]
         )
-        tris = s.trigrams()
+        tris = trigrams(s)
         assert len(tris) == 5
         assert [t.tail_index for t in tris] == [1, 2, 3, 4, 5]
 

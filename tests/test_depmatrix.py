@@ -5,34 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_sentence, random_pair
+from conftest import make_sentence, naive_subgraph, random_pair, rel_match, word_match
 from dafa.depmatrix import (
     DepMatrixConfig,
     PairLayout,
     base_matrix,
     embed_calibration,
     final_matrix,
-    rel_match,
     subgraph_matrix,
-    word_match,
 )
 from dafa.tfidf import TfIdfModel
-
-
-def naive_subgraph(a, b, config):
-    """Direct, memo-free recursion over all node pairs (oracle)."""
-
-    def score(i, j):
-        ta, tb = a.tokens[i - 1], b.tokens[j - 1]
-        if ta.form.lower() != tb.form.lower() or ta.deprel != tb.deprel:
-            return 0.0
-        total = config.alpha * word_match(ta.form, tb.form)
-        for x in a.children(i):
-            for y in b.children(j):
-                total += config.nu * score(x, y)
-        return total
-
-    return np.array([[score(i, j) for j in range(1, b.n + 1)] for i in range(1, a.n + 1)])
 
 
 class TestWordRelMatch:

@@ -9,13 +9,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sentence
+from conftest import children, make_sentence, rel_match, trigrams, word_match
 from dafa.conllu import ROOT_FORM
-from dafa.depmatrix import DepMatrixConfig, base_matrix, rel_match, subgraph_matrix, word_match
+from dafa.depmatrix import DepMatrixConfig, base_matrix, subgraph_matrix
 
 
 def loop_base_matrix(a, b, config):
-    tri_a, tri_b = a.trigrams(), b.trigrams()
+    tri_a, tri_b = trigrams(a), trigrams(b)
     out = np.zeros((a.n, b.n), dtype=np.float64)
     for i, x in enumerate(tri_a):
         for j, y in enumerate(tri_b):
@@ -29,8 +29,8 @@ def loop_base_matrix(a, b, config):
 
 
 def loop_subgraph_matrix(a, b, config):
-    kids_a = [a.children(i) for i in range(1, a.n + 1)]
-    kids_b = [b.children(j) for j in range(1, b.n + 1)]
+    kids_a = [children(a, i) for i in range(1, a.n + 1)]
+    kids_b = [children(b, j) for j in range(1, b.n + 1)]
     forms_a = [tok.form.lower() for tok in a.tokens]
     forms_b = [tok.form.lower() for tok in b.tokens]
     order_a = _by_depth_deepest_first(a)

@@ -71,7 +71,8 @@ class TestProbeLoss:
         params = FusionParams.init(2, 2, 2, seed=1)
         rng = np.random.default_rng(2)
         out = fuse(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), params)
-        assert probe_loss(out) == pytest.approx(0.5 * float((out.fused ** 2).sum()), rel=1e-15)
+        expected = 0.5 * float((out.fused ** 2).sum())
+        assert probe_loss(out.fused) == pytest.approx(expected, rel=1e-15)
 
 
 class TestFdGradient:

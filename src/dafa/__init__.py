@@ -3,7 +3,6 @@
 from .attention import (
     AttnConfig,
     AttnParams,
-    CalibratedSignals,
     dep_attention,
     multi_head_dafa,
     sem_attention,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttnConfig",
     "AttnParams",
-    "CalibratedSignals",
     "ConlluError",
     "DepMatrixConfig",
     "DepSentence",

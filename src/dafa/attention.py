@@ -8,7 +8,9 @@ the same bits as a 2-D call on it. The semantic path is plain scaled
 dot-product attention; the dependency path multiplies the raw logits
 elementwise by a calibration matrix (>= 1 cross-sentence, exactly 1
 elsewhere) before scaling and softmax, so calibrated cells gain or keep
-attention mass while neutral cells are untouched.
+attention mass while neutral cells are untouched. `multi_head_dafa` runs
+both paths for every head and returns their weights and signals as
+stacks with the head as the leading axis.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ class AttnParams:
     w_k: np.ndarray  # (heads, d_model, d_k)
     w_v: np.ndarray  # (heads, d_model, d_v)
 
-    @property
-    def heads(self) -> int:
-        return self.w_q.shape[0]
-
     @classmethod
     def init(cls, config: AttnConfig, seed) -> "AttnParams":
         """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per matrix."""
@@ -67,16 +65,6 @@ class AttnParams:
         for name, shape in expected.items():
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
-
-
-@dataclass(frozen=True, eq=False)
-class CalibratedSignals:
-    """Semantic and dependency-calibrated outputs of one attention head."""
-
-    sem: np.ndarray          # (d_seq, d_v)
-    dep: np.ndarray          # (d_seq, d_v)
-    sem_weights: np.ndarray  # (d_seq, d_seq), row-stochastic
-    dep_weights: np.ndarray  # (d_seq, d_seq), row-stochastic
 
 
 def _as_qkv(q, k, v):
@@ -123,15 +111,19 @@ def dep_attention(q, k, v, calibration) -> tuple[np.ndarray, np.ndarray]:
     return weights, weights @ v
 
 
-def multi_head_dafa(x, params: AttnParams, calibration) -> list[CalibratedSignals]:
-    """Run both attention paths for every head, sharing one calibration matrix."""
+def multi_head_dafa(x, params: AttnParams, calibration) -> tuple[np.ndarray, ...]:
+    """Run both attention paths for every head, sharing one calibration matrix.
+
+    Returns (sem_weights, sem, dep_weights, dep), each stacked over heads:
+    the weights are (heads, d_seq, d_seq) and row-stochastic, the signals
+    (heads, d_seq, d_v).
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.w_q.shape[1]:
         raise ValueError(f"input shape {x.shape} does not match d_model {params.w_q.shape[1]}")
-    signals = []
-    for h in range(params.heads):
-        q, k, v = x @ params.w_q[h], x @ params.w_k[h], x @ params.w_v[h]
-        sem_w, sem = sem_attention(q, k, v)
-        dep_w, dep = dep_attention(q, k, v, calibration)
-        signals.append(CalibratedSignals(sem=sem, dep=dep, sem_weights=sem_w, dep_weights=dep_w))
-    return signals
+    q, k, v = x @ params.w_q, x @ params.w_k, x @ params.w_v   # (heads, d_seq, .)
+    # one call per head slice, although both ops take the stack: the benchmark's logit
+    # counter (bench/workloads.py::_count_logits) reads len(q) * len(k), right for 2-D only
+    sem_w, sem = zip(*map(sem_attention, q, k, v))
+    dep_w, dep = zip(*(dep_attention(*qkv, calibration) for qkv in zip(q, k, v)))
+    return np.stack(sem_w), np.stack(sem), np.stack(dep_w), np.stack(dep)

@@ -77,16 +77,23 @@ def _pair_tfidf(model: TfIdfModel | None, pair: SentencePair) -> TfIdfModel:
     return model if model is not None else TfIdfModel.fit([pair.a, pair.b])
 
 
+def _non_negative(source: str, seed: int) -> int:
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _seed(args) -> int:
     if args.seed is not None:
-        return args.seed
+        return _non_negative("--seed", args.seed)
     env = os.environ.get("DAFA_SEED")
     if not env:
         return DEFAULT_SEED
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise ValueError(f"DAFA_SEED must be an integer, got {env!r}") from None
+    return _non_negative("DAFA_SEED", seed)
 
 
 def _dep_config(args) -> DepMatrixConfig:
@@ -146,14 +153,15 @@ def _cmd_attend(args) -> int:
     calibration = embed_calibration(final_matrix(pair.a, pair.b, model, _dep_config(args)), layout)
     embeddings = EmbeddingTable.build(pair.a.forms() + pair.b.forms(), config.d_model, seed)
     params = AttnParams.init(config, seed)
-    signals = multi_head_dafa(embeddings.encode(sequence_tokens(pair.a, pair.b)), params, calibration)
+    tokens = sequence_tokens(pair.a, pair.b)
+    sem_w, sem, dep_w, dep = multi_head_dafa(embeddings.encode(tokens), params, calibration)
     payload = {
         "id": pair.pair_id,
-        "tokens": sequence_tokens(pair.a, pair.b),
-        "sem": [sig.sem.tolist() for sig in signals],
-        "dep": [sig.dep.tolist() for sig in signals],
-        "sem_weights": [sig.sem_weights.tolist() for sig in signals],
-        "dep_weights": [sig.dep_weights.tolist() for sig in signals],
+        "tokens": tokens,
+        "sem": sem.tolist(),
+        "dep": dep.tolist(),
+        "sem_weights": sem_w.tolist(),
+        "dep_weights": dep_w.tolist(),
     }
     _write_text(args.out, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
     print(f"wrote attention signals for {pair.pair_id!r} -> {args.out}")
@@ -167,7 +175,7 @@ def _cmd_fuse(args) -> int:
     if args.params is not None and not _is_int(args.params):
         params = _load(args.params, FusionParams.from_json)
     else:
-        seed = int(args.params) if args.params is not None else _seed(args)
+        seed = _seed(args) if args.params is None else _non_negative("--params", int(args.params))
         params = FusionParams.init(sem.shape[0], sem.shape[1], args.d_hid, seed)
     out = fuse(sem, dep, params)
     payload = {

@@ -22,8 +22,9 @@ broadcast views of the one row.
 The forward (`_forward_trace`) also takes optional leading axes: the
 signals and every weight may carry extra axes in front of their own
 shape, which broadcast, and each slice gives the same bits as the 2-D
-call on it. `fuse`, the analytic backward and the finite-difference
-oracle (which stacks perturbed copies along one leading axis) all run it.
+call on it. `fuse` (which `dafa_layer` calls once on the stack of all
+heads), the analytic backward and the finite-difference oracle (which
+stacks perturbed copies along one leading axis) all run it.
 """
 
 from __future__ import annotations
@@ -185,6 +186,7 @@ class FusionParams:
 class FusionOutput:
     """Final features plus gate values and intermediates kept for diagnostics.
 
+    Every field has the signals' leading axes in front of the shape below.
     Only `fused` and `filter_gate` vary by position. The pooling softmax
     cancels the query half and the bias of each score, so every position
     shares one pool row; the other fields are read-only `np.broadcast_to`
@@ -203,9 +205,9 @@ class FusionOutput:
 
 def _check_signal(name: str, signal, params: FusionParams) -> np.ndarray:
     signal = np.asarray(signal, dtype=np.float64)
-    if signal.shape != (params.d_seq, params.d_v):
+    if signal.shape[-2:] != (params.d_seq, params.d_v):
         raise ValueError(
-            f"{name} has shape {signal.shape}, expected {(params.d_seq, params.d_v)}"
+            f"{name} has shape {signal.shape}, expected (..., {params.d_seq}, {params.d_v})"
         )
     return signal
 
@@ -268,14 +270,16 @@ def _forward_trace(sem, dep, w) -> dict:
 
 
 def fuse(sem, dep, params: FusionParams) -> FusionOutput:
-    """Fuse the two signal matrices position by position into final features."""
+    """Fuse signal stacks of one shape (..., d_seq, d_v), each (d_seq, d_v) slice on its own."""
     sem = _check_signal("sem", sem, params)
     dep = _check_signal("dep", dep, params)
+    if sem.shape != dep.shape:
+        raise ValueError(f"sem shape {sem.shape} and dep shape {dep.shape} differ")
     trace = _forward_trace(sem, dep, params.to_dict())
-    d_seq = params.d_seq
+    lead, d_seq = sem.shape[:-2], params.d_seq
 
     def per_position(row):
-        return np.broadcast_to(row, (d_seq,) + row.shape[1:])
+        return np.broadcast_to(row, lead + (d_seq,) + row.shape[len(lead) + 1:])
 
     return FusionOutput(
         fused=trace["fused"],

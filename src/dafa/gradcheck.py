@@ -131,8 +131,11 @@ def fuse_gradients(sem, dep, params: FusionParams) -> dict:
     trace shares across positions collects the gradient summed over
     positions. The softmax cancels the pooling query half and the score
     bias, so `w_*_query`, `b_*_query`, `w_*_score[d_seq:]` and `b_*_score`
-    get exact zeros.
+    get exact zeros. Unlike `fuse`, it takes 2-D (d_seq, d_v) signals only.
     """
+    if np.ndim(sem) != 2 or np.ndim(dep) != 2:
+        raise ValueError(f"fuse gradients take 2-D signals only: sem has shape "
+                         f"{np.shape(sem)}, dep has shape {np.shape(dep)}")
     sem = _check_signal("sem", sem, params)
     dep = _check_signal("dep", dep, params)
     t = _forward_trace(sem, dep, params.to_dict())

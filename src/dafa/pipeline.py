@@ -2,8 +2,9 @@
 
 Packs the pair as <CLS> a-tokens <SEP> b-tokens <SEP>, embeds the tokens
 with a seeded table, builds the calibration matrix from the dependency
-trees, runs both attention paths per head, fuses each head's signals,
-and averages the fused features across heads.
+trees, runs both attention paths for every head, fuses the heads' signals
+in one call on their stack (the head is the leading axis throughout), and
+averages the fused features across heads.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class LayerOutput:
     fused: np.ndarray         # (d_seq, d_v), mean over heads
     sem_weights: np.ndarray   # (heads, d_seq, d_seq)
     dep_weights: np.ndarray   # (heads, d_seq, d_seq)
-    fusion_gates: np.ndarray  # (heads, d_seq)
+    fusion_gates: np.ndarray  # (heads, d_seq), read-only: one value per head, broadcast
     filter_gates: np.ndarray  # (heads, d_seq)
     calibration: np.ndarray   # (d_seq, d_seq)
 
@@ -113,25 +114,16 @@ def dafa_layer(
 
     calibration = embed_calibration(final_matrix(a, b, tfidf, dep_config), layout)
     x = embeddings.encode(sequence_tokens(a, b))
-    signals = multi_head_dafa(x, attn_params, calibration)
-
-    fused_heads, sem_w, dep_w, g_gates, f_gates = [], [], [], [], []
-    for sig in signals:
-        out = fuse(sig.sem, sig.dep, fusion_params)
-        fused_heads.append(out.fused)
-        g_gates.append(out.fusion_gate)
-        f_gates.append(out.filter_gate)
-        sem_w.append(sig.sem_weights)
-        dep_w.append(sig.dep_weights)
-
+    sem_weights, sem, dep_weights, dep = multi_head_dafa(x, attn_params, calibration)
+    fusion = fuse(sem, dep, fusion_params)
     return LayerOutput(
         pair_id=pair_id,
         tokens=sequence_tokens(a, b),
-        fused=np.mean(fused_heads, axis=0),
-        sem_weights=np.stack(sem_w),
-        dep_weights=np.stack(dep_w),
-        fusion_gates=np.stack(g_gates),
-        filter_gates=np.stack(f_gates),
+        fused=fusion.fused.mean(axis=0),
+        sem_weights=sem_weights,
+        dep_weights=dep_weights,
+        fusion_gates=fusion.fusion_gate,
+        filter_gates=fusion.filter_gate,
         calibration=calibration,
     )
 

@@ -1,9 +1,11 @@
-"""Shared test helpers: sentence builders, random trees and the per-cell scoring oracles."""
+"""Shared test helpers: sentence builders, random trees, the per-cell scoring oracles and
+the per-head attention loop."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from dafa.attention import dep_attention, sem_attention
 from dafa.conllu import ROOT_FORM, DepSentence, Token
 
 
@@ -104,3 +106,16 @@ def naive_subgraph(a, b, config):
         return total
 
     return np.array([[score(i, j) for j in range(1, b.n + 1)] for i in range(1, a.n + 1)])
+
+
+def per_head_attention(x, params, calibration):
+    """The per-head loop that `multi_head_dafa` stacks (oracle).
+
+    One (sem_weights, sem, dep_weights, dep) tuple per head, each head's
+    q, k, v projected on its own.
+    """
+    heads = []
+    for h in range(params.w_q.shape[0]):
+        q, k, v = x @ params.w_q[h], x @ params.w_k[h], x @ params.w_v[h]
+        heads.append((*sem_attention(q, k, v), *dep_attention(q, k, v, calibration)))
+    return heads

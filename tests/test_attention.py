@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import per_head_attention
 from dafa.attention import (
     AttnConfig,
     AttnParams,
@@ -194,14 +195,12 @@ class TestMultiHead:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(4, 6))
         c = 1.0 + rng.uniform(0, 1, (4, 4))
-        [sig] = multi_head_dafa(x, params, c)
+        stacks = multi_head_dafa(x, params, c)
         q, k, v = x @ params.w_q[0], x @ params.w_k[0], x @ params.w_v[0]
-        sw, sem = sem_attention(q, k, v)
-        dw, dep = dep_attention(q, k, v, c)
-        assert np.array_equal(sig.sem, sem)
-        assert np.array_equal(sig.dep, dep)
-        assert np.array_equal(sig.sem_weights, sw)
-        assert np.array_equal(sig.dep_weights, dw)
+        direct = (*sem_attention(q, k, v), *dep_attention(q, k, v, c))
+        for stack, single in zip(stacks, direct, strict=True):
+            assert stack.shape == (1,) + single.shape
+            assert stack[0].tobytes() == single.tobytes()
 
     def test_identical_heads_produce_identical_signals(self):
         single = AttnParams.init(self.config(heads=1), seed=11)
@@ -213,9 +212,8 @@ class TestMultiHead:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(4, 6))
         c = 1.0 + rng.uniform(0, 1, (4, 4))
-        first, second = multi_head_dafa(x, params, c)
-        assert np.array_equal(first.sem, second.sem)
-        assert np.array_equal(first.dep, second.dep)
+        for stack in multi_head_dafa(x, params, c):
+            assert stack[0].tobytes() == stack[1].tobytes()
 
     def test_heads_match_naive_per_head(self):
         cfg = self.config(heads=2)
@@ -223,14 +221,16 @@ class TestMultiHead:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(4, 6))
         c = 1.0 + rng.uniform(0, 1, (4, 4))
-        signals = multi_head_dafa(x, params, c)
-        per_head_dep = []
+        stacks = multi_head_dafa(x, params, c)
+        # the stacks hold, bit for bit, what the per-head loop computes head by head
+        for h, head in enumerate(per_head_attention(x, params, c)):
+            for stack, single in zip(stacks, head, strict=True):
+                assert stack[h].tobytes() == single.tobytes()
+        dep = stacks[3]
         for h in range(2):
             q, k, v = x @ params.w_q[h], x @ params.w_k[h], x @ params.w_v[h]
-            _, dep = naive_attention(q, k, v, c)
-            per_head_dep.append(dep)
-        stacked = np.concatenate([sig.dep for sig in signals], axis=1)
-        assert np.allclose(stacked, np.concatenate(per_head_dep, axis=1), atol=1e-12)
+            _, naive_dep = naive_attention(q, k, v, c)
+            assert np.allclose(dep[h], naive_dep, atol=1e-12)
 
     def test_input_shape_checked(self):
         cfg = self.config(heads=1)
@@ -258,10 +258,13 @@ class TestMultiHead:
         rng = np.random.default_rng(23)
         x = rng.normal(size=(4, 6))
         c = 1.0 + rng.uniform(0, 1, (4, 4))
-        for h, sig in enumerate(multi_head_dafa(x, params, c)):
+        sem_w, sem, dep_w, dep = multi_head_dafa(x, params, c)
+        assert sem_w.shape == dep_w.shape == (2, 4, 4)
+        assert sem.shape == dep.shape == (2, 4, 2)
+        for h in range(2):
             v = x @ params.w_v[h]
-            assert np.array_equal(sig.sem, sig.sem_weights @ v)
-            assert np.array_equal(sig.dep, sig.dep_weights @ v)
+            assert np.array_equal(sem[h], sem_w[h] @ v)
+            assert np.array_equal(dep[h], dep_w[h] @ v)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

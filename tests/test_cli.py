@@ -412,6 +412,34 @@ class TestDemoCommand:
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command, source, env", [
+    ("demo", "--seed", None), ("demo", "DAFA_SEED", "-3"), ("attend", "--seed", None),
+    ("attend", "DAFA_SEED", "-3"), ("fuse", "--params", None), ("fuse", "--seed", None),
+    ("fuse", "DAFA_SEED", "-3"), ("gradcheck", "--seed", None),
+])
+def test_negative_seed_rejected_before_writing(tmp_path, capsys, monkeypatch, pairs_file,
+                                               command, source, env):
+    signals = tmp_path / "signals.json"
+    signals.write_text(ZERO_SIGNALS, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "demo": ["demo", "--pairs", str(pairs_file)],
+        "attend": ["attend", "--pair", str(pairs_file)],
+        "fuse": ["fuse", "--signals", str(signals)],
+        "gradcheck": ["gradcheck", "--op", "fuse"],
+    }[command] + ["--out", str(out)]
+    if env is None:
+        argv += [source, "-1"]
+    else:
+        monkeypatch.setenv(source, env)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    value = env if env is not None else "-1"
+    assert captured.err == f"error: {source} must be a non-negative integer, got {value}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestArgumentErrors:
     def test_unknown_flag(self, capsys):
         assert run(["matrix", "--bogus", "x"]) == 2

@@ -1,5 +1,6 @@
 """Fusion network tests: `fuse` against naive scalar-loop evaluations of each stage."""
 
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
-from dafa.fusion import PARAM_FIELDS, FusionParams, _forward_trace, fuse
+from dafa.fusion import PARAM_FIELDS, FusionOutput, FusionParams, _forward_trace, fuse
 from dafa.nnops import sigmoid, softmax
 
 # max |fuse - naive_forward_trace| allowed per output. The two differ only in rounding: the
@@ -350,6 +351,13 @@ class TestFuse:
         with pytest.raises(ValueError, match="sem"):
             fuse(np.zeros((2, 3)), np.zeros((2, 2)), params)
 
+    def test_stacked_signals_must_share_one_shape(self):
+        params = FusionParams.init(d_seq=2, d_v=2, d_hid=2, seed=19)
+        with pytest.raises(ValueError, match=r"sem shape \(3, 2, 2\) and dep shape \(2, 2\)"):
+            fuse(np.zeros((3, 2, 2)), np.zeros((2, 2)), params)
+        with pytest.raises(ValueError, match=r"dep has shape \(3, 2, 1\), expected \(\.\.\., 2, 2\)"):
+            fuse(np.zeros((3, 2, 2)), np.zeros((3, 2, 1)), params)
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="the pooling query adds one constant per row, which the row "
                               "softmax cancels, so the dep pooling ignores sem (difference 0)")
@@ -504,3 +512,15 @@ class TestForwardTraceLeadingAxes:
             ):
                 for key, value in single.items():
                     assert trace[key][i].tobytes() == value.tobytes(), (i, key)
+        # `fuse` on the stack (as dafa_layer calls it, one slice per head) equals the 2-D calls
+        fusion_params = FusionParams.from_dict(params[0])
+        stacked_out = fuse(sem, dep, fusion_params)
+        slices = [fuse(sem[i], dep[i], fusion_params) for i in range(b)]
+        for field in dataclasses.fields(FusionOutput):
+            value = getattr(stacked_out, field.name)
+            single = [getattr(out, field.name) for out in slices]
+            assert value.shape == (b,) + single[0].shape, field.name
+            for i in range(b):
+                assert value[i].tobytes() == single[i].tobytes(), (i, field.name)
+            if field.name not in ("fused", "filter_gate"):
+                assert not value.flags.writeable, field.name

@@ -218,6 +218,15 @@ class TestAnalyticGradients:
         with pytest.raises(ValueError, match=rf"{bad} has shape"):
             analytic_gradient("fuse", inputs, params)
 
+    def test_fuse_gradients_take_2d_signals_only(self):
+        # fuse takes (..., d_seq, d_v) stacks; its backward pass does not
+        params = FusionParams.init(4, 3, 2, seed=10)
+        stack = np.zeros((2, 4, 3))
+        assert fuse(stack, stack, params).fused.shape == (2, 4, 3)
+        with pytest.raises(ValueError, match=r"2-D signals only: sem has shape \(2, 4, 3\), "
+                                             r"dep has shape \(4, 3\)"):
+            fuse_gradients(stack, stack[0], params)
+
     @pytest.mark.parametrize("calibration", [None, np.ones((3, 3)), np.ones((2, 3, 3))])
     def test_attention_gradients_take_2d_operands_only(self, calibration):
         rng = np.random.default_rng(11)

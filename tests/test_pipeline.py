@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sentence
+from conftest import make_sentence, per_head_attention
 from dafa.attention import AttnConfig, AttnParams, multi_head_dafa
 from dafa.depmatrix import DepMatrixConfig
 from dafa.fusion import FusionParams, fuse
@@ -178,9 +178,9 @@ class TestDafaLayer:
         out, config, embeddings, attn_params, fusion_params, _ = layer_fixture(a, b)
         assert np.all(out.calibration == 1.0)
         x = embeddings.encode(sequence_tokens(a, b))
-        for sig in multi_head_dafa(x, attn_params, out.calibration):
-            assert np.array_equal(sig.sem, sig.dep)
-            assert np.array_equal(sig.sem_weights, sig.dep_weights)
+        sem_w, sem, dep_w, dep = multi_head_dafa(x, attn_params, out.calibration)
+        assert np.array_equal(sem, dep)
+        assert np.array_equal(sem_w, dep_w)
         assert np.array_equal(out.sem_weights, out.dep_weights)
 
     def test_seed_fixed_run_is_bitwise_reproducible(self):
@@ -197,9 +197,19 @@ class TestDafaLayer:
         b = star(["red", "dog"], ["amod"])
         out, config, embeddings, attn_params, fusion_params, _ = layer_fixture(a, b, heads=3)
         x = embeddings.encode(sequence_tokens(a, b))
-        signals = multi_head_dafa(x, attn_params, out.calibration)
-        per_head = [fuse(sig.sem, sig.dep, fusion_params).fused for sig in signals]
-        assert np.array_equal(out.fused, np.mean(per_head, axis=0))
+        # oracle: a per-head loop that attends, fuses and collects one head at a time
+        heads = per_head_attention(x, attn_params, out.calibration)
+        fused = [fuse(sem, dep, fusion_params) for _, sem, _, dep in heads]
+        expected = {
+            "fused": np.mean([f.fused for f in fused], axis=0),
+            "sem_weights": np.stack([sem_w for sem_w, _, _, _ in heads]),
+            "dep_weights": np.stack([dep_w for _, _, dep_w, _ in heads]),
+            "fusion_gates": np.stack([f.fusion_gate for f in fused]),
+            "filter_gates": np.stack([f.filter_gate for f in fused]),
+        }
+        for name, value in expected.items():
+            assert getattr(out, name).shape == value.shape, name
+            assert getattr(out, name).tobytes() == value.tobytes(), name
 
     def test_head_mean_commutes_with_position_permutation(self):
         rng = np.random.default_rng(13)
@@ -212,18 +222,18 @@ class TestDafaLayer:
         perm = rng.permutation(d_seq)
 
         def head_mean(x_in, c_in):
-            signals = multi_head_dafa(x_in, attn_params, c_in)
-            return np.mean([fuse(s.sem, s.dep, fusion_params).fused for s in signals], axis=0)
+            _, sem, _, dep = multi_head_dafa(x_in, attn_params, c_in)
+            return fuse(sem, dep, fusion_params).fused.mean(axis=0)
 
         base = head_mean(x, c)
         permuted = head_mean(x[perm], c[np.ix_(perm, perm)])
         # pooled vectors are sums over positions, so permuting inputs and the
         # calibration together just permutes the per-position outputs
         assert np.allclose(permuted, base[perm], atol=1e-12)
-        sem_perm = multi_head_dafa(x[perm], attn_params, c[np.ix_(perm, perm)])[0]
-        sem_base = multi_head_dafa(x, attn_params, c)[0]
-        assert np.allclose(sem_perm.sem, sem_base.sem[perm], atol=1e-12)
-        assert np.allclose(sem_perm.dep, sem_base.dep[perm], atol=1e-12)
+        _, sem_perm, _, dep_perm = multi_head_dafa(x[perm], attn_params, c[np.ix_(perm, perm)])
+        _, sem_base, _, dep_base = multi_head_dafa(x, attn_params, c)
+        assert np.allclose(sem_perm, sem_base[:, perm], atol=1e-12)
+        assert np.allclose(dep_perm, dep_base[:, perm], atol=1e-12)
 
     def test_config_mismatch_rejected(self):
         a = star(["x", "y"], ["dep"])

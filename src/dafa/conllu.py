@@ -88,19 +88,8 @@ class DepSentence:
     def n(self) -> int:
         return len(self.tokens)
 
-    @property
-    def root_index(self) -> int:
-        return next(tok.index for tok in self.tokens if tok.head == 0)
-
     def forms(self) -> list[str]:
         return [tok.form for tok in self.tokens]
-
-    def to_conllu(self) -> str:
-        lines = [
-            f"{tok.index}\t{tok.form}\t_\t_\t_\t_\t{tok.head}\t{tok.deprel}\t_\t_"
-            for tok in self.tokens
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def parse_conllu(text: str) -> list[DepSentence]:
@@ -187,7 +176,9 @@ def read_pairs(text: str) -> list[SentencePair]:
             or not isinstance(record.get("b"), str)
         ):
             raise ConlluError("record must carry 'a' and 'b' CoNLL-U block strings", line=line_no)
-        pair_id = str(record.get("id", f"pair-{line_no}"))
+        pair_id = record.get("id", f"pair-{line_no}")
+        if not isinstance(pair_id, str):
+            raise ConlluError(f"record id must be a string, got {pair_id!r}", line=line_no)
         try:
             a = parse_single(record["a"])
             b = parse_single(record["b"])

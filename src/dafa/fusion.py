@@ -14,10 +14,9 @@ guided attentions places a tanh of the projected signal matrix
 the 2*d_seq rows the score vectors contract against. The tiled half adds
 one constant to each score row, and so does the score bias; the row
 softmax cancels both. So each pooling is one row shared by every
-position, and the forward computes it once: steps (1)-(3) give one row,
-and only step (4), which reads s_i, is per position. `FusionOutput`
-keeps its per-position shapes; its shared fields are read-only
-broadcast views of the one row.
+position, and the forward computes it once: steps (1)-(3) give one value
+each, and only step (4), which reads s_i, is per position. `FusionOutput`
+returns each shared value once, without a position axis.
 
 The forward (`_forward_trace`) also takes optional leading axes: the
 signals and every weight may carry extra axes in front of their own
@@ -149,12 +148,6 @@ class FusionParams:
             values[name] = rng.uniform(-bound, bound, tuple(dims[s] for s in shape_spec))
         return cls(**values)
 
-    @classmethod
-    def zeros(cls, d_seq: int, d_v: int, d_hid: int) -> "FusionParams":
-        dims = _dims_map(d_seq, d_v, d_hid)
-        return cls(**{name: np.zeros(tuple(dims[s] for s in shape_spec))
-                      for name, shape_spec, _ in _PARAM_SPECS})
-
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
 
@@ -187,20 +180,19 @@ class FusionOutput:
     """Final features plus gate values and intermediates kept for diagnostics.
 
     Every field has the signals' leading axes in front of the shape below.
-    Only `fused` and `filter_gate` vary by position. The pooling softmax
-    cancels the query half and the bias of each score, so every position
-    shares one pool row; the other fields are read-only `np.broadcast_to`
-    views of that one row (and of what follows from it) at the shapes below.
+    Only `fused` and `filter_gate`, which read sem[i], have a position axis.
+    The pooling softmax cancels the query half and the bias of each score,
+    so every position shares one pool row and what follows from it.
     """
 
     fused: np.ndarray             # (d_seq, d_v), rows strictly inside (-1, 1)
-    fusion_gate: np.ndarray       # (d_seq,), strictly inside (0, 1)
+    fusion_gate: np.ndarray       # (), strictly inside (0, 1)
     filter_gate: np.ndarray       # (d_seq,), strictly inside (0, 1)
-    dep_refined: np.ndarray       # (d_seq, d_v)
-    sem_refined: np.ndarray       # (d_seq, d_v)
-    hidden_blend: np.ndarray      # (d_seq, d_hid)
-    dep_pool_weights: np.ndarray  # (d_seq, d_seq), row i pools the dep signal for position i
-    sem_pool_weights: np.ndarray  # (d_seq, d_seq)
+    dep_refined: np.ndarray       # (d_v,)
+    sem_refined: np.ndarray       # (d_v,)
+    hidden_blend: np.ndarray      # (d_hid,)
+    dep_pool_weights: np.ndarray  # (d_seq,), pools the dep signal for every position
+    sem_pool_weights: np.ndarray  # (d_seq,)
 
 
 def _check_signal(name: str, signal, params: FusionParams) -> np.ndarray:
@@ -276,18 +268,13 @@ def fuse(sem, dep, params: FusionParams) -> FusionOutput:
     if sem.shape != dep.shape:
         raise ValueError(f"sem shape {sem.shape} and dep shape {dep.shape} differ")
     trace = _forward_trace(sem, dep, params.to_dict())
-    lead, d_seq = sem.shape[:-2], params.d_seq
-
-    def per_position(row):
-        return np.broadcast_to(row, lead + (d_seq,) + row.shape[len(lead) + 1:])
-
     return FusionOutput(
         fused=trace["fused"],
-        fusion_gate=per_position(trace["fusion_gate"]),
+        fusion_gate=trace["fusion_gate"][..., 0],
         filter_gate=trace["filter_gate"],
-        dep_refined=per_position(trace["dep_refined"]),
-        sem_refined=per_position(trace["sem_refined"]),
-        hidden_blend=per_position(trace["blend"]),
-        dep_pool_weights=per_position(trace["dep_pool"]),
-        sem_pool_weights=per_position(trace["sem_pool"]),
+        dep_refined=trace["dep_refined"][..., 0, :],
+        sem_refined=trace["sem_refined"][..., 0, :],
+        hidden_blend=trace["blend"][..., 0, :],
+        dep_pool_weights=trace["dep_pool"][..., 0, :],
+        sem_pool_weights=trace["sem_pool"][..., 0, :],
     )

@@ -72,7 +72,7 @@ class LayerOutput:
     fused: np.ndarray         # (d_seq, d_v), mean over heads
     sem_weights: np.ndarray   # (heads, d_seq, d_seq)
     dep_weights: np.ndarray   # (heads, d_seq, d_seq)
-    fusion_gates: np.ndarray  # (heads, d_seq), read-only: one value per head, broadcast
+    fusion_gates: np.ndarray  # (heads,), one value per head, shared by every position
     filter_gates: np.ndarray  # (heads, d_seq)
     calibration: np.ndarray   # (d_seq, d_seq)
 

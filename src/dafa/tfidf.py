@@ -30,6 +30,9 @@ class TfIdfModel:
         if type(self.doc_count) is not int or self.doc_count < 1:
             raise ValueError(f"doc_count must be an integer >= 1, got {self.doc_count!r}")
         for form, count in self.df.items():
+            # idf() looks up the lowercased form, so any other key could never match
+            if not isinstance(form, str) or form != form.lower():
+                raise ValueError(f"df key {form!r} is not a lowercase string")
             if type(count) is not int or not 1 <= count <= self.doc_count:
                 raise ValueError(f"df[{form!r}] = {count!r} outside [1, {self.doc_count}]")
 

@@ -1,5 +1,5 @@
-"""Shared test helpers: sentence builders, random trees, the per-cell scoring oracles and
-the per-head attention loop."""
+"""Shared test helpers: sentence builders, random trees, the per-cell scoring oracles, the
+per-head attention loop and all-zero fusion parameters."""
 
 from dataclasses import dataclass
 
@@ -7,6 +7,7 @@ import numpy as np
 
 from dafa.attention import dep_attention, sem_attention
 from dafa.conllu import ROOT_FORM, DepSentence, Token
+from dafa.fusion import FusionParams
 
 
 def make_sentence(specs):
@@ -119,3 +120,9 @@ def per_head_attention(x, params, calibration):
         q, k, v = x @ params.w_q[h], x @ params.w_k[h], x @ params.w_v[h]
         heads.append((*sem_attention(q, k, v), *dep_attention(q, k, v, calibration)))
     return heads
+
+
+def zero_fusion_params(d_seq, d_v, d_hid):
+    """FusionParams of the given sizes with every weight 0."""
+    shapes = FusionParams.init(d_seq, d_v, d_hid, seed=0).to_dict()
+    return FusionParams.from_dict({name: np.zeros_like(v) for name, v in shapes.items()})

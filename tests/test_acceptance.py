@@ -158,8 +158,8 @@ def test_criterion_6_gate_ranges_over_500_evaluations():
             assert np.all(out.fused > -1.0) and np.all(out.fused < 1.0)
             assert np.all(out.dep_pool_weights >= 0.0)
             assert np.all(out.sem_pool_weights >= 0.0)
-            assert np.allclose(out.dep_pool_weights.sum(axis=1), 1.0, atol=1e-9)
-            assert np.allclose(out.sem_pool_weights.sum(axis=1), 1.0, atol=1e-9)
+            assert np.allclose(out.dep_pool_weights.sum(axis=-1), 1.0, atol=1e-9)
+            assert np.allclose(out.sem_pool_weights.sum(axis=-1), 1.0, atol=1e-9)
 
 
 def test_criterion_7_opposite_structure_pair(tmp_path):

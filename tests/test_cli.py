@@ -11,7 +11,7 @@ from dafa.attention import AttnConfig, AttnParams
 from dafa.cli import run
 from dafa.conllu import read_pairs
 from dafa.depmatrix import DepMatrixConfig, base_matrix, final_matrix, subgraph_matrix
-from dafa.fusion import FusionParams
+from dafa.fusion import FusionParams, fuse
 from dafa.pipeline import EmbeddingTable, build_layout, dafa_layer, read_heatmap_csv
 from dafa.tfidf import TfIdfModel
 
@@ -103,6 +103,18 @@ class TestMatrixCommand:
         assert "theta must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mixed_case_tfidf_key_is_input_error(self, tmp_path, pairs_file, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"doc_count": 4, "df": {"Apple": 4, "apple": 1}}),
+                         encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = run(["matrix", "--pairs", str(pairs_file), "--tfidf", str(model),
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}:") and "'Apple'" in err
+        assert not out.exists()
+
     def test_record_order_matches_input(self, tmp_path, tfidf_file):
         pairs = tmp_path / "many.jsonl"
         lines = [
@@ -169,35 +181,49 @@ class TestAttendCommand:
         assert capsys.readouterr().err == ""
 
 
+def assert_fused_json_is_library_output(path, sem, dep, params):
+    """The `dafa fuse` output fields equal those of the library's FusionOutput bit for bit."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    expected = fuse(sem, dep, params)
+    assert set(data) == {"fused", "fusion_gate", "filter_gate", "dep_refined", "sem_refined"}
+    for name, value in data.items():
+        value = np.asarray(value, dtype=np.float64)
+        assert value.shape == getattr(expected, name).shape, name
+        assert value.tobytes() == getattr(expected, name).tobytes(), name
+    return data
+
+
 class TestFuseCommand:
     def test_fuse_from_seed(self, tmp_path):
         rng = np.random.default_rng(3)
+        sem, dep = rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 3))
         signals = tmp_path / "signals.json"
-        signals.write_text(json.dumps({
-            "sem": rng.uniform(-1, 1, (4, 3)).tolist(),
-            "dep": rng.uniform(-1, 1, (4, 3)).tolist(),
-        }), encoding="utf-8")
+        signals.write_text(json.dumps({"sem": sem.tolist(), "dep": dep.tolist()}),
+                           encoding="utf-8")
         out = tmp_path / "fused.json"
         assert run(["fuse", "--signals", str(signals), "--params", "11",
                     "--d-hid", "3", "--out", str(out)]) == 0
-        data = json.loads(out.read_text(encoding="utf-8"))
-        gates = np.asarray(data["fusion_gate"])
-        assert gates.shape == (4,)
-        assert np.all((gates > 0) & (gates < 1))
+        data = assert_fused_json_is_library_output(out, sem, dep,
+                                                   FusionParams.init(4, 3, 3, seed=11))
+        # one fusion gate and one refined vector per path, shared by every position
+        assert isinstance(data["fusion_gate"], float) and 0 < data["fusion_gate"] < 1
+        assert np.shape(data["dep_refined"]) == np.shape(data["sem_refined"]) == (3,)
+        assert np.shape(data["filter_gate"]) == (4,)
         assert np.all(np.abs(np.asarray(data["fused"])) < 1)
 
     def test_fuse_from_params_file(self, tmp_path):
         params = FusionParams.init(3, 2, 2, seed=8)
         params_path = tmp_path / "params.json"
         params_path.write_text(params.to_json(), encoding="utf-8")
+        rng = np.random.default_rng(9)
+        sem, dep = rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2))
         signals = tmp_path / "signals.json"
-        signals.write_text(json.dumps({
-            "sem": np.zeros((3, 2)).tolist(),
-            "dep": np.zeros((3, 2)).tolist(),
-        }), encoding="utf-8")
+        signals.write_text(json.dumps({"sem": sem.tolist(), "dep": dep.tolist()}),
+                           encoding="utf-8")
         out = tmp_path / "fused.json"
         assert run(["fuse", "--signals", str(signals), "--params", str(params_path),
                     "--out", str(out)]) == 0
+        assert_fused_json_is_library_output(out, sem, dep, params)
 
     def test_mismatched_signals_rejected(self, tmp_path):
         signals = tmp_path / "signals.json"

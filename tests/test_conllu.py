@@ -25,7 +25,7 @@ class TestParseConllu:
         assert len(sentences) == 1
         s = sentences[0]
         assert s.n == 2
-        assert s.root_index == 2
+        assert [t.head for t in s.tokens] == [2, 0]
         assert s.forms() == ["Apple", "exceeded"]
         assert s.tokens[0].deprel == "nsubj"
 
@@ -37,7 +37,6 @@ class TestParseConllu:
         )
         s = parse_single(block)
         assert s.n == 4
-        assert s.root_index == 2
         assert [t.head for t in s.tokens] == [2, 0, 4, 2]
 
     def test_multiple_blocks_and_comments(self):
@@ -101,7 +100,8 @@ class TestParseConllu:
         vocab = ("red", "fox", "jumps", "idly")
         for _ in range(25):
             s = random_sentence(rng, int(rng.integers(1, 10)), vocab)
-            again = parse_single(s.to_conllu())
+            specs = [(t.form, t.head, t.deprel) for t in s.tokens]
+            again = parse_single(conllu_block(specs))
             assert again == s
 
 
@@ -131,7 +131,7 @@ class TestChildren:
         rng = np.random.default_rng(11)
         for _ in range(30):
             s = random_sentence(rng, int(rng.integers(1, 12)), ("u", "v", "w"))
-            covered = [s.root_index]
+            covered = [t.index for t in s.tokens if t.head == 0]
             for i in range(1, s.n + 1):
                 covered.extend(children(s, i))
             assert sorted(covered) == list(range(1, s.n + 1))
@@ -202,3 +202,14 @@ class TestReadPairs:
     def test_blank_lines_skipped(self):
         record = json.dumps({"id": "p", "a": TWO_TOKEN_BLOCK, "b": TWO_TOKEN_BLOCK})
         assert len(read_pairs("\n" + record + "\n\n")) == 1
+
+    @pytest.mark.parametrize("pair_id", [None, 7, 7.0, ["p"], {"p": 1}])
+    def test_non_string_id_rejected(self, pair_id):
+        good = json.dumps({"id": "ok", "a": TWO_TOKEN_BLOCK, "b": TWO_TOKEN_BLOCK})
+        bad = json.dumps({"id": pair_id, "a": TWO_TOKEN_BLOCK, "b": TWO_TOKEN_BLOCK})
+        with pytest.raises(ConlluError, match=r"^line 2: record id must be a string"):
+            read_pairs(good + "\n" + bad)
+
+    def test_missing_id_named_by_line(self):
+        record = json.dumps({"a": TWO_TOKEN_BLOCK, "b": TWO_TOKEN_BLOCK})
+        assert [p.pair_id for p in read_pairs("\n" + record)] == ["pair-2"]

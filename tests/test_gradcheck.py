@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
+from conftest import zero_fusion_params
 from dafa import gradcheck
 from dafa.attention import dep_attention, sem_attention
 from dafa.fusion import FusionParams, _forward_trace, fuse
@@ -164,7 +165,7 @@ class TestFdGradient:
 
 class TestAnalyticGradients:
     def test_zero_param_fuse_matches_fd(self):
-        params = FusionParams.zeros(3, 2, 2)
+        params = zero_fusion_params(3, 2, 2)
         rng = np.random.default_rng(3)
         sem = rng.uniform(-1, 1, (3, 2))
         dep = rng.uniform(-1, 1, (3, 2))

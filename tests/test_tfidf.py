@@ -137,6 +137,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             TfIdfModel.from_json(text)
 
+    @pytest.mark.parametrize("df", [{"Apple": 1}, {"Apple": 2, "apple": 1}])
+    def test_key_idf_could_never_match_rejected(self, df):
+        # idf() lowercases the form before the lookup, so "Apple" would be a dead count
+        with pytest.raises(ValueError, match="'Apple' is not a lowercase string"):
+            TfIdfModel.from_json(json.dumps({"doc_count": 4, "df": df}))
+
     def test_non_object_rejected(self):
         with pytest.raises(ValueError):
             TfIdfModel.from_json("[1, 2]")

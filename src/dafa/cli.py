@@ -29,7 +29,7 @@ DEFAULT_SEED = 42
 
 
 class _InputError(Exception):
-    """Unreadable or unparseable input; maps to exit code 2."""
+    """Unreadable or unparseable input, or flags that exclude each other; maps to exit code 2."""
 
 
 def _load(path, parse, what=None):
@@ -169,14 +169,20 @@ def _cmd_attend(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    params_file = args.params is not None and not _is_int(args.params)
+    if args.params is not None and args.seed is not None:
+        raise _InputError("--seed and --params exclude each other: --params is the seed or a file")
+    if params_file and args.d_hid is not None:
+        raise _InputError("--d-hid and a --params file exclude each other: the file fixes d_hid")
     sem, dep = _load(args.signals, _parse_signals)
     if not (np.all(np.isfinite(sem)) and np.all(np.isfinite(dep))):
         raise ValueError(f"{args.signals}: 'sem' and 'dep' must be finite")
-    if args.params is not None and not _is_int(args.params):
+    if params_file:
         params = _load(args.params, FusionParams.from_json)
     else:
         seed = _seed(args) if args.params is None else _non_negative("--params", int(args.params))
-        params = FusionParams.init(sem.shape[0], sem.shape[1], args.d_hid, seed)
+        d_hid = 8 if args.d_hid is None else args.d_hid
+        params = FusionParams.init(sem.shape[0], sem.shape[1], d_hid, seed)
     out = fuse(sem, dep, params)
     payload = {
         "fused": out.fused.tolist(),
@@ -310,7 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--signals", required=True, help="JSON with 'sem' and 'dep' matrices")
     p_fuse.add_argument("--params", default=None,
                         help="fusion params JSON path, or an integer seed (default: --seed)")
-    p_fuse.add_argument("--d-hid", type=int, default=8, help="hidden size for seeded params")
+    p_fuse.add_argument("--d-hid", type=int, default=None,
+                        help="hidden size for seeded params (default 8)")
     _add_seed_flag(p_fuse)
     p_fuse.add_argument("--out", required=True, help="output JSON")
     p_fuse.set_defaults(func=_cmd_fuse)

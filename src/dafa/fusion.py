@@ -8,14 +8,14 @@ transforms of the two refined vectors through a sigmoid fusion gate, and
 (4) scales the projected blend by a filtration gate driven by s_i, so
 unreliable dependency evidence can be suppressed.
 
-One parameter set is shared across positions. The "stack" inside the
-guided attentions places a tanh of the projected signal matrix
-(d_seq, d_seq) on top of the query feature tiled across columns, giving
-the 2*d_seq rows the score vectors contract against. The tiled half adds
-one constant to each score row, and so does the score bias; the row
-softmax cancels both. So each pooling is one row shared by every
-position, and the forward computes it once: steps (1)-(3) give one value
-each, and only step (4), which reads s_i, is per position. `FusionOutput`
+One parameter set is shared across positions. Each guided pooling is
+the structured self-attentive pooling of Lin et al. (ICLR 2017):
+`softmax(w_*_score . tanh(w_*_proj X^T))`, one row shared by every
+position. The paper's score also stacks a tanh of the query feature,
+tiled across columns, under that block and adds a bias; both add one
+constant to each score row, which the row softmax cancels, so
+`FusionParams` holds neither. Steps (1)-(3) thus give one value each,
+and only step (4), which reads s_i, is per position. `FusionOutput`
 returns each shared value once, without a position axis.
 
 The forward (`_forward_trace`) also takes optional leading axes: the
@@ -37,18 +37,23 @@ import numpy as np
 from .nnops import sigmoid, softmax
 
 # (field, shape spec, fan_in spec) in seeded-draw order; shapes reference
-# the (d_seq, d_v, d_hid) triple.
-_PARAM_SPECS = [
+# the (d_seq, d_v, d_hid) triple. A None field is drawn and discarded: the
+# pooling query weights, the query half of each score vector and the score
+# biases, which the row softmax cancels. Drawing them keeps every kept
+# value at the bits it had when they were parameters.
+_DRAW_SPECS = [
     ("w_dep_proj", ("d_seq", "d_v"), "d_v"),
     ("w_sem_proj", ("d_seq", "d_v"), "d_v"),
-    ("w_sem_query", ("d_seq", "d_v"), "d_v"),
-    ("b_sem_query", ("d_seq",), "d_v"),
-    ("w_dep_query", ("d_seq", "d_v"), "d_v"),
-    ("b_dep_query", ("d_seq",), "d_v"),
-    ("w_dep_score", ("two_seq",), "two_seq"),
-    ("b_dep_score", (), "two_seq"),
-    ("w_sem_score", ("two_seq",), "two_seq"),
-    ("b_sem_score", (), "two_seq"),
+    (None, ("d_seq", "d_v"), "d_v"),     # sem query weights
+    (None, ("d_seq",), "d_v"),           # sem query bias
+    (None, ("d_seq", "d_v"), "d_v"),     # dep query weights
+    (None, ("d_seq",), "d_v"),           # dep query bias
+    ("w_dep_score", ("d_seq",), "two_seq"),
+    (None, ("d_seq",), "two_seq"),       # query half of the dep score
+    (None, (), "two_seq"),               # dep score bias
+    ("w_sem_score", ("d_seq",), "two_seq"),
+    (None, ("d_seq",), "two_seq"),       # query half of the sem score
+    (None, (), "two_seq"),               # sem score bias
     ("w_dep_hidden", ("d_hid", "d_v"), "d_v"),
     ("b_dep_hidden", ("d_hid",), "d_v"),
     ("w_sem_hidden", ("d_hid", "d_v"), "d_v"),
@@ -60,6 +65,7 @@ _PARAM_SPECS = [
     ("b_output", ("d_v",), "d_hid"),
     ("w_filter_gate", ("two_v",), "two_v"),
 ]
+_PARAM_SPECS = [spec for spec in _DRAW_SPECS if spec[0] is not None]
 
 PARAM_FIELDS = [name for name, _, _ in _PARAM_SPECS]
 
@@ -79,28 +85,17 @@ def _dims_map(d_seq: int, d_v: int, d_hid: int) -> dict[str, int]:
 class FusionParams:
     """All fusion weights, shared across sequence positions.
 
-    Guided attention: w_dep_proj / w_sem_proj project a signal matrix to
-    (d_seq, d_seq); w_sem_query / w_dep_query project the conditioning
-    feature; w_dep_score / w_sem_score contract the stacked tanh block
-    into per-position scores. Gates: *_hidden transform the refined
-    vectors to d_hid, w_fusion_gate blends them, w_value / w_output map
-    the blend back to d_v, and w_filter_gate scales the final feature.
-    The row softmax cancels the query half of each score and the score
-    bias, so the forward never reads w_*_query, b_*_query,
-    w_*_score[d_seq:] or b_*_score; they stay for the JSON format and
-    the seeded draw order.
+    Guided pooling: w_dep_proj / w_sem_proj project a signal matrix to
+    (d_seq, d_seq), and w_dep_score / w_sem_score contract its tanh into
+    one score row. Gates: *_hidden transform the refined vectors to
+    d_hid, w_fusion_gate blends them, w_value / w_output map the blend
+    back to d_v, and w_filter_gate scales the final feature.
     """
 
     w_dep_proj: np.ndarray    # (d_seq, d_v)
     w_sem_proj: np.ndarray    # (d_seq, d_v)
-    w_sem_query: np.ndarray   # (d_seq, d_v)
-    b_sem_query: np.ndarray   # (d_seq,)
-    w_dep_query: np.ndarray   # (d_seq, d_v)
-    b_dep_query: np.ndarray   # (d_seq,)
-    w_dep_score: np.ndarray   # (2 * d_seq,)
-    b_dep_score: np.ndarray   # ()
-    w_sem_score: np.ndarray   # (2 * d_seq,)
-    b_sem_score: np.ndarray   # ()
+    w_dep_score: np.ndarray   # (d_seq,)
+    w_sem_score: np.ndarray   # (d_seq,)
     w_dep_hidden: np.ndarray  # (d_hid, d_v)
     b_dep_hidden: np.ndarray  # (d_hid,)
     w_sem_hidden: np.ndarray  # (d_hid, d_v)
@@ -137,15 +132,16 @@ class FusionParams:
 
     @classmethod
     def init(cls, d_seq: int, d_v: int, d_hid: int, seed) -> "FusionParams":
-        """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn in field order."""
+        """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn in _DRAW_SPECS order."""
         if min(d_seq, d_v, d_hid) < 1:
             raise ValueError("d_seq, d_v, d_hid must all be >= 1")
         rng = np.random.default_rng(seed)
         dims = _dims_map(d_seq, d_v, d_hid)
         values = {}
-        for name, shape_spec, fan_spec in _PARAM_SPECS:
+        for name, shape_spec, fan_spec in _DRAW_SPECS:
             bound = 1.0 / math.sqrt(dims[fan_spec])
             values[name] = rng.uniform(-bound, bound, tuple(dims[s] for s in shape_spec))
+        values.pop(None)
         return cls(**values)
 
     def to_dict(self) -> dict:
@@ -167,6 +163,9 @@ class FusionParams:
         for name in PARAM_FIELDS:
             if name not in data:
                 raise ValueError(f"fusion params JSON missing {name!r}")
+        unknown = sorted(set(data) - set(PARAM_FIELDS))
+        if unknown:
+            raise ValueError(f"fusion params JSON has unknown keys {unknown}")
         params = cls.from_dict(data)
         # checked here, not in __post_init__: gradcheck builds params per loss evaluation
         for name in PARAM_FIELDS:
@@ -216,25 +215,22 @@ def _forward_trace(sem, dep, w) -> dict:
     (..., d_seq, d_v) and each weight may have leading axes in front of
     their own shape; they broadcast, and every output gains them.
 
-    Each guided pooling is computed once, as one row shared by every
-    position: the query half of its score, `tanh(w_*_query @ f_i + b) @
-    w_*_score[d_seq:]`, and the score bias add one constant to all of
-    row i, which the row softmax cancels. So `dep_pool` / `sem_pool`
-    have shape (..., 1, d_seq), and the refined vectors, hidden layers,
-    fusion gate, blend, projection and squashed output are one row each;
-    only the filtration gate and the fused output, which read sem[i], are
-    per position. The query weights, `w_*_score[d_seq:]` and `b_*_score`
-    are not read. `fuse` returns the results from this trace, the
-    analytic backward pass differentiates it and the finite differences
-    evaluate it, so all run the same forward code.
+    Each guided pooling is one row shared by every position, so
+    `dep_pool` / `sem_pool` have shape (..., 1, d_seq), and the refined
+    vectors, hidden layers, fusion gate, blend, projection and squashed
+    output are one row each; only the filtration gate and the fused
+    output, which read sem[i], are per position. `fuse` returns the
+    results from this trace, the analytic backward pass differentiates it
+    and the finite differences evaluate it, so all run the same forward
+    code.
     """
-    d_seq, d_v = w["w_dep_proj"].shape[-2:]
+    d_v = w["w_dep_proj"].shape[-1]
     t_dep = np.tanh(w["w_dep_proj"] @ dep.swapaxes(-1, -2))   # (..., d_seq, d_seq)
     t_sem = np.tanh(w["w_sem_proj"] @ sem.swapaxes(-1, -2))
 
-    dep_pool = softmax(w["w_dep_score"][..., None, :d_seq] @ t_dep, axis=-1)  # (..., 1, d_seq)
+    dep_pool = softmax(w["w_dep_score"][..., None, :] @ t_dep, axis=-1)  # (..., 1, d_seq)
     dep_refined = dep_pool @ dep                                  # (..., 1, d_v)
-    sem_pool = softmax(w["w_sem_score"][..., None, :d_seq] @ t_sem, axis=-1)
+    sem_pool = softmax(w["w_sem_score"][..., None, :] @ t_sem, axis=-1)
     sem_refined = sem_pool @ sem
 
     hd = np.tanh(dep_refined @ w["w_dep_hidden"].swapaxes(-1, -2)

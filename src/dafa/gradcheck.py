@@ -129,9 +129,7 @@ def fuse_gradients(sem, dep, params: FusionParams) -> dict:
 
     Mirrors the forward trace step by step in reverse. Every row that the
     trace shares across positions collects the gradient summed over
-    positions. The softmax cancels the pooling query half and the score
-    bias, so `w_*_query`, `b_*_query`, `w_*_score[d_seq:]` and `b_*_score`
-    get exact zeros. Unlike `fuse`, it takes 2-D (d_seq, d_v) signals only.
+    positions. Unlike `fuse`, it takes 2-D (d_seq, d_v) signals only.
     """
     if np.ndim(sem) != 2 or np.ndim(dep) != 2:
         raise ValueError(f"fuse gradients take 2-D signals only: sem has shape "
@@ -139,10 +137,8 @@ def fuse_gradients(sem, dep, params: FusionParams) -> dict:
     sem = _check_signal("sem", sem, params)
     dep = _check_signal("dep", dep, params)
     t = _forward_trace(sem, dep, params.to_dict())
-    d_seq, d_v, d_hid = params.d_seq, params.d_v, params.d_hid
-    g: dict = {name: np.zeros_like(getattr(params, name))
-               for name in ("w_sem_query", "b_sem_query", "w_dep_query", "b_dep_query",
-                            "b_dep_score", "b_sem_score")}
+    d_v, d_hid = params.d_v, params.d_hid
+    g = {}
 
     g_fused = t["fused"]                                          # (d_seq, d_v)
     g_filter = g_fused @ t["squashed"][0]                         # (d_seq,)
@@ -184,9 +180,8 @@ def fuse_gradients(sem, dep, params: FusionParams) -> dict:
         pool, tanh_proj = t[f"{name}_pool"], t[f"t_{name}"]
         g_signal = pool.T @ g_refined
         g_scores = _softmax_rows_backward(pool, g_refined @ signal.T)[0]   # (d_seq,)
-        g[f"w_{name}_score"] = np.concatenate([tanh_proj @ g_scores, np.zeros(d_seq)])
-        w_top = getattr(params, f"w_{name}_score")[:d_seq]
-        g_proj = np.outer(w_top, g_scores) * (1.0 - tanh_proj ** 2)
+        g[f"w_{name}_score"] = tanh_proj @ g_scores
+        g_proj = np.outer(getattr(params, f"w_{name}_score"), g_scores) * (1.0 - tanh_proj ** 2)
         g[f"w_{name}_proj"] = g_proj @ signal
         g_signal += g_proj.T @ getattr(params, f"w_{name}_proj")
         g[name] = g_signal

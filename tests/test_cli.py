@@ -225,6 +225,31 @@ class TestFuseCommand:
                     "--out", str(out)]) == 0
         assert_fused_json_is_library_output(out, sem, dep, params)
 
+    def test_d_hid_defaults_to_8(self, tmp_path):
+        signals = tmp_path / "signals.json"
+        signals.write_text(ZERO_SIGNALS, encoding="utf-8")
+        out = tmp_path / "fused.json"
+        assert run(["fuse", "--signals", str(signals), "--params", "5", "--out", str(out)]) == 0
+        assert_fused_json_is_library_output(out, np.zeros((3, 2)), np.zeros((3, 2)),
+                                            FusionParams.init(3, 2, 8, seed=5))
+
+    @pytest.mark.parametrize("params, flag", [("file", "--d-hid"), ("file", "--seed"),
+                                              ("7", "--seed")],
+                             ids=["file-d-hid", "file-seed", "int-seed"])
+    def test_flags_that_params_overrides_rejected(self, tmp_path, capsys, params, flag):
+        if params == "file":
+            params = tmp_path / "params.json"
+            params.write_text(FusionParams.init(3, 2, 2, seed=8).to_json(), encoding="utf-8")
+        signals = tmp_path / "signals.json"
+        signals.write_text(ZERO_SIGNALS, encoding="utf-8")
+        out = tmp_path / "fused.json"
+        assert run(["fuse", "--signals", str(signals), "--params", str(params), flag, "3",
+                    "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} and ") and "--params" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_mismatched_signals_rejected(self, tmp_path):
         signals = tmp_path / "signals.json"
         signals.write_text(json.dumps({"sem": [[0.0]], "dep": [[0.0], [0.0]]}), encoding="utf-8")
@@ -268,7 +293,7 @@ ZERO_SIGNALS = json.dumps({"sem": np.zeros((3, 2)).tolist(), "dep": np.zeros((3,
 
 
 @pytest.mark.parametrize("command, flag, text", [
-    ("fuse", "--params", _params_with(b_dep_score=[0.1])),
+    ("fuse", "--params", _params_with(b_output=[0.1, [0.2]])),
     ("fuse", "--params", _params_with(w_dep_proj={"a": 1})),
     ("fuse", "--signals", json.dumps({"sem": {"0": [0.0]}, "dep": {"0": [0.0]}})),
     ("fuse", "--signals", json.dumps({"sem": [["x", "y"]], "dep": [["x", "y"]]})),
@@ -289,7 +314,30 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys, pairs_file, comma
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:")
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "unknown" not in err
+    assert not out.exists()
+
+
+def test_old_format_params_file_names_the_extra_keys(tmp_path, capsys):
+    # the 20-key params format that also held the pooling query weights and score biases
+    data = json.loads(FusionParams.init(3, 2, 2, seed=8).to_json())
+    rng = np.random.default_rng(8)
+    for path in ("sem", "dep"):
+        data[f"w_{path}_query"] = rng.uniform(-1, 1, (3, 2)).tolist()
+        data[f"b_{path}_query"] = rng.uniform(-1, 1, 3).tolist()
+        data[f"w_{path}_score"] += rng.uniform(-1, 1, 3).tolist()
+        data[f"b_{path}_score"] = 0.1
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(data), encoding="utf-8")
+    signals = tmp_path / "signals.json"
+    signals.write_text(ZERO_SIGNALS, encoding="utf-8")
+    out = tmp_path / "fused.json"
+    assert run(["fuse", "--signals", str(signals), "--params", str(params_path),
+                "--out", str(out)]) == 2
+    extra = ["b_dep_query", "b_dep_score", "b_sem_query", "b_sem_score", "w_dep_query",
+             "w_sem_query"]
+    assert capsys.readouterr().err == (
+        f"error: {params_path}: fusion params JSON has unknown keys {extra}\n")
     assert not out.exists()
 
 

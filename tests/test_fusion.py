@@ -25,6 +25,52 @@ ORACLE_TOL = {"fused": 1e-11, "filter_gate": 1e-11, "fusion_gate": 1e-12,
 SHARED_FIELDS = ("fusion_gate", "dep_refined", "sem_refined", "hidden_blend",
                  "dep_pool_weights", "sem_pool_weights")
 
+# The paper's fusion weights as (field, shape, fan_in) over the (d_seq, d_v, d_hid) triple, in
+# the seeded-draw order that FusionParams.init keeps. The row softmax cancels the query weights
+# and biases, the score biases and the second (query) half of each score vector, so
+# FusionParams holds only the rest; the oracles below read them all.
+PAPER_SPECS = [
+    ("w_dep_proj", ("d_seq", "d_v"), "d_v"),
+    ("w_sem_proj", ("d_seq", "d_v"), "d_v"),
+    ("w_sem_query", ("d_seq", "d_v"), "d_v"),
+    ("b_sem_query", ("d_seq",), "d_v"),
+    ("w_dep_query", ("d_seq", "d_v"), "d_v"),
+    ("b_dep_query", ("d_seq",), "d_v"),
+    ("w_dep_score", ("two_seq",), "two_seq"),
+    ("b_dep_score", (), "two_seq"),
+    ("w_sem_score", ("two_seq",), "two_seq"),
+    ("b_sem_score", (), "two_seq"),
+    ("w_dep_hidden", ("d_hid", "d_v"), "d_v"),
+    ("b_dep_hidden", ("d_hid",), "d_v"),
+    ("w_sem_hidden", ("d_hid", "d_v"), "d_v"),
+    ("b_sem_hidden", ("d_hid",), "d_v"),
+    ("w_fusion_gate", ("two_hid",), "two_hid"),
+    ("w_value", ("d_v", "d_hid"), "d_hid"),
+    ("b_value", ("d_v",), "d_hid"),
+    ("w_output", ("d_v", "d_hid"), "d_hid"),
+    ("b_output", ("d_v",), "d_hid"),
+    ("w_filter_gate", ("two_v",), "two_v"),
+]
+
+
+def paper_init(d_seq, d_v, d_hid, seed, scale=1.0) -> dict:
+    """All the paper's fusion weights, uniform in scale * [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
+    rng = np.random.default_rng(seed)
+    dims = {"d_seq": d_seq, "d_v": d_v, "d_hid": d_hid,
+            "two_seq": 2 * d_seq, "two_hid": 2 * d_hid, "two_v": 2 * d_v}
+    values = {}
+    for name, shape_spec, fan_spec in PAPER_SPECS:
+        bound = 1.0 / math.sqrt(dims[fan_spec])
+        values[name] = scale * rng.uniform(-bound, bound, tuple(dims[s] for s in shape_spec))
+    return values
+
+
+def read_params(w) -> FusionParams:
+    """The weights of a paper set that the forward reads."""
+    d_seq = w["w_dep_proj"].shape[0]
+    return FusionParams.from_dict(
+        {name: w[name][:d_seq] if name.endswith("_score") else w[name] for name in PARAM_FIELDS})
+
 
 def naive_forward_trace(sem, dep, w) -> dict:
     """The full-matrix forward that builds every L x L score row (oracle).
@@ -80,16 +126,16 @@ def naive_forward_trace(sem, dep, w) -> dict:
     }
 
 
-def oracle_excess(sem, dep, params) -> dict:
-    """Max |fuse - naive_forward_trace| on each output of 2-D signals, as a fraction of its
-    ORACLE_TOL.
+def oracle_excess(sem, dep, w) -> dict:
+    """Max |fuse - naive_forward_trace| on each output of 2-D signals under the paper weights
+    `w`, as a fraction of its ORACLE_TOL.
 
     The oracle builds each shared field as L rows: "<field> rows" is how far those rows are
     from the oracle's first row, and "<field>" how far they are from the one value `fuse`
     returns.
     """
-    out = fuse(sem, dep, params)
-    naive = naive_forward_trace(sem, dep, params.to_dict())
+    out = fuse(sem, dep, read_params(w))
+    naive = naive_forward_trace(sem, dep, w)
     excess = {}
     for field, tol in ORACLE_TOL.items():
         value, rows = getattr(out, field), naive[field]
@@ -154,13 +200,18 @@ def naive_gate_and_filter(s_i, dstar, sstar, params):
     return np.array([filt * x for x in squashed]), gate, filt, np.array(blend)
 
 
-def naive_fuse_position(sem, dep, params, i):
-    """Whole network for position i from the scalar oracles."""
-    dstar = naive_guided(dep, sem[i], params.w_dep_proj, params.w_sem_query, params.b_sem_query,
-                         params.w_dep_score, params.b_dep_score)
-    sstar = naive_guided(sem, dstar, params.w_sem_proj, params.w_dep_query, params.b_dep_query,
-                         params.w_sem_score, params.b_sem_score)
-    out, gate, filt, blend = naive_gate_and_filter(sem[i], dstar, sstar, params)
+def naive_dep_guided(sem, dep, w, i):
+    """dep pooled under scores conditioned on sem[i] (oracle)."""
+    return naive_guided(dep, sem[i], w["w_dep_proj"], w["w_sem_query"], w["b_sem_query"],
+                        w["w_dep_score"], w["b_dep_score"])
+
+
+def naive_fuse_position(sem, dep, w, i):
+    """Whole network for position i from the scalar oracles, under the paper weights `w`."""
+    dstar = naive_dep_guided(sem, dep, w, i)
+    sstar = naive_guided(sem, dstar, w["w_sem_proj"], w["w_dep_query"], w["b_dep_query"],
+                         w["w_sem_score"], w["b_sem_score"])
+    out, gate, filt, blend = naive_gate_and_filter(sem[i], dstar, sstar, read_params(w))
     return out, gate, filt, dstar, sstar, blend
 
 
@@ -189,15 +240,11 @@ class TestSemanticGuided:
         assert np.allclose(out.dep_refined, dep.mean(axis=0), atol=1e-15)
 
     def test_matches_naive_loop(self):
-        params = FusionParams.init(d_seq=3, d_v=2, d_hid=2, seed=2)
+        w = paper_init(d_seq=3, d_v=2, d_hid=2, seed=2)
         sem, dep = random_signals(3, 3, 2)
-        out = fuse(sem, dep, params)
+        out = fuse(sem, dep, read_params(w))
         for i in range(3):
-            expected = naive_guided(
-                dep, sem[i], params.w_dep_proj, params.w_sem_query, params.b_sem_query,
-                params.w_dep_score, params.b_dep_score,
-            )
-            assert np.allclose(out.dep_refined, expected, atol=1e-12)
+            assert np.allclose(out.dep_refined, naive_dep_guided(sem, dep, w, i), atol=1e-12)
 
     def test_shape_mismatch(self):
         params = FusionParams.init(d_seq=3, d_v=2, d_hid=2, seed=4)
@@ -221,15 +268,13 @@ class TestDependencyGuided:
         assert np.allclose(out.sem_refined, sem.mean(axis=0), atol=1e-15)
 
     def test_matches_naive_loop(self):
-        params = FusionParams.init(d_seq=3, d_v=2, d_hid=2, seed=7)
+        w = paper_init(d_seq=3, d_v=2, d_hid=2, seed=7)
         sem, dep = random_signals(8, 3, 2)
-        out = fuse(sem, dep, params)
+        out = fuse(sem, dep, read_params(w))
         for i in range(3):
-            dstar = naive_guided(dep, sem[i], params.w_dep_proj, params.w_sem_query,
-                                 params.b_sem_query, params.w_dep_score, params.b_dep_score)
             expected = naive_guided(
-                sem, dstar, params.w_sem_proj, params.w_dep_query,
-                params.b_dep_query, params.w_sem_score, params.b_sem_score,
+                sem, naive_dep_guided(sem, dep, w, i), w["w_sem_proj"], w["w_dep_query"],
+                w["b_dep_query"], w["w_sem_score"], w["b_sem_score"],
             )
             assert np.allclose(out.sem_refined, expected, atol=1e-12)
 
@@ -249,7 +294,7 @@ class TestGatedFuse:
         params = FusionParams.init(d_seq=3, d_v=2, d_hid=3, seed=9)
         params = with_values(
             params, w_sem_hidden=params.w_dep_hidden, b_sem_hidden=params.b_dep_hidden,
-            w_dep_score=np.zeros(6), b_dep_score=0.0, w_sem_score=np.zeros(6), b_sem_score=0.0,
+            w_dep_score=np.zeros(3), w_sem_score=np.zeros(3),
         )
         x = np.array([[0.3, -0.8], [0.1, 0.5], [-0.6, 0.2]])
         out = fuse(x, x, params)
@@ -309,13 +354,13 @@ class TestFuse:
         assert np.array_equal(out.filter_gate, [0.5])
 
     def test_matches_per_position_composition(self):
-        params = FusionParams.init(d_seq=4, d_v=3, d_hid=3, seed=12)
+        w = paper_init(d_seq=4, d_v=3, d_hid=3, seed=12)
         rng = np.random.default_rng(13)
         sem = rng.uniform(-1, 1, (4, 3))
         dep = rng.uniform(-1, 1, (4, 3))
-        out = fuse(sem, dep, params)
+        out = fuse(sem, dep, read_params(w))
         for i in range(4):
-            l_i, g_i, f_i, dstar, sstar, blend = naive_fuse_position(sem, dep, params, i)
+            l_i, g_i, f_i, dstar, sstar, blend = naive_fuse_position(sem, dep, w, i)
             assert np.allclose(out.fused[i], l_i, atol=1e-12)
             assert out.fusion_gate == pytest.approx(g_i, abs=1e-12)
             assert out.filter_gate[i] == pytest.approx(f_i, abs=1e-12)
@@ -410,7 +455,8 @@ class TestFuse:
 
 
 class TestFullMatrixOracle:
-    """`fuse` computes each pooling once; the trace that built all L rows is its oracle."""
+    """`fuse` computes each pooling once; the trace that built all L rows from the paper's
+    full weight set, cancelled weights drawn here too, is its oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -425,24 +471,30 @@ class TestFullMatrixOracle:
              weight_scale=15.741992587707912, seed=2134001144)
     def test_matches_oracle(self, d_seq, d_v, d_hid, signal_scale, weight_scale, seed):
         rng = np.random.default_rng(seed)
-        params = FusionParams.init(d_seq, d_v, d_hid, rng)
-        params = FusionParams.from_dict(
-            {name: weight_scale * value for name, value in params.to_dict().items()})
+        w = paper_init(d_seq, d_v, d_hid, rng, scale=weight_scale)
         sem = rng.uniform(-signal_scale, signal_scale, (d_seq, d_v))
         dep = rng.uniform(-signal_scale, signal_scale, (d_seq, d_v))
-        excess = oracle_excess(sem, dep, params)
+        excess = oracle_excess(sem, dep, w)
         target(max(excess.values()), label="max |fuse - full-matrix oracle| / ORACLE_TOL")
         assert max(excess.values()) <= 1.0, excess
 
     def test_matches_oracle_at_layer_length(self):
         # L = 450 is inside the long-pair benchmark's range, with its d_v = d_hid = 8
-        params = FusionParams.init(450, 8, 8, seed=42)
+        w = paper_init(450, 8, 8, seed=42)
         sem, dep = random_signals(43, 450, 8)
-        excess = oracle_excess(sem, dep, params)
+        excess = oracle_excess(sem, dep, w)
         assert max(excess.values()) <= 1.0, excess
 
 
 class TestFusionParams:
+    @pytest.mark.parametrize("d_seq, d_v, d_hid", [(1, 1, 1), (4, 3, 5), (9, 8, 8)])
+    def test_init_keeps_the_paper_draw(self, d_seq, d_v, d_hid):
+        # the cancelled weights are still drawn, so every kept value has the paper draw's bits
+        params = FusionParams.init(d_seq, d_v, d_hid, seed=d_seq)
+        expected = read_params(paper_init(d_seq, d_v, d_hid, seed=d_seq))
+        for name in PARAM_FIELDS:
+            assert getattr(params, name).tobytes() == getattr(expected, name).tobytes(), name
+
     def test_init_deterministic(self):
         first = FusionParams.init(3, 2, 4, seed=20)
         second = FusionParams.init(3, 2, 4, seed=20)
@@ -479,7 +531,7 @@ class TestFusionParams:
             FusionParams.from_dict(values)
 
     @pytest.mark.parametrize("name, value", [("b_output", math.nan), ("w_dep_score", math.inf),
-                                             ("b_sem_score", -math.inf)])
+                                             ("b_sem_hidden", -math.inf)])
     def test_non_finite_values_rejected_on_load(self, name, value):
         data = json.loads(FusionParams.init(2, 2, 2, seed=25).to_json())
         data[name] = np.full(np.shape(data[name]), value).tolist()

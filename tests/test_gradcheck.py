@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import zero_fusion_params
 from dafa import gradcheck
 from dafa.attention import dep_attention, sem_attention
-from dafa.fusion import FusionParams, _forward_trace, fuse
+from dafa.fusion import PARAM_FIELDS, FusionParams, _forward_trace, fuse
 from dafa.gradcheck import (
     OP_NAMES,
     GradCheckConfig,
@@ -241,29 +241,16 @@ class TestAnalyticGradients:
                 dep_attention_gradients(q, k, v, calibration)
 
 
-# the softmax over each pooling row cancels these: the forward never reads them
-CANCELLED = ("w_sem_query", "b_sem_query", "w_dep_query", "b_dep_query",
-             "b_dep_score", "b_sem_score")
-
-
-class TestCancelledParameters:
+class TestFuseReport:
     @pytest.mark.parametrize("d_seq, d_v, d_hid, seed", [(1, 1, 1, 0), (4, 3, 3, 1), (6, 8, 5, 2)])
-    def test_exact_zero_gradients_and_the_rest_pass(self, d_seq, d_v, d_hid, seed):
-        rng = np.random.default_rng(seed)
-        params = FusionParams.init(d_seq, d_v, d_hid, rng)
-        sem, dep = rng.uniform(-1, 1, (2, d_seq, d_v))
-        analytic = fuse_gradients(sem, dep, params)
-        fd = fd_gradient(fuse_loss, {**params.to_dict(), "sem": sem, "dep": dep})
-        for grads in (analytic, fd):
-            for name in CANCELLED:
-                assert np.all(grads[name] == 0.0), name
-            for name in ("w_dep_score", "w_sem_score"):
-                assert np.all(grads[name][d_seq:] == 0.0), name
-        rest = [name for name in analytic if name not in CANCELLED]
-        _, _, passed = compare_gradients({name: analytic[name] for name in rest},
-                                         {name: fd[name] for name in rest}, tol=1e-5)
-        assert passed
-        assert check("fuse", GradCheckConfig(d_seq=d_seq, d_v=d_v, d_hid=d_hid), seed=seed).passed
+    def test_keys_are_the_read_weights_and_every_entry_passes(self, d_seq, d_v, d_hid, seed):
+        # the report holds only weights the forward reads: none is there to pass as an exact
+        # zero through ABS_FLOOR
+        report = check("fuse", GradCheckConfig(d_seq=d_seq, d_v=d_v, d_hid=d_hid), seed=seed,
+                       tol=1e-5)
+        assert set(report.rel_errors) == set(PARAM_FIELDS) | {"sem", "dep"}
+        assert len(PARAM_FIELDS) == 14
+        assert report.passed, report.rel_errors
 
 
 class TestCheck:

@@ -59,19 +59,6 @@ def _parse_signals(text: str) -> tuple[np.ndarray, np.ndarray]:
     return sem, dep
 
 
-_CONFIG_KEYS = ("d_model", "heads", "d_k", "d_v")
-
-
-def _parse_config(text: str) -> dict:
-    overrides = json.loads(text)
-    if not isinstance(overrides, dict) or any(type(v) is not int for v in overrides.values()):
-        raise ValueError("attention config must be a JSON object of integers")
-    unknown = sorted(set(overrides) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ValueError(f"unknown attention config keys {unknown}, expected {_CONFIG_KEYS}")
-    return overrides
-
-
 def _pair_tfidf(model: TfIdfModel | None, pair: SentencePair) -> TfIdfModel:
     # without a fitted model, fall back to the pair's own two sentences
     return model if model is not None else TfIdfModel.fit([pair.a, pair.b])
@@ -135,8 +122,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _attn_config(args, d_seq: int) -> AttnConfig:
-    overrides = _load(args.config, _parse_config) if args.config else {}
-    return AttnConfig(**{key: overrides.get(key, getattr(args, key)) for key in _CONFIG_KEYS},
+    return AttnConfig(d_model=args.d_model, heads=args.heads, d_k=args.d_k, d_v=args.d_v,
                       d_seq=d_seq)
 
 
@@ -169,20 +155,19 @@ def _cmd_attend(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    params_file = args.params is not None and not _is_int(args.params)
-    if args.params is not None and args.seed is not None:
-        raise _InputError("--seed and --params exclude each other: --params is the seed or a file")
-    if params_file and args.d_hid is not None:
-        raise _InputError("--d-hid and a --params file exclude each other: the file fixes d_hid")
+    if args.params is not None:
+        for flag, value in (("--seed", args.seed), ("--d-hid", args.d_hid)):
+            if value is not None:
+                raise _InputError(f"{flag} and --params exclude each other: "
+                                  "the params file fixes every weight and d_hid")
     sem, dep = _load(args.signals, _parse_signals)
     if not (np.all(np.isfinite(sem)) and np.all(np.isfinite(dep))):
         raise ValueError(f"{args.signals}: 'sem' and 'dep' must be finite")
-    if params_file:
+    if args.params is not None:
         params = _load(args.params, FusionParams.from_json)
     else:
-        seed = _seed(args) if args.params is None else _non_negative("--params", int(args.params))
         d_hid = 8 if args.d_hid is None else args.d_hid
-        params = FusionParams.init(sem.shape[0], sem.shape[1], d_hid, seed)
+        params = FusionParams.init(sem.shape[0], sem.shape[1], d_hid, _seed(args))
     out = fuse(sem, dep, params)
     payload = {
         "fused": out.fused.tolist(),
@@ -194,14 +179,6 @@ def _cmd_fuse(args) -> int:
     _write_text(args.out, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
     print(f"fused {sem.shape[0]}x{sem.shape[1]} signals -> {args.out}")
     return 0
-
-
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
 
 
 def _cmd_gradcheck(args) -> int:
@@ -217,37 +194,42 @@ def _cmd_gradcheck(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _output_stems(pairs) -> list[str]:
-    """One output file stem per pair; a stem that is empty, hidden or already used is an error."""
+def _output_stems(pairs, heads: int) -> list[str]:
+    """One output file stem per pair; a stem that is empty, hidden, already used or no valid
+    file name (a NUL byte, a lone surrogate, or `<stem>.sem.h<heads-1>.csv` over 255 UTF-8
+    bytes) is an error."""
     stems, seen = [pair.pair_id.replace("/", "_") for pair in pairs], set()
     for pair, stem in zip(pairs, stems):
-        if not stem or stem.startswith(".") or stem in seen:
-            raise ValueError(f"pair id {pair.pair_id!r} maps to output stem {stem!r}, "
-                             "which is empty, starts with '.' or is used by an earlier pair")
+        try:
+            longest = f"{stem}.sem.h{heads - 1}.csv".encode("utf-8")
+            bad_name = b"\0" in longest or len(longest) > 255
+        except UnicodeEncodeError:  # a lone surrogate
+            bad_name = True
+        if not stem or stem.startswith(".") or stem in seen or bad_name:
+            raise ValueError(f"pair id {pair.pair_id!r} maps to output stem {stem!r}, which is "
+                             "empty, starts with '.', is used by an earlier pair or is not a "
+                             "valid file name")
         seen.add(stem)
     return stems
 
 
 def _cmd_demo(args) -> int:
     pairs = _load(args.pairs, read_pairs, "pair records")
-    stems = _output_stems(pairs)
+    stems = _output_stems(pairs, args.heads)
     tfidf = _load(args.tfidf, TfIdfModel.from_json) if args.tfidf else None
     seed = _seed(args)
     # every setting is checked before the output directory exists
     dep_config = _dep_config(args)
-    configs = [
-        AttnConfig(d_model=args.d_model, heads=args.heads, d_k=args.d_k, d_v=args.d_v,
-                   d_seq=build_layout(pair.a, pair.b).d_seq)
-        for pair in pairs
-    ]
+    configs = [_attn_config(args, build_layout(pair.a, pair.b).d_seq) for pair in pairs]
     if args.d_hid < 1:
         raise ValueError(f"d_hid must be >= 1, got {args.d_hid}")
+    # the attention weights do not depend on d_seq, so one seeded set serves every pair
+    attn_params = AttnParams.init(configs[0], seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for pair, stem, config in zip(pairs, stems, configs):
         model = _pair_tfidf(tfidf, pair)
         embeddings = EmbeddingTable.build(pair.a.forms() + pair.b.forms(), config.d_model, seed)
-        attn_params = AttnParams.init(config, seed)
         # fusion weights are sized by d_seq, so each pair gets its own seeded set
         fusion_params = FusionParams.init(config.d_seq, config.d_v, args.d_hid, seed)
         output = dafa_layer(
@@ -304,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_attend = sub.add_parser("attend", help="attention weights/signals for one pair")
     p_attend.add_argument("--pair", required=True, help="JSONL file; the first record is used")
-    p_attend.add_argument("--config", default=None, help="JSON with d_model/heads/d_k/d_v overrides")
     p_attend.add_argument("--tfidf", default=None, help="fitted model JSON (default: fit on the pair)")
     _add_attn_flags(p_attend)
     _add_dep_flags(p_attend)
@@ -315,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuse = sub.add_parser("fuse", help="adaptive fusion over sem/dep signal matrices")
     p_fuse.add_argument("--signals", required=True, help="JSON with 'sem' and 'dep' matrices")
     p_fuse.add_argument("--params", default=None,
-                        help="fusion params JSON path, or an integer seed (default: --seed)")
+                        help="fusion params JSON file (default: params drawn from --seed)")
     p_fuse.add_argument("--d-hid", type=int, default=None,
                         help="hidden size for seeded params (default 8)")
     _add_seed_flag(p_fuse)

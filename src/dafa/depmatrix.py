@@ -51,7 +51,8 @@ class DepMatrixConfig:
 
 @dataclass(frozen=True)
 class PairLayout:
-    """Where each sentence's positions sit inside the packed input sequence."""
+    """Where each sentence's positions sit inside the packed input sequence; each span is a
+    step-1 range of positions."""
 
     d_seq: int
     a_span: range
@@ -59,9 +60,12 @@ class PairLayout:
 
     def __post_init__(self):
         for name, span in (("a_span", self.a_span), ("b_span", self.b_span)):
+            if span.step != 1:
+                raise ValueError(f"{name} {span} must have step 1")
             if len(span) and not (0 <= span[0] and span[-1] < self.d_seq):
                 raise ValueError(f"{name} {span} outside [0, {self.d_seq})")
-        if set(self.a_span) & set(self.b_span):
+        a, b = self.a_span, self.b_span
+        if len(a) and len(b) and a.start < b.stop and b.start < a.stop:
             raise ValueError("sentence spans overlap")
 
 
@@ -217,7 +221,7 @@ def embed_calibration(mf: np.ndarray, layout: PairLayout) -> np.ndarray:
             f"layout spans ({len(layout.a_span)}, {len(layout.b_span)}) do not fit matrix {mf.shape}"
         )
     c = np.ones((layout.d_seq, layout.d_seq), dtype=np.float64)
-    a_idx, b_idx = list(layout.a_span), list(layout.b_span)
-    c[np.ix_(a_idx, b_idx)] = mf + 1.0
-    c[np.ix_(b_idx, a_idx)] = mf.T + 1.0
+    a, b = layout.a_span, layout.b_span
+    c[a.start:a.stop, b.start:b.stop] = mf + 1.0
+    c[b.start:b.stop, a.start:a.stop] = mf.T + 1.0
     return c

@@ -232,11 +232,11 @@ class GradReport:
         return json.dumps(asdict(self), sort_keys=True, allow_nan=False)
 
 
-def compare_gradients(analytic: dict, fd: dict, tol: float, abs_floor: float = ABS_FLOOR):
+def compare_gradients(analytic: dict, fd: dict, tol: float):
     """Per-parameter max errors plus the overall pass flag.
 
     A scalar entry passes when |analytic - fd| / max(|analytic|, |fd|, 1e-12)
-    is below tol, or when the absolute difference is below abs_floor.
+    is below tol, or when the absolute difference is below ABS_FLOOR.
     """
     rel_errors, abs_errors, passed = {}, {}, True
     for name in analytic:
@@ -245,7 +245,7 @@ def compare_gradients(analytic: dict, fd: dict, tol: float, abs_floor: float = A
         diff = np.abs(a - f)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), _REL_DENOM_FLOOR)
         rel = diff / denom
-        ok = np.all((rel < tol) | (diff < abs_floor))
+        ok = np.all((rel < tol) | (diff < ABS_FLOOR))
         passed = passed and bool(ok)
         rel_errors[name] = float(rel.max())
         abs_errors[name] = float(diff.max())

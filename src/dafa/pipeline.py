@@ -55,12 +55,10 @@ class EmbeddingTable:
         matrix = rng.uniform(-0.1, 0.1, (len(vocab), d_model))
         return cls(vocab=vocab, matrix=matrix, seed=seed)
 
-    def lookup(self, form: str) -> np.ndarray:
-        row = self.vocab.get(form.lower(), self.vocab[UNK_TOKEN.lower()])
-        return self.matrix[row]
-
     def encode(self, forms) -> np.ndarray:
-        return np.stack([self.lookup(form) for form in forms])
+        """One row per form, (len(forms), d_model); forms match case-insensitively."""
+        unk = self.vocab[UNK_TOKEN.lower()]
+        return self.matrix[[self.vocab.get(form.lower(), unk) for form in forms]]
 
 
 @dataclass(frozen=True, eq=False)

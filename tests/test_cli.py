@@ -144,25 +144,24 @@ class TestAttendCommand:
             assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
             assert np.asarray(data["dep"][h]).shape == np.asarray(data["sem"][h]).shape
 
-    def test_config_file_overrides(self, tmp_path, pairs_file):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"heads": 3, "d_v": 4}), encoding="utf-8")
+    def test_size_flags_set_the_layer(self, tmp_path, pairs_file):
         out = tmp_path / "attend.json"
-        assert run(["attend", "--pair", str(pairs_file), "--config", str(cfg),
+        assert run(["attend", "--pair", str(pairs_file), "--heads", "3", "--d-v", "4",
                     "--out", str(out)]) == 0
         data = json.loads(out.read_text(encoding="utf-8"))
         assert len(data["sem_weights"]) == 3
         assert np.asarray(data["sem"][0]).shape[1] == 4
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys, pairs_file):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"head": 5, "d_v": 4}), encoding="utf-8")
+    def test_config_flag_is_unknown(self, tmp_path, capsys, pairs_file):
+        # the sizes have one source, the flags; a config file could silently override them
+        cfg = tmp_path / "x.json"
+        cfg.write_text(json.dumps({"heads": 3}), encoding="utf-8")
         out = tmp_path / "attend.json"
-        assert run(["attend", "--pair", str(pairs_file), "--config", str(cfg),
+        assert run(["attend", "--pair", str(pairs_file), "--config", str(cfg), "--heads", "4",
                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}:")
-        assert "['head']" in err
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --config" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_multi_record_file_notes_the_record_used(self, tmp_path, capsys):
@@ -201,7 +200,7 @@ class TestFuseCommand:
         signals.write_text(json.dumps({"sem": sem.tolist(), "dep": dep.tolist()}),
                            encoding="utf-8")
         out = tmp_path / "fused.json"
-        assert run(["fuse", "--signals", str(signals), "--params", "11",
+        assert run(["fuse", "--signals", str(signals), "--seed", "11",
                     "--d-hid", "3", "--out", str(out)]) == 0
         data = assert_fused_json_is_library_output(out, sem, dep,
                                                    FusionParams.init(4, 3, 3, seed=11))
@@ -229,10 +228,31 @@ class TestFuseCommand:
         signals = tmp_path / "signals.json"
         signals.write_text(ZERO_SIGNALS, encoding="utf-8")
         out = tmp_path / "fused.json"
-        assert run(["fuse", "--signals", str(signals), "--params", "5", "--out", str(out)]) == 0
+        assert run(["fuse", "--signals", str(signals), "--seed", "5", "--out", str(out)]) == 0
         assert_fused_json_is_library_output(out, np.zeros((3, 2)), np.zeros((3, 2)),
                                             FusionParams.init(3, 2, 8, seed=5))
 
+    def test_integer_named_params_file_is_read_as_a_file(self, tmp_path, monkeypatch):
+        # `--params 7` names the file `7`; it is never a seed
+        monkeypatch.chdir(tmp_path)
+        params = FusionParams.init(3, 2, 5, seed=8)
+        (tmp_path / "7").write_text(params.to_json(), encoding="utf-8")
+        (tmp_path / "signals.json").write_text(ZERO_SIGNALS, encoding="utf-8")
+        assert run(["fuse", "--signals", "signals.json", "--params", "7",
+                    "--out", "fused.json"]) == 0
+        assert_fused_json_is_library_output(tmp_path / "fused.json", np.zeros((3, 2)),
+                                            np.zeros((3, 2)), params)
+
+    def test_missing_params_file_names_the_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "signals.json").write_text(ZERO_SIGNALS, encoding="utf-8")
+        assert run(["fuse", "--signals", "signals.json", "--params", "42",
+                    "--out", "fused.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: 42: ") and captured.out == ""
+        assert not (tmp_path / "fused.json").exists()
+
+    # "7" names no file: the flags are rejected before any file is read
     @pytest.mark.parametrize("params, flag", [("file", "--d-hid"), ("file", "--seed"),
                                               ("7", "--seed")],
                              ids=["file-d-hid", "file-seed", "int-seed"])
@@ -292,25 +312,19 @@ def _params_with(**changes):
 ZERO_SIGNALS = json.dumps({"sem": np.zeros((3, 2)).tolist(), "dep": np.zeros((3, 2)).tolist()})
 
 
-@pytest.mark.parametrize("command, flag, text", [
-    ("fuse", "--params", _params_with(b_output=[0.1, [0.2]])),
-    ("fuse", "--params", _params_with(w_dep_proj={"a": 1})),
-    ("fuse", "--signals", json.dumps({"sem": {"0": [0.0]}, "dep": {"0": [0.0]}})),
-    ("fuse", "--signals", json.dumps({"sem": [["x", "y"]], "dep": [["x", "y"]]})),
-    ("attend", "--config", json.dumps({"d_model": [16]})),
-    ("attend", "--config", json.dumps({"heads": 1.7})),
-], ids=["params-list-scalar", "params-dict-array", "signals-dict", "signals-non-numeric",
-        "config-list", "config-float"])
-def test_malformed_input_file_is_input_error(tmp_path, capsys, pairs_file, command, flag, text):
+@pytest.mark.parametrize("flag, text", [
+    ("--params", _params_with(b_output=[0.1, [0.2]])),
+    ("--params", _params_with(w_dep_proj={"a": 1})),
+    ("--signals", json.dumps({"sem": {"0": [0.0]}, "dep": {"0": [0.0]}})),
+    ("--signals", json.dumps({"sem": [["x", "y"]], "dep": [["x", "y"]]})),
+], ids=["params-list-scalar", "params-dict-array", "signals-dict", "signals-non-numeric"])
+def test_malformed_input_file_is_input_error(tmp_path, capsys, flag, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text, encoding="utf-8")
     out = tmp_path / "out.json"
-    if command == "fuse":
-        signals = tmp_path / "signals.json"
-        signals.write_text(ZERO_SIGNALS, encoding="utf-8")
-        argv = ["fuse", "--signals", str(signals), "--params", "3", flag, str(bad)]
-    else:
-        argv = ["attend", "--pair", str(pairs_file), flag, str(bad)]
+    signals = tmp_path / "signals.json"
+    signals.write_text(ZERO_SIGNALS, encoding="utf-8")
+    argv = ["fuse", flag, str(bad)] + (["--signals", str(signals)] if flag == "--params" else [])
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:")
@@ -435,10 +449,14 @@ class TestDemoCommand:
                     "--out", str(tmp_path / "d")]) == 0
         assert loads == [tfidf_file.read_text(encoding="utf-8")]
 
+    # the longest file name is `<stem>.sem.h1.csv`: 123 two-byte characters make it 257 bytes
     @pytest.mark.parametrize("ids", [["dup", "dup"], [""], ["x/y", "x_y"], ["."], [".."],
-                                     [".hidden"], ["../up"]],
+                                     [".hidden"], ["../up"], ["good", "bad\x00id"],
+                                     ["good", "bad\ud800"], ["good", "x" * 300],
+                                     ["good", "\u00e9" * 123]],
                              ids=["duplicate", "empty", "sanitised-collision", "dot", "dot-dot",
-                                  "hidden", "parent-path"])
+                                  "hidden", "parent-path", "nul", "lone-surrogate", "300-chars",
+                                  "257-byte-name"])
     def test_bad_pair_ids_rejected_before_writing(self, tmp_path, capsys, ids):
         pairs = tmp_path / "pairs.jsonl"
         records = [json.dumps({"id": pid, "a": conllu_block(PAIR_A), "b": conllu_block(PAIR_B)})
@@ -448,6 +466,15 @@ class TestDemoCommand:
         assert run(["demo", "--pairs", str(pairs), "--out", str(out_dir)]) == 1
         assert "pair id" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_longest_file_name_of_255_bytes_is_written(self, tmp_path):
+        pair_id = "x" * (255 - len(".sem.h1.csv"))
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": pair_id, "a": conllu_block(PAIR_A),
+                                     "b": conllu_block(PAIR_B)}) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "demo"
+        assert run(["demo", "--pairs", str(pairs), "--out", str(out_dir)]) == 0
+        assert (out_dir / f"{pair_id}.sem.h1.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [("--theta", "-1"), ("--heads", "0"),
                                              ("--d-hid", "0"), ("--d-model", "0")])
@@ -488,7 +515,7 @@ class TestDemoCommand:
 
 @pytest.mark.parametrize("command, source, env", [
     ("demo", "--seed", None), ("demo", "DAFA_SEED", "-3"), ("attend", "--seed", None),
-    ("attend", "DAFA_SEED", "-3"), ("fuse", "--params", None), ("fuse", "--seed", None),
+    ("attend", "DAFA_SEED", "-3"), ("fuse", "--seed", None),
     ("fuse", "DAFA_SEED", "-3"), ("gradcheck", "--seed", None),
 ])
 def test_negative_seed_rejected_before_writing(tmp_path, capsys, monkeypatch, pairs_file,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_sentence, naive_subgraph, random_pair, rel_match, word_match
 from dafa.depmatrix import (
@@ -168,9 +170,32 @@ class TestFinalMatrix:
             assert np.allclose(final_matrix(a, b, model), final_matrix(b, a, model).T, atol=1e-15)
 
 
+def naive_embed_calibration(mf, layout):
+    """Fancy-indexed placement of both cross blocks: the oracle for the sliced version."""
+    c = np.ones((layout.d_seq, layout.d_seq), dtype=np.float64)
+    a_idx, b_idx = list(layout.a_span), list(layout.b_span)
+    c[np.ix_(a_idx, b_idx)] = mf + 1.0
+    c[np.ix_(b_idx, a_idx)] = mf.T + 1.0
+    return c
+
+
 class TestEmbedCalibration:
     def layout(self, n, m):
         return PairLayout(d_seq=n + m + 3, a_span=range(1, n + 1), b_span=range(n + 2, n + m + 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 12), m=st.integers(0, 12), gap=st.integers(0, 3),
+           lead=st.integers(0, 3), tail=st.integers(0, 3), b_first=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_fancy_indexing_oracle(self, n, m, gap, lead, tail, b_first, seed):
+        # spans in either order, with any gaps around them, as PairLayout admits
+        first, second = (m, n) if b_first else (n, m)
+        spans = (range(lead, lead + first), range(lead + first + gap, lead + first + gap + second))
+        a_span, b_span = spans[::-1] if b_first else spans
+        layout = PairLayout(d_seq=lead + n + gap + m + tail, a_span=a_span, b_span=b_span)
+        mf = np.random.default_rng(seed).uniform(0, 9, (n, m))
+        expected = naive_embed_calibration(mf, layout)
+        assert embed_calibration(mf, layout).tobytes() == expected.tobytes()
 
     def test_zero_matrix_gives_all_ones(self):
         c = embed_calibration(np.zeros((2, 3)), self.layout(2, 3))
@@ -242,3 +267,20 @@ class TestConfigs:
     def test_span_outside_sequence_rejected(self):
         with pytest.raises(ValueError):
             PairLayout(d_seq=3, a_span=range(1, 5), b_span=range(5, 6))
+
+    @pytest.mark.parametrize("a_span, b_span", [
+        (range(0, 4), range(3, 6)), (range(3, 6), range(0, 4)), (range(2, 3), range(0, 6)),
+    ])
+    def test_interval_overlap_rejected(self, a_span, b_span):
+        with pytest.raises(ValueError, match="sentence spans overlap"):
+            PairLayout(d_seq=6, a_span=a_span, b_span=b_span)
+
+    @pytest.mark.parametrize("a_span, b_span", [
+        (range(0, 3), range(3, 6)), (range(3, 6), range(0, 3)), (range(2, 2), range(0, 6)),
+    ])
+    def test_touching_or_empty_spans_accepted(self, a_span, b_span):
+        PairLayout(d_seq=6, a_span=a_span, b_span=b_span)
+
+    def test_strided_span_rejected(self):
+        with pytest.raises(ValueError, match="step 1"):
+            PairLayout(d_seq=6, a_span=range(0, 4, 2), b_span=range(5, 6))

@@ -81,13 +81,13 @@ class TestEmbeddingTable:
 
     def test_unknown_form_maps_to_unk_row(self):
         table = EmbeddingTable.build(["cat"], d_model=4, seed=5)
-        unk = table.lookup("never-seen")
-        assert np.array_equal(unk, table.lookup("also-unseen"))
-        assert not np.array_equal(unk, table.lookup("cat"))
+        unk = table.encode(["never-seen"])
+        assert np.array_equal(unk, table.encode(["also-unseen"]))
+        assert not np.array_equal(unk, table.encode(["cat"]))
 
     def test_lookup_case_insensitive(self):
         table = EmbeddingTable.build(["Cat"], d_model=4, seed=6)
-        assert np.array_equal(table.lookup("cat"), table.lookup("CAT"))
+        assert np.array_equal(table.encode(["cat"]), table.encode(["CAT"]))
 
     def test_rows_within_init_range(self):
         table = EmbeddingTable.build([f"w{i}" for i in range(20)], d_model=16, seed=7)

@@ -18,7 +18,6 @@ from .conllu import (
 )
 from .depmatrix import (
     DepMatrixConfig,
-    PairLayout,
     base_matrix,
     embed_calibration,
     final_matrix,
@@ -43,7 +42,6 @@ from .pipeline import (
     build_layout,
     dafa_layer,
     read_heatmap_csv,
-    sequence_tokens,
     write_heatmap_csv,
 )
 from .tfidf import TfIdfModel
@@ -62,7 +60,6 @@ __all__ = [
     "GradCheckConfig",
     "GradReport",
     "LayerOutput",
-    "PairLayout",
     "SentencePair",
     "TfIdfModel",
     "Token",
@@ -83,7 +80,6 @@ __all__ = [
     "read_heatmap_csv",
     "read_pairs",
     "sem_attention",
-    "sequence_tokens",
     "subgraph_matrix",
     "write_heatmap_csv",
 ]

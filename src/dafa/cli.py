@@ -22,7 +22,7 @@ from .depmatrix import (
 )
 from .fusion import FusionParams, fuse
 from .gradcheck import GradCheckConfig, check
-from .pipeline import EmbeddingTable, build_layout, dafa_layer, sequence_tokens, write_heatmap_csv
+from .pipeline import EmbeddingTable, build_layout, dafa_layer, write_heatmap_csv
 from .tfidf import TfIdfModel
 
 DEFAULT_SEED = 42
@@ -139,11 +139,10 @@ def _cmd_attend(args) -> int:
     calibration = embed_calibration(final_matrix(pair.a, pair.b, model, _dep_config(args)), layout)
     embeddings = EmbeddingTable.build(pair.a.forms() + pair.b.forms(), config.d_model, seed)
     params = AttnParams.init(config, seed)
-    tokens = sequence_tokens(pair.a, pair.b)
-    sem_w, sem, dep_w, dep = multi_head_dafa(embeddings.encode(tokens), params, calibration)
+    sem_w, sem, dep_w, dep = multi_head_dafa(embeddings.encode(layout.tokens), params, calibration)
     payload = {
         "id": pair.pair_id,
-        "tokens": tokens,
+        "tokens": list(layout.tokens),
         "sem": sem.tolist(),
         "dep": dep.tolist(),
         "sem_weights": sem_w.tolist(),
@@ -247,6 +246,25 @@ def _cmd_demo(args) -> int:
     return 0
 
 
+class _StoreOnce(argparse.Action):
+    """Store a flag's value once; argparse alone lets a repeat, even abbreviated, replace it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("given_flags", set())  # each parse has its own
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose flags, and those of its subparsers, are `_StoreOnce` actions."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
+
+
 def _add_dep_flags(parser) -> None:
     parser.add_argument("--theta", type=float, default=2.0, help="relation-match factor (default 2.0)")
     parser.add_argument("--alpha", type=float, default=1.0, help="subtree match score (default 1.0)")
@@ -266,8 +284,7 @@ def _add_attn_flags(parser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dafa",
-                                     description="Dependency-calibrated attention toolkit")
+    parser = _Parser(prog="dafa", description="Dependency-calibrated attention toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tfidf = sub.add_parser("tfidf", help="corpus tf-idf statistics")

@@ -49,26 +49,6 @@ class DepMatrixConfig:
             raise ValueError(f"nu must be in [0, 1), got {self.nu}")
 
 
-@dataclass(frozen=True)
-class PairLayout:
-    """Where each sentence's positions sit inside the packed input sequence; each span is a
-    step-1 range of positions."""
-
-    d_seq: int
-    a_span: range
-    b_span: range
-
-    def __post_init__(self):
-        for name, span in (("a_span", self.a_span), ("b_span", self.b_span)):
-            if span.step != 1:
-                raise ValueError(f"{name} {span} must have step 1")
-            if len(span) and not (0 <= span[0] and span[-1] < self.d_seq):
-                raise ValueError(f"{name} {span} outside [0, {self.d_seq})")
-        a, b = self.a_span, self.b_span
-        if len(a) and len(b) and a.start < b.stop and b.start < a.stop:
-            raise ValueError("sentence spans overlap")
-
-
 def base_matrix(a: DepSentence, b: DepSentence, config: DepMatrixConfig = DepMatrixConfig()) -> np.ndarray:
     """Branch agreement: (head match + tail match) scaled by the relation factor.
 
@@ -215,13 +195,10 @@ def embed_calibration(mf: np.ndarray, layout: PairLayout) -> np.ndarray:
     corresponding attention logits untouched.
     """
     mf = np.asarray(mf, dtype=np.float64)
-    n, m = mf.shape
-    if len(layout.a_span) != n or len(layout.b_span) != m:
-        raise ValueError(
-            f"layout spans ({len(layout.a_span)}, {len(layout.b_span)}) do not fit matrix {mf.shape}"
-        )
-    c = np.ones((layout.d_seq, layout.d_seq), dtype=np.float64)
     a, b = layout.a_span, layout.b_span
+    if mf.shape != (len(a), len(b)):
+        raise ValueError(f"layout spans ({len(a)}, {len(b)}) do not fit matrix {mf.shape}")
+    c = np.ones((layout.d_seq, layout.d_seq), dtype=np.float64)
     c[a.start:a.stop, b.start:b.stop] = mf + 1.0
     c[b.start:b.stop, a.start:a.stop] = mf.T + 1.0
     return c

@@ -17,7 +17,7 @@ import numpy as np
 
 from .attention import AttnConfig, AttnParams, multi_head_dafa
 from .conllu import DepSentence
-from .depmatrix import DepMatrixConfig, PairLayout, embed_calibration, final_matrix
+from .depmatrix import DepMatrixConfig, embed_calibration, final_matrix
 from .fusion import FusionParams, fuse
 from .tfidf import TfIdfModel
 
@@ -26,14 +26,29 @@ SEP_TOKEN = "<SEP>"
 UNK_TOKEN = "<UNK>"
 
 
+@dataclass(frozen=True)
+class PairLayout:
+    """One pair packed as <CLS> a-tokens <SEP> b-tokens <SEP>; `n` is the length of a."""
+
+    tokens: tuple[str, ...]
+    n: int
+
+    @property
+    def d_seq(self) -> int:
+        return len(self.tokens)
+
+    @property
+    def a_span(self) -> range:
+        return range(1, self.n + 1)
+
+    @property
+    def b_span(self) -> range:
+        return range(self.n + 2, len(self.tokens) - 1)
+
+
 def build_layout(a: DepSentence, b: DepSentence) -> PairLayout:
-    """Packed layout with separator positions at 0, n+1, and n+m+2."""
-    n, m = a.n, b.n
-    return PairLayout(d_seq=n + m + 3, a_span=range(1, n + 1), b_span=range(n + 2, n + m + 2))
-
-
-def sequence_tokens(a: DepSentence, b: DepSentence) -> list[str]:
-    return [CLS_TOKEN, *a.forms(), SEP_TOKEN, *b.forms(), SEP_TOKEN]
+    """The packed tokens of a pair, with separators at positions 0, n+1 and n+m+2."""
+    return PairLayout(tokens=(CLS_TOKEN, *a.forms(), SEP_TOKEN, *b.forms(), SEP_TOKEN), n=a.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +57,6 @@ class EmbeddingTable:
 
     vocab: dict
     matrix: np.ndarray
-    seed: int
 
     @classmethod
     def build(cls, forms, d_model: int, seed: int) -> "EmbeddingTable":
@@ -53,7 +67,7 @@ class EmbeddingTable:
         vocab = {form: row for row, form in enumerate(specials + regular)}
         rng = np.random.default_rng(seed)
         matrix = rng.uniform(-0.1, 0.1, (len(vocab), d_model))
-        return cls(vocab=vocab, matrix=matrix, seed=seed)
+        return cls(vocab=vocab, matrix=matrix)
 
     def encode(self, forms) -> np.ndarray:
         """One row per form, (len(forms), d_model); forms match case-insensitively."""
@@ -111,12 +125,12 @@ def dafa_layer(
         )
 
     calibration = embed_calibration(final_matrix(a, b, tfidf, dep_config), layout)
-    x = embeddings.encode(sequence_tokens(a, b))
+    x = embeddings.encode(layout.tokens)
     sem_weights, sem, dep_weights, dep = multi_head_dafa(x, attn_params, calibration)
     fusion = fuse(sem, dep, fusion_params)
     return LayerOutput(
         pair_id=pair_id,
-        tokens=sequence_tokens(a, b),
+        tokens=list(layout.tokens),
         fused=fusion.fused.mean(axis=0),
         sem_weights=sem_weights,
         dep_weights=dep_weights,

@@ -1,5 +1,5 @@
-"""Shared test helpers: sentence builders, random trees, the per-cell scoring oracles, the
-per-head attention loop and all-zero fusion parameters."""
+"""Shared test helpers: sentence builders, random trees, packed layouts of any length, the
+per-cell scoring oracles, the per-head attention loop and all-zero fusion parameters."""
 
 from dataclasses import dataclass
 
@@ -8,6 +8,7 @@ import numpy as np
 from dafa.attention import dep_attention, sem_attention
 from dafa.conllu import ROOT_FORM, DepSentence, Token
 from dafa.fusion import FusionParams
+from dafa.pipeline import CLS_TOKEN, SEP_TOKEN, PairLayout
 
 
 def make_sentence(specs):
@@ -26,6 +27,12 @@ def conllu_block(specs):
         for i, (form, head, deprel) in enumerate(specs, start=1)
     ]
     return "\n".join(lines) + "\n"
+
+
+def packed_layout(n, m):
+    """The layout `build_layout` gives an n-token and an m-token sentence, for any n, m >= 0;
+    a sentence has at least one token, so n = 0 or m = 0 has no DepSentence."""
+    return PairLayout(tokens=(CLS_TOKEN, *["a"] * n, SEP_TOKEN, *["b"] * m, SEP_TOKEN), n=n)
 
 
 DEFAULT_LABELS = ("nsubj", "obj", "det", "amod", "advmod", "nmod")

@@ -10,12 +10,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import conllu_block, make_sentence, naive_subgraph, random_sentence
+from conftest import conllu_block, make_sentence, naive_subgraph, packed_layout, random_sentence
 from dafa.attention import dep_attention, sem_attention
 from dafa.cli import run
 from dafa.depmatrix import (
     DepMatrixConfig,
-    PairLayout,
     base_matrix,
     embed_calibration,
     final_matrix,
@@ -106,9 +105,7 @@ def test_criterion_4_calibration_strictly_raises_target_weight():
     with criterion(4, "calibrated positive logit gains softmax weight", 5.0):
         for _ in range(100):
             n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-            layout = PairLayout(
-                d_seq=n + m + 3, a_span=range(1, n + 1), b_span=range(n + 2, n + m + 2)
-            )
+            layout = packed_layout(n, m)
             i0, j0 = int(rng.integers(0, n)), int(rng.integers(0, m))
             p, c = layout.a_span[i0], layout.b_span[j0]
             d_seq = layout.d_seq

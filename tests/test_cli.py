@@ -551,3 +551,25 @@ class TestArgumentErrors:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "tfidf" in capsys.readouterr().out
+
+    # argparse keeps the last value of a repeated flag; here a second value, also under an
+    # abbreviation, exits 2 before any input is read or output written
+    @pytest.mark.parametrize("args, flag", [
+        (["fuse", "--signals", "nope.json", "--signals", "{signals}", "--seed", "1", "--seed",
+          "42", "--d-hid", "8", "--out", "{out}"], "--signals"),
+        (["fuse", "--signals", "{signals}", "--se", "1", "--seed", "42", "--out", "{out}"],
+         "--seed"),
+        (["demo", "--pairs", "{pairs}", "--heads", "3", "--heads", "2", "--out", "{out}"],
+         "--heads"),
+    ], ids=["fuse-signals-and-seed", "fuse-abbreviated-seed", "demo-heads"])
+    def test_repeated_flag_rejected_before_writing(self, tmp_path, capsys, pairs_file, args,
+                                                   flag):
+        signals = tmp_path / "signals.json"
+        signals.write_text(ZERO_SIGNALS, encoding="utf-8")
+        out = tmp_path / "out"
+        paths = {"signals": signals, "pairs": pairs_file, "out": out}
+        assert run([arg.format(**paths) for arg in args]) == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: given more than once" in captured.err
+        assert captured.out == ""
+        assert not out.exists()

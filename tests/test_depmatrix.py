@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sentence, naive_subgraph, random_pair, rel_match, word_match
+from conftest import (
+    make_sentence,
+    naive_subgraph,
+    packed_layout,
+    random_pair,
+    rel_match,
+    word_match,
+)
 from dafa.depmatrix import (
     DepMatrixConfig,
-    PairLayout,
     base_matrix,
     embed_calibration,
     final_matrix,
@@ -170,43 +176,34 @@ class TestFinalMatrix:
             assert np.allclose(final_matrix(a, b, model), final_matrix(b, a, model).T, atol=1e-15)
 
 
-def naive_embed_calibration(mf, layout):
-    """Fancy-indexed placement of both cross blocks: the oracle for the sliced version."""
-    c = np.ones((layout.d_seq, layout.d_seq), dtype=np.float64)
-    a_idx, b_idx = list(layout.a_span), list(layout.b_span)
+def naive_embed_calibration(mf):
+    """Fancy-indexed placement of both cross blocks at the packed offsets 1 and n + 2: the
+    oracle for the sliced version."""
+    n, m = mf.shape
+    c = np.ones((n + m + 3, n + m + 3), dtype=np.float64)
+    a_idx, b_idx = list(range(1, n + 1)), list(range(n + 2, n + m + 2))
     c[np.ix_(a_idx, b_idx)] = mf + 1.0
     c[np.ix_(b_idx, a_idx)] = mf.T + 1.0
     return c
 
 
 class TestEmbedCalibration:
-    def layout(self, n, m):
-        return PairLayout(d_seq=n + m + 3, a_span=range(1, n + 1), b_span=range(n + 2, n + m + 2))
-
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 12), m=st.integers(0, 12), gap=st.integers(0, 3),
-           lead=st.integers(0, 3), tail=st.integers(0, 3), b_first=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_fancy_indexing_oracle(self, n, m, gap, lead, tail, b_first, seed):
-        # spans in either order, with any gaps around them, as PairLayout admits
-        first, second = (m, n) if b_first else (n, m)
-        spans = (range(lead, lead + first), range(lead + first + gap, lead + first + gap + second))
-        a_span, b_span = spans[::-1] if b_first else spans
-        layout = PairLayout(d_seq=lead + n + gap + m + tail, a_span=a_span, b_span=b_span)
+    @given(n=st.integers(0, 12), m=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matches_fancy_indexing_oracle(self, n, m, seed):
         mf = np.random.default_rng(seed).uniform(0, 9, (n, m))
-        expected = naive_embed_calibration(mf, layout)
-        assert embed_calibration(mf, layout).tobytes() == expected.tobytes()
+        expected = naive_embed_calibration(mf)
+        assert embed_calibration(mf, packed_layout(n, m)).tobytes() == expected.tobytes()
 
     def test_zero_matrix_gives_all_ones(self):
-        c = embed_calibration(np.zeros((2, 3)), self.layout(2, 3))
+        c = embed_calibration(np.zeros((2, 3)), packed_layout(2, 3))
         assert np.all(c == 1.0)
 
     def test_single_cell_placement(self):
-        layout = PairLayout(d_seq=4, a_span=range(1, 2), b_span=range(2, 3))
-        c = embed_calibration(np.array([[3.0]]), layout)
-        assert c[1, 2] == 4.0 and c[2, 1] == 4.0
-        mask = np.ones((4, 4), dtype=bool)
-        mask[1, 2] = mask[2, 1] = False
+        c = embed_calibration(np.array([[3.0]]), packed_layout(1, 1))
+        assert c[1, 3] == 4.0 and c[3, 1] == 4.0
+        mask = np.ones((5, 5), dtype=bool)
+        mask[1, 3] = mask[3, 1] = False
         assert np.all(c[mask] == 1.0)
 
     def test_cross_blocks_recover_matrix(self):
@@ -214,7 +211,7 @@ class TestEmbedCalibration:
         for _ in range(20):
             n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             mf = rng.uniform(0, 5, (n, m))
-            layout = self.layout(n, m)
+            layout = packed_layout(n, m)
             c = embed_calibration(mf, layout)
             a_idx, b_idx = list(layout.a_span), list(layout.b_span)
             assert np.allclose(c[np.ix_(a_idx, b_idx)] - 1.0, mf, atol=0.0)
@@ -227,18 +224,20 @@ class TestEmbedCalibration:
     def test_symmetric_by_construction(self):
         rng = np.random.default_rng(47)
         mf = rng.uniform(0, 2, (3, 4))
-        c = embed_calibration(mf, self.layout(3, 4))
+        c = embed_calibration(mf, packed_layout(3, 4))
         assert np.array_equal(c, c.T)
 
     def test_at_least_one_everywhere(self):
         rng = np.random.default_rng(53)
         mf = rng.uniform(0, 9, (4, 2))
-        c = embed_calibration(mf, self.layout(4, 2))
+        c = embed_calibration(mf, packed_layout(4, 2))
         assert np.all(c >= 1.0)
 
     def test_span_size_mismatch(self):
-        with pytest.raises(ValueError, match="spans"):
-            embed_calibration(np.zeros((2, 2)), self.layout(2, 3))
+        # a matrix of the wrong shape or of another number of axes
+        for mf in (np.zeros((2, 2)), np.zeros(6), np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match="spans"):
+                embed_calibration(mf, packed_layout(2, 3))
 
 
 class TestConfigs:
@@ -259,28 +258,3 @@ class TestConfigs:
     def test_non_finite_constants_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             DepMatrixConfig(**{name: value})
-
-    def test_overlapping_spans_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            PairLayout(d_seq=5, a_span=range(1, 3), b_span=range(2, 4))
-
-    def test_span_outside_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            PairLayout(d_seq=3, a_span=range(1, 5), b_span=range(5, 6))
-
-    @pytest.mark.parametrize("a_span, b_span", [
-        (range(0, 4), range(3, 6)), (range(3, 6), range(0, 4)), (range(2, 3), range(0, 6)),
-    ])
-    def test_interval_overlap_rejected(self, a_span, b_span):
-        with pytest.raises(ValueError, match="sentence spans overlap"):
-            PairLayout(d_seq=6, a_span=a_span, b_span=b_span)
-
-    @pytest.mark.parametrize("a_span, b_span", [
-        (range(0, 3), range(3, 6)), (range(3, 6), range(0, 3)), (range(2, 2), range(0, 6)),
-    ])
-    def test_touching_or_empty_spans_accepted(self, a_span, b_span):
-        PairLayout(d_seq=6, a_span=a_span, b_span=b_span)
-
-    def test_strided_span_rejected(self):
-        with pytest.raises(ValueError, match="step 1"):
-            PairLayout(d_seq=6, a_span=range(0, 4, 2), b_span=range(5, 6))

@@ -20,7 +20,6 @@ from dafa.pipeline import (
     build_layout,
     dafa_layer,
     read_heatmap_csv,
-    sequence_tokens,
     write_heatmap_csv,
 )
 from dafa.tfidf import TfIdfModel
@@ -59,12 +58,22 @@ class TestBuildLayout:
             assert not set(layout.a_span) & set(layout.b_span)
             assert layout.d_seq == n + m + 3
 
-    def test_sequence_tokens_match_layout(self):
+    def test_tokens_match_spans(self):
         a = make_sentence([("x", 2, "dep"), ("y", 0, "root")])
         b = make_sentence([("z", 0, "root")])
-        tokens = sequence_tokens(a, b)
-        assert tokens == [CLS_TOKEN, "x", "y", SEP_TOKEN, "z", SEP_TOKEN]
-        assert len(tokens) == build_layout(a, b).d_seq
+        assert build_layout(a, b).tokens == (CLS_TOKEN, "x", "y", SEP_TOKEN, "z", SEP_TOKEN)
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            a = star([f"a{i}" for i in range(n)], ["dep"] * (n - 1))
+            b = star([f"b{i}" for i in range(m)], ["dep"] * (m - 1))
+            layout = build_layout(a, b)
+            tokens = layout.tokens
+            assert len(tokens) == layout.d_seq
+            assert [tokens[i] for i in layout.a_span] == a.forms()
+            assert [tokens[i] for i in layout.b_span] == b.forms()
+            separators = set(range(layout.d_seq)) - set(layout.a_span) - set(layout.b_span)
+            assert [tokens[i] for i in sorted(separators)] == [CLS_TOKEN, SEP_TOKEN, SEP_TOKEN]
 
 
 class TestEmbeddingTable:
@@ -161,7 +170,7 @@ class TestDafaLayer:
         for i in range(s.n):
             assert out.calibration[a_idx[i], b_idx[i]] > 1.0
 
-        x = embeddings.encode(sequence_tokens(s, s))
+        x = embeddings.encode(build_layout(s, s).tokens)
         q, k = x @ attn_params.w_q[0], x @ attn_params.w_k[0]
         logits = (q @ k.T) / math.sqrt(config.d_k)
         checked = 0
@@ -177,7 +186,7 @@ class TestDafaLayer:
         b = star(["delta", "epsilon"], ["nsubj"])
         out, config, embeddings, attn_params, fusion_params, _ = layer_fixture(a, b)
         assert np.all(out.calibration == 1.0)
-        x = embeddings.encode(sequence_tokens(a, b))
+        x = embeddings.encode(build_layout(a, b).tokens)
         sem_w, sem, dep_w, dep = multi_head_dafa(x, attn_params, out.calibration)
         assert np.array_equal(sem, dep)
         assert np.array_equal(sem_w, dep_w)
@@ -196,7 +205,7 @@ class TestDafaLayer:
         a = star(["red", "fox"], ["amod"])
         b = star(["red", "dog"], ["amod"])
         out, config, embeddings, attn_params, fusion_params, _ = layer_fixture(a, b, heads=3)
-        x = embeddings.encode(sequence_tokens(a, b))
+        x = embeddings.encode(build_layout(a, b).tokens)
         # oracle: a per-head loop that attends, fuses and collects one head at a time
         heads = per_head_attention(x, attn_params, out.calibration)
         fused = [fuse(sem, dep, fusion_params) for _, sem, _, dep in heads]

@@ -31,10 +31,7 @@ from .fusion import (
 from .gradcheck import (
     GradCheckConfig,
     GradReport,
-    analytic_gradient,
     check,
-    fd_gradient,
-    probe_loss,
 )
 from .pipeline import (
     EmbeddingTable,
@@ -63,20 +60,17 @@ __all__ = [
     "SentencePair",
     "TfIdfModel",
     "Token",
-    "analytic_gradient",
     "base_matrix",
     "build_layout",
     "check",
     "dafa_layer",
     "dep_attention",
     "embed_calibration",
-    "fd_gradient",
     "final_matrix",
     "fuse",
     "multi_head_dafa",
     "parse_conllu",
     "parse_single",
-    "probe_loss",
     "read_heatmap_csv",
     "read_pairs",
     "sem_attention",

@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,15 @@ def _pair_tfidf(model: TfIdfModel | None, pair: SentencePair) -> TfIdfModel:
     return model if model is not None else TfIdfModel.fit([pair.a, pair.b])
 
 
+@contextmanager
+def _naming(pair: SentencePair):
+    """Prefix a ValueError raised while one pair is computed with that pair's id."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"pair {pair.pair_id!r}: {exc}") from None
+
+
 def _non_negative(source: str, seed: int) -> int:
     if seed < 0:
         raise ValueError(f"{source} must be a non-negative integer, got {seed}")
@@ -106,7 +116,8 @@ def _cmd_matrix(args) -> int:
     for pair in pairs:
         m = base_matrix(pair.a, pair.b, config)
         s = subgraph_matrix(pair.a, pair.b, config)
-        mf = combine_matrices(m, s, model.weights(pair.a), model.weights(pair.b))
+        with _naming(pair):
+            mf = combine_matrices(m, s, model.weights(pair.a), model.weights(pair.b))
         record = {
             "id": pair.pair_id,
             "n": pair.a.n,
@@ -136,7 +147,9 @@ def _cmd_attend(args) -> int:
     layout = build_layout(pair.a, pair.b)
     config = _attn_config(args, layout.d_seq)
     model = _pair_tfidf(_load(args.tfidf, TfIdfModel.from_json) if args.tfidf else None, pair)
-    calibration = embed_calibration(final_matrix(pair.a, pair.b, model, _dep_config(args)), layout)
+    dep_config = _dep_config(args)
+    with _naming(pair):
+        calibration = embed_calibration(final_matrix(pair.a, pair.b, model, dep_config), layout)
     embeddings = EmbeddingTable.build(pair.a.forms() + pair.b.forms(), config.d_model, seed)
     params = AttnParams.init(config, seed)
     sem_w, sem, dep_w, dep = multi_head_dafa(embeddings.encode(layout.tokens), params, calibration)
@@ -231,10 +244,11 @@ def _cmd_demo(args) -> int:
         embeddings = EmbeddingTable.build(pair.a.forms() + pair.b.forms(), config.d_model, seed)
         # fusion weights are sized by d_seq, so each pair gets its own seeded set
         fusion_params = FusionParams.init(config.d_seq, config.d_v, args.d_hid, seed)
-        output = dafa_layer(
-            pair.a, pair.b, model, embeddings, attn_params, fusion_params,
-            config, dep_config, pair_id=pair.pair_id,
-        )
+        with _naming(pair):
+            output = dafa_layer(
+                pair.a, pair.b, model, embeddings, attn_params, fusion_params,
+                config, dep_config, pair_id=pair.pair_id,
+            )
         _write_text(out_dir / f"{stem}.json", output.to_json() + "\n")
         tokens = output.tokens
         for head in range(config.heads):
@@ -354,12 +368,9 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (_InputError, OSError) as exc:
+    except (_InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, ValueError) else 2
 
 
 def main() -> None:

@@ -41,8 +41,8 @@ class DepMatrixConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.theta <= 0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
+        if not 0 < 2 * self.theta < math.inf:  # 2 * theta is the largest entry of M
+            raise ValueError(f"theta must be > 0 with 2 * theta finite, got {self.theta}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not 0 <= self.nu < 1:
@@ -183,8 +183,13 @@ def final_matrix(
 
 
 def combine_matrices(m: np.ndarray, s: np.ndarray, w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
-    """MF = |M + S| * outer(w_a, w_b), from already computed M and S and per-token weights."""
-    return np.abs(m + s) * np.outer(w_a, w_b)
+    """MF = |M + S| * outer(w_a, w_b), from already computed M and S and per-token weights;
+    a ValueError if that overflows to inf or NaN (a large alpha overflows S)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mf = np.abs(m + s) * np.outer(w_a, w_b)
+    if not np.all(np.isfinite(mf)):
+        raise ValueError("MF is not finite: M + S or its weighting overflows; lower alpha or theta")
+    return mf
 
 
 def embed_calibration(mf: np.ndarray, layout: PairLayout) -> np.ndarray:

@@ -125,10 +125,12 @@ class FusionParams:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         dims = _dims_map(self.d_seq, self.d_v, self.d_hid)
         for name, shape_spec, _ in _PARAM_SPECS:
-            shape = getattr(self, name).shape
+            value = getattr(self, name)
             expected = tuple(dims[s] for s in shape_spec)
-            if shape != expected:
-                raise ValueError(f"{name} has shape {shape}, expected {expected}")
+            if value.shape != expected:
+                raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"fusion params {name!r} must be finite")
 
     @classmethod
     def init(cls, d_seq: int, d_v: int, d_hid: int, seed) -> "FusionParams":
@@ -166,12 +168,7 @@ class FusionParams:
         unknown = sorted(set(data) - set(PARAM_FIELDS))
         if unknown:
             raise ValueError(f"fusion params JSON has unknown keys {unknown}")
-        params = cls.from_dict(data)
-        # checked here, not in __post_init__: gradcheck builds params per loss evaluation
-        for name in PARAM_FIELDS:
-            if not np.all(np.isfinite(getattr(params, name))):
-                raise ValueError(f"fusion params {name!r} must be finite")
-        return params
+        return cls.from_dict(data)
 
 
 @dataclass(frozen=True, eq=False)

@@ -169,6 +169,18 @@ class TestSoftmaxProperties:
         row = rng.normal(size=(1, 8))
         assert np.allclose(softmax(row), softmax(row + 123.0), atol=1e-12)
 
+    @pytest.mark.parametrize("axis", [-1, 0, 1])
+    def test_in_place_steps_leave_input_and_bits_unchanged(self, axis):
+        # exp and divide run in place on the shifted copy: the caller's array is not written,
+        # and the result has the bits of the three-allocation formula
+        x = np.random.default_rng(7).normal(scale=30.0, size=(3, 5, 7))
+        before = x.copy()
+        shifted = x - np.max(x, axis=axis, keepdims=True)
+        expected = np.exp(shifted) / np.sum(np.exp(shifted), axis=axis, keepdims=True)
+        out = softmax(x, axis=axis)
+        assert np.array_equal(x, before)
+        assert out.tobytes() == expected.tobytes()
+
     def test_key_permutation_invariance(self):
         rng = np.random.default_rng(6)
         q, k = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))

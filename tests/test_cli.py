@@ -541,6 +541,45 @@ def test_negative_seed_rejected_before_writing(tmp_path, capsys, monkeypatch, pa
     assert not out.exists()
 
 
+# a root with three same-form dependents, paired with itself: S grows with alpha
+STAR = [("root", 0, "root"), ("x", 1, "dep"), ("x", 1, "dep"), ("x", 1, "dep")]
+
+
+@pytest.fixture
+def star_argv(tmp_path, tfidf_file):
+    pairs = tmp_path / "star.jsonl"
+    record = {"id": "star", "a": conllu_block(STAR), "b": conllu_block(STAR)}
+    pairs.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return {
+        "matrix": ["matrix", "--pairs", str(pairs), "--tfidf", str(tfidf_file)],
+        "attend": ["attend", "--pair", str(pairs)],
+        "demo": ["demo", "--pairs", str(pairs)],
+    }
+
+
+# warnings are errors in this suite, so these also show that no numpy overflow warning escapes
+@pytest.mark.parametrize("command", ["matrix", "attend", "demo"])
+def test_overflowing_scores_fail_naming_the_pair(tmp_path, capsys, star_argv, command):
+    out = tmp_path / "out"
+    capsys.readouterr()  # drop what fitting the tf-idf fixture printed
+    assert run(star_argv[command] + ["--alpha", "1e308", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: pair 'star': MF is not finite: M + S or its weighting "
+                            "overflows; lower alpha or theta\n")
+    assert captured.out == ""
+    # demo fails inside its pair loop, after it made the output directory
+    assert not out.exists() or (command == "demo" and not any(out.iterdir()))
+
+
+@pytest.mark.parametrize("command", ["matrix", "attend", "demo"])
+def test_theta_with_overflowing_double_rejected_before_writing(tmp_path, capsys, star_argv,
+                                                               command):
+    out = tmp_path / "out"
+    assert run(star_argv[command] + ["--theta", "1e308", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: theta must be > 0 with 2 * theta finite, got 1e+308\n"
+    assert not out.exists()
+
+
 class TestArgumentErrors:
     def test_unknown_flag(self, capsys):
         assert run(["matrix", "--bogus", "x"]) == 2

@@ -1,6 +1,7 @@
 """Dependency matrix tests, checked against naive re-implementations and hand arithmetic."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
 from dafa.depmatrix import (
     DepMatrixConfig,
     base_matrix,
+    combine_matrices,
     embed_calibration,
     final_matrix,
     subgraph_matrix,
@@ -258,3 +260,30 @@ class TestConfigs:
     def test_non_finite_constants_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             DepMatrixConfig(**{name: value})
+
+    def test_theta_bounded_so_m_stays_finite(self):
+        # 2 * theta is the largest entry of M
+        largest = sys.float_info.max / 2
+        assert np.max(base_matrix(STAR, STAR, DepMatrixConfig(theta=largest))) == 2 * largest
+        with pytest.raises(ValueError, match=r"> 0 with 2 \* theta finite, got 1e\+308"):
+            DepMatrixConfig(theta=1e308)
+
+
+# a root with three same-form dependents: every dependent pair matches, so S grows with alpha
+STAR = make_sentence([("root", 0, "root"), ("x", 1, "dep"), ("x", 1, "dep"), ("x", 1, "dep")])
+
+
+class TestNonFiniteMF:
+    def test_overflowing_subtree_scores_raise(self):
+        # S overflows to inf in Python floats; numpy would turn inf * weight into inf or NaN
+        config = DepMatrixConfig(alpha=1e308)
+        assert np.isinf(subgraph_matrix(STAR, STAR, config)[0, 0])
+        with pytest.raises(ValueError, match="MF is not finite"):
+            final_matrix(STAR, STAR, TfIdfModel.fit([STAR]), config)
+
+    @pytest.mark.parametrize("s, w", [(1e308, 1.0), (1.0, 1e308), (math.inf, 0.0)])
+    def test_sum_or_weighting_overflow_raises_without_warning(self, s, w):
+        # warnings are errors in this suite, so a numpy overflow warning would fail here too
+        m = np.full((1, 1), 1e308)
+        with pytest.raises(ValueError, match="MF is not finite"):
+            combine_matrices(m, np.full((1, 1), s), np.array([w]), np.array([1.0]))

@@ -539,9 +539,12 @@ class TestFusionParams:
             FusionParams.from_json(json.dumps(data))
 
     def test_non_finite_json_rejected(self):
-        params = with_values(FusionParams.init(2, 2, 2, seed=24), b_output=np.array([np.nan, 0.0]))
-        with pytest.raises(ValueError):
-            params.to_json()
+        # no FusionParams holds a non-finite weight, so none can reach fuse or to_json
+        values = FusionParams.init(2, 2, 2, seed=24).to_dict()
+        with pytest.raises(ValueError, match="fusion params 'b_output' must be finite"):
+            FusionParams.from_dict({**values, "b_output": np.array([np.nan, 0.0])})
+        with pytest.raises(ValueError, match="fusion params 'w_value' must be finite"):
+            FusionParams(**{**values, "w_value": np.full((2, 2), np.inf)})
 
 
 class TestForwardTraceLeadingAxes:

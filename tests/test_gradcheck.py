@@ -14,7 +14,6 @@ from dafa.fusion import PARAM_FIELDS, FusionParams, _forward_trace, fuse
 from dafa.gradcheck import (
     OP_NAMES,
     GradCheckConfig,
-    analytic_gradient,
     check,
     compare_gradients,
     dep_attention_gradients,
@@ -184,17 +183,6 @@ class TestAnalyticGradients:
         for name in ("q", "k", "v"):
             assert np.array_equal(dep_grads[name], sem_grads[name])
 
-    def test_dispatcher_routes_ops(self):
-        rng = np.random.default_rng(5)
-        q, k = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-        v = rng.normal(size=(3, 2))
-        direct = sem_attention_gradients(q, k, v)
-        routed = analytic_gradient("sem_attention", {"q": q, "k": k, "v": v})
-        for name in direct:
-            assert np.array_equal(direct[name], routed[name])
-        with pytest.raises(ValueError, match="unknown op"):
-            analytic_gradient("nope", {})
-
     def test_attention_gradients_match_fd(self):
         rng = np.random.default_rng(6)
         q, k = rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 3))
@@ -216,8 +204,6 @@ class TestAnalyticGradients:
         inputs = {"sem": np.zeros((4, 3)), "dep": np.zeros((4, 3)), bad: np.zeros(shape)}
         with pytest.raises(ValueError, match=rf"{bad} has shape"):
             fuse_gradients(inputs["sem"], inputs["dep"], params)
-        with pytest.raises(ValueError, match=rf"{bad} has shape"):
-            analytic_gradient("fuse", inputs, params)
 
     def test_fuse_gradients_take_2d_signals_only(self):
         # fuse takes (..., d_seq, d_v) stacks; its backward pass does not
@@ -301,8 +287,10 @@ class TestCheck:
         assert set(data["rel_errors"]) == {"q", "k", "v"}
 
     def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
-            check("mystery", seed=0)
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError, match=r"unknown op 'mystery'; expected one of "
+                                                 r"\('fuse', 'sem_attention', 'dep_attention'\)"):
+                check("mystery", seed=0)
 
     @pytest.mark.parametrize("field", ["tol", "eps"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])

@@ -107,6 +107,22 @@ class TestEmbeddingTable:
             EmbeddingTable.build(["x"], d_model=0, seed=0)
 
 
+class TestSeededDraws:
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="EmbeddingTable.build, AttnParams.init and FusionParams.init each "
+                              "call default_rng(seed) with the one seed, so the embeddings, w_q "
+                              "and w_dep_proj start as affine images of one uniform stream "
+                              "(correlation 1.0)")
+    def test_one_seed_gives_uncorrelated_parameter_draws(self):
+        seed, draws = 42, 160
+        table = EmbeddingTable.build([f"w{i}" for i in range(17)], d_model=16, seed=seed)
+        config = AttnConfig(d_model=16, heads=2, d_k=8, d_v=8, d_seq=20)
+        w_q = AttnParams.init(config, seed).w_q
+        w_dep_proj = FusionParams.init(20, 8, 8, seed).w_dep_proj
+        corr = np.corrcoef([x.ravel()[:draws] for x in (table.matrix, w_q, w_dep_proj)])
+        assert np.max(np.abs(corr[np.triu_indices(3, 1)])) < 0.5
+
+
 def layer_fixture(a, b, seed=42, heads=2, theta=2.0):
     layout = build_layout(a, b)
     config = AttnConfig(d_model=16, heads=heads, d_k=6, d_v=5, d_seq=layout.d_seq)

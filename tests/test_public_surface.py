@@ -9,15 +9,15 @@ from dafa.fusion import PARAM_FIELDS, FusionParams
 EXPECTED_NAMES = [
     "AttnConfig", "AttnParams", "ConlluError", "DepMatrixConfig", "DepSentence",
     "EmbeddingTable", "FusionOutput", "FusionParams", "GradCheckConfig", "GradReport",
-    "LayerOutput", "SentencePair", "TfIdfModel", "Token", "analytic_gradient", "base_matrix",
-    "build_layout", "check", "dafa_layer", "dep_attention", "embed_calibration", "fd_gradient",
-    "final_matrix", "fuse", "multi_head_dafa", "parse_conllu", "parse_single", "probe_loss",
-    "read_heatmap_csv", "read_pairs", "sem_attention", "subgraph_matrix", "write_heatmap_csv",
+    "LayerOutput", "SentencePair", "TfIdfModel", "Token", "base_matrix", "build_layout",
+    "check", "dafa_layer", "dep_attention", "embed_calibration", "final_matrix", "fuse",
+    "multi_head_dafa", "parse_conllu", "parse_single", "read_heatmap_csv", "read_pairs",
+    "sem_attention", "subgraph_matrix", "write_heatmap_csv",
 ]
 
 
 def test_public_surface_is_pinned():
-    assert len(EXPECTED_NAMES) == 33
+    assert len(EXPECTED_NAMES) == 30
     assert sorted(dafa.__all__) == EXPECTED_NAMES
     for name in dafa.__all__:
         assert getattr(dafa, name) is not None, name

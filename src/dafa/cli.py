@@ -11,22 +11,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import AttnConfig, AttnParams, multi_head_dafa
+from .attention import AttnConfig, AttnParams
 from .conllu import SentencePair, parse_conllu, read_pairs
-from .depmatrix import (
-    DepMatrixConfig,
-    base_matrix,
-    combine_matrices,
-    embed_calibration,
-    final_matrix,
-    subgraph_matrix,
-)
+from .depmatrix import DepMatrixConfig, _combine_matrices, base_matrix, subgraph_matrix
 from .fusion import FusionParams, fuse
-from .gradcheck import GradCheckConfig, check
-from .pipeline import EmbeddingTable, build_layout, dafa_layer, write_heatmap_csv
+from .gradcheck import DEFAULT_EPS, DEFAULT_TOL, GradCheckConfig, check
+from .pipeline import EmbeddingTable, build_layout, dafa_layer, pair_attention, write_heatmap_csv
 from .tfidf import TfIdfModel
 
 DEFAULT_SEED = 42
+DEFAULT_D_HID = 8  # hidden size of seeded fusion params in `fuse` and `demo`
 
 
 class _InputError(Exception):
@@ -117,7 +111,7 @@ def _cmd_matrix(args) -> int:
         m = base_matrix(pair.a, pair.b, config)
         s = subgraph_matrix(pair.a, pair.b, config)
         with _naming(pair):
-            mf = combine_matrices(m, s, model.weights(pair.a), model.weights(pair.b))
+            mf = _combine_matrices(m, s, model.weights(pair.a), model.weights(pair.b))
         record = {
             "id": pair.pair_id,
             "n": pair.a.n,
@@ -148,11 +142,11 @@ def _cmd_attend(args) -> int:
     config = _attn_config(args, layout.d_seq)
     model = _pair_tfidf(_load(args.tfidf, TfIdfModel.from_json) if args.tfidf else None, pair)
     dep_config = _dep_config(args)
-    with _naming(pair):
-        calibration = embed_calibration(final_matrix(pair.a, pair.b, model, dep_config), layout)
     embeddings = EmbeddingTable.build(pair.a.forms() + pair.b.forms(), config.d_model, seed)
     params = AttnParams.init(config, seed)
-    sem_w, sem, dep_w, dep = multi_head_dafa(embeddings.encode(layout.tokens), params, calibration)
+    with _naming(pair):
+        _, sem_w, sem, dep_w, dep = pair_attention(pair.a, pair.b, layout, model, embeddings,
+                                                   params, dep_config)
     payload = {
         "id": pair.pair_id,
         "tokens": list(layout.tokens),
@@ -178,7 +172,7 @@ def _cmd_fuse(args) -> int:
     if args.params is not None:
         params = _load(args.params, FusionParams.from_json)
     else:
-        d_hid = 8 if args.d_hid is None else args.d_hid
+        d_hid = DEFAULT_D_HID if args.d_hid is None else args.d_hid
         params = FusionParams.init(sem.shape[0], sem.shape[1], d_hid, _seed(args))
     out = fuse(sem, dep, params)
     payload = {
@@ -280,9 +274,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_dep_flags(parser) -> None:
-    parser.add_argument("--theta", type=float, default=2.0, help="relation-match factor (default 2.0)")
-    parser.add_argument("--alpha", type=float, default=1.0, help="subtree match score (default 1.0)")
-    parser.add_argument("--nu", type=float, default=0.5, help="subtree child decay (default 0.5)")
+    parser.add_argument("--theta", type=float, default=DepMatrixConfig.theta,
+                        help="relation-match factor (default %(default)s)")
+    parser.add_argument("--alpha", type=float, default=DepMatrixConfig.alpha,
+                        help="subtree match score (default %(default)s)")
+    parser.add_argument("--nu", type=float, default=DepMatrixConfig.nu,
+                        help="subtree child decay (default %(default)s)")
 
 
 def _add_seed_flag(parser) -> None:
@@ -329,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--params", default=None,
                         help="fusion params JSON file (default: params drawn from --seed)")
     p_fuse.add_argument("--d-hid", type=int, default=None,
-                        help="hidden size for seeded params (default 8)")
+                        help=f"hidden size for seeded params (default {DEFAULT_D_HID})")
     _add_seed_flag(p_fuse)
     p_fuse.add_argument("--out", required=True, help="output JSON")
     p_fuse.set_defaults(func=_cmd_fuse)
@@ -337,12 +334,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     p_grad.add_argument("--op", required=True, choices=["fuse", "attend"])
     _add_seed_flag(p_grad)
-    p_grad.add_argument("--tol", type=float, default=1e-5)
-    p_grad.add_argument("--eps", type=float, default=1e-5)
-    p_grad.add_argument("--d-seq", type=int, default=4)
-    p_grad.add_argument("--d-k", type=int, default=3)
-    p_grad.add_argument("--d-v", type=int, default=3)
-    p_grad.add_argument("--d-hid", type=int, default=3)
+    p_grad.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="relative-error tolerance (default %(default)s)")
+    p_grad.add_argument("--eps", type=float, default=DEFAULT_EPS,
+                        help="finite-difference step (default %(default)s)")
+    for name, value in vars(GradCheckConfig()).items():
+        p_grad.add_argument(f"--{name.replace('_', '-')}", type=int, default=value,
+                            help=f"{name} of the checked op (default %(default)s)")
     p_grad.add_argument("--out", default=None, help="also write the JSON report here")
     p_grad.set_defaults(func=_cmd_gradcheck)
 
@@ -350,7 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--pairs", required=True, help="JSONL pair records")
     p_demo.add_argument("--tfidf", default=None, help="fitted model JSON (default: fit per pair)")
     _add_attn_flags(p_demo)
-    p_demo.add_argument("--d-hid", type=int, default=8)
+    p_demo.add_argument("--d-hid", type=int, default=DEFAULT_D_HID,
+                        help="fusion hidden size (default %(default)s)")
     _add_dep_flags(p_demo)
     _add_seed_flag(p_demo)
     p_demo.add_argument("--out", required=True, help="output directory")

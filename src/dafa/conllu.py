@@ -76,13 +76,11 @@ class DepSentence:
             raise ValueError("no root token (head 0)")
         if len(roots) > 1:
             raise ValueError(f"multiple root tokens: {roots}")
-        for tok in self.tokens:
-            node, steps = tok.index, 0
-            while node != 0:
-                node = self.tokens[node - 1].head
-                steps += 1
-                if steps > n:
-                    raise ValueError(f"cycle in head graph involving token {tok.index}")
+        # a token the walk from the root never reaches is on or under a cycle
+        reached = _deepest_first(_children([tok.head - 1 for tok in self.tokens]), roots[0] - 1)
+        if len(reached) < n:
+            unreached = set(range(n)).difference(reached)
+            raise ValueError(f"cycle in head graph involving token {min(unreached) + 1}")
 
     @property
     def n(self) -> int:
@@ -90,6 +88,22 @@ class DepSentence:
 
     def forms(self) -> list[str]:
         return [tok.form for tok in self.tokens]
+
+
+def _children(parent: list[int]) -> list[list[int]]:
+    kids: list[list[int]] = [[] for _ in parent]
+    for node, p in enumerate(parent):
+        if p >= 0:
+            kids[p].append(node)
+    return kids
+
+
+def _deepest_first(kids: list[list[int]], root: int) -> list[int]:
+    """Breadth-first order from the root, reversed: deepest nodes first, each after its children."""
+    order = [root]
+    for node in order:  # grows while it is walked
+        order.extend(kids[node])
+    return order[::-1]
 
 
 def parse_conllu(text: str) -> list[DepSentence]:

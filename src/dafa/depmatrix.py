@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conllu import ROOT_FORM, DepSentence
+from .conllu import ROOT_FORM, DepSentence, _children, _deepest_first
 from .tfidf import TfIdfModel
 
 
@@ -154,22 +154,6 @@ def _encode(a: DepSentence, b: DepSentence) -> tuple[_Codes, _Codes]:
     return encode(a), encode(b)
 
 
-def _children(parent: list[int]) -> list[list[int]]:
-    kids: list[list[int]] = [[] for _ in parent]
-    for node, p in enumerate(parent):
-        if p >= 0:
-            kids[p].append(node)
-    return kids
-
-
-def _deepest_first(kids: list[list[int]], root: int) -> list[int]:
-    """Breadth-first order from the root, reversed: deepest nodes first, each after its children."""
-    order = [root]
-    for node in order:  # grows while it is walked
-        order.extend(kids[node])
-    return order[::-1]
-
-
 def final_matrix(
     a: DepSentence,
     b: DepSentence,
@@ -177,12 +161,12 @@ def final_matrix(
     config: DepMatrixConfig = DepMatrixConfig(),
 ) -> np.ndarray:
     """Combined agreement, reweighted by the tail tokens' tf-idf scores."""
-    return combine_matrices(
+    return _combine_matrices(
         base_matrix(a, b, config), subgraph_matrix(a, b, config), tfidf.weights(a), tfidf.weights(b)
     )
 
 
-def combine_matrices(m: np.ndarray, s: np.ndarray, w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
+def _combine_matrices(m: np.ndarray, s: np.ndarray, w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
     """MF = |M + S| * outer(w_a, w_b), from already computed M and S and per-token weights;
     a ValueError if that overflows to inf or NaN (a large alpha overflows S)."""
     with np.errstate(over="ignore", invalid="ignore"):

@@ -102,6 +102,15 @@ class LayerOutput:
         return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
+def pair_attention(a: DepSentence, b: DepSentence, layout: PairLayout, tfidf: TfIdfModel,
+                   embeddings: EmbeddingTable, attn_params: AttnParams,
+                   dep_config: DepMatrixConfig) -> tuple[np.ndarray, ...]:
+    """The attention half shared with `dafa attend`: calibration, then multi_head_dafa's stacks."""
+    calibration = embed_calibration(final_matrix(a, b, tfidf, dep_config), layout)
+    x = embeddings.encode(layout.tokens)
+    return (calibration, *multi_head_dafa(x, attn_params, calibration))
+
+
 def dafa_layer(
     a: DepSentence,
     b: DepSentence,
@@ -118,16 +127,9 @@ def dafa_layer(
     if attn_config.d_seq != layout.d_seq:
         raise ValueError(f"config d_seq {attn_config.d_seq} != pair layout d_seq {layout.d_seq}")
     attn_params.check_config(attn_config)
-    if fusion_params.d_seq != layout.d_seq or fusion_params.d_v != attn_config.d_v:
-        raise ValueError(
-            f"fusion params sized ({fusion_params.d_seq}, {fusion_params.d_v}), "
-            f"layer needs ({layout.d_seq}, {attn_config.d_v})"
-        )
-
-    calibration = embed_calibration(final_matrix(a, b, tfidf, dep_config), layout)
-    x = embeddings.encode(layout.tokens)
-    sem_weights, sem, dep_weights, dep = multi_head_dafa(x, attn_params, calibration)
-    fusion = fuse(sem, dep, fusion_params)
+    calibration, sem_weights, sem, dep_weights, dep = pair_attention(
+        a, b, layout, tfidf, embeddings, attn_params, dep_config)
+    fusion = fuse(sem, dep, fusion_params)  # rejects fusion params of another size
     return LayerOutput(
         pair_id=pair_id,
         tokens=list(layout.tokens),

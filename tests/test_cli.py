@@ -8,10 +8,11 @@ import pytest
 
 from conftest import conllu_block
 from dafa.attention import AttnConfig, AttnParams
-from dafa.cli import run
+from dafa.cli import DEFAULT_D_HID, _build_parser, run
 from dafa.conllu import read_pairs
 from dafa.depmatrix import DepMatrixConfig, base_matrix, final_matrix, subgraph_matrix
 from dafa.fusion import FusionParams, fuse
+from dafa.gradcheck import DEFAULT_EPS, DEFAULT_TOL, GradCheckConfig
 from dafa.pipeline import EmbeddingTable, build_layout, dafa_layer, read_heatmap_csv
 from dafa.tfidf import TfIdfModel
 
@@ -178,6 +179,24 @@ class TestAttendCommand:
     def test_single_record_file_prints_no_note(self, tmp_path, capsys, pairs_file):
         assert run(["attend", "--pair", str(pairs_file), "--out", str(tmp_path / "a.json")]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flags", [[], ["--heads", "3", "--seed", "5"]],
+                             ids=["defaults", "heads-3-seed-5"])
+    def test_weights_equal_demo_heatmaps(self, tmp_path, pairs_file, tfidf_file, flags):
+        # attend and demo run one attention half, so their weights agree bit for bit
+        out, out_dir = tmp_path / "attend.json", tmp_path / "demo"
+        common = ["--tfidf", str(tfidf_file), *flags]
+        assert run(["attend", "--pair", str(pairs_file), *common, "--out", str(out)]) == 0
+        assert run(["demo", "--pairs", str(pairs_file), *common, "--out", str(out_dir)]) == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        heads = 3 if flags else 2
+        for kind in ("sem", "dep"):
+            weights = np.asarray(data[f"{kind}_weights"], dtype=np.float64)
+            assert len(list(out_dir.glob(f"p0.{kind}.h*.csv"))) == len(weights) == heads
+            for head, expected in enumerate(weights):
+                rows, cols, csv_weights = read_heatmap_csv(out_dir / f"p0.{kind}.h{head}.csv")
+                assert rows == cols == data["tokens"]
+                assert csv_weights.tobytes() == expected.tobytes()
 
 
 def assert_fused_json_is_library_output(path, sem, dep, params):
@@ -578,6 +597,22 @@ def test_theta_with_overflowing_double_rejected_before_writing(tmp_path, capsys,
     assert run(star_argv[command] + ["--theta", "1e308", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: theta must be > 0 with 2 * theta finite, got 1e+308\n"
     assert not out.exists()
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    parser = _build_parser()
+    dep = DepMatrixConfig()
+    assert (dep.theta, dep.alpha, dep.nu) == (2.0, 1.0, 0.5)
+    for argv in (["matrix", "--pairs", "p", "--tfidf", "t", "--out", "o"],
+                 ["attend", "--pair", "p", "--out", "o"],
+                 ["demo", "--pairs", "p", "--out", "o"]):
+        args = parser.parse_args(argv)
+        assert DepMatrixConfig(theta=args.theta, alpha=args.alpha, nu=args.nu) == dep, argv[0]
+    args = parser.parse_args(["gradcheck", "--op", "fuse"])
+    sizes = GradCheckConfig(d_seq=args.d_seq, d_k=args.d_k, d_v=args.d_v, d_hid=args.d_hid)
+    assert sizes == GradCheckConfig(4, 3, 3, 3)
+    assert (args.tol, args.eps) == (DEFAULT_TOL, DEFAULT_EPS) == (1e-5, 1e-5)
+    assert parser.parse_args(["demo", "--pairs", "p", "--out", "o"]).d_hid == DEFAULT_D_HID == 8
 
 
 class TestArgumentErrors:

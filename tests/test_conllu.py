@@ -1,6 +1,7 @@
 """Ingestion tests: block parsing, tree validation, branch extraction."""
 
 import json
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -103,6 +104,67 @@ class TestParseConllu:
             specs = [(t.form, t.head, t.deprel) for t in s.tokens]
             again = parse_single(conllu_block(specs))
             assert again == s
+
+
+def _heads_error(heads):
+    """The message DepSentence gives for these 1-based heads, or None for a valid tree."""
+    try:
+        make_sentence([("w", head, "dep") for head in heads])
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _climb_cycle_error(heads):
+    """The per-token oracle: climb from each token in turn; the first whose climb outlasts n
+    steps without reaching the root is on or under a cycle."""
+    n = len(heads)
+    for index in range(1, n + 1):
+        node, steps = index, 0
+        while node != 0:
+            node, steps = heads[node - 1], steps + 1
+            if steps > n:
+                return f"cycle in head graph involving token {index}"
+    return None
+
+
+class TestTreeValidation:
+    @pytest.mark.parametrize("heads, message", [
+        ([2, 1], "no root token (head 0)"),
+        ([0, 1, 0, 0], "multiple root tokens: [1, 3, 4]"),
+        ([0, 3], "token 2 has head 3 outside [0, 2]"),
+        ([0, 3, 2], "cycle in head graph involving token 2"),
+        # token 2 hangs under the 3 <-> 4 cycle and is named, not the cycle's own tokens
+        ([0, 3, 4, 3], "cycle in head graph involving token 2"),
+        ([4, 0, 1, 3], "cycle in head graph involving token 1"),
+    ], ids=["no-root", "multiple-roots", "head-out-of-range", "cycle", "under-cycle",
+            "cycle-before-root"])
+    def test_exact_message(self, heads, message):
+        assert _heads_error(heads) == message
+
+    def test_cycle_names_the_token_a_climb_names(self):
+        rng = np.random.default_rng(23)
+        cycles = 0
+        for _ in range(3000):
+            n = int(rng.integers(2, 10))
+            root = int(rng.integers(1, n + 1))
+            # one root; every other head is another token, so cycles are common
+            heads = [0 if i == root else int(rng.choice([h for h in range(1, n + 1) if h != i]))
+                     for i in range(1, n + 1)]
+            expected = _climb_cycle_error(heads)
+            cycles += expected is not None
+            assert _heads_error(heads) == expected, heads
+        assert 300 < cycles < 2700  # both outcomes are well represented
+
+    def test_deep_chain_validates_in_linear_time(self):
+        # a per-token climb to the root takes n^2 / 2 steps here, seconds at n = 10,000
+        n = 10_000
+        text = conllu_block([("w", i - 1, "dep") for i in range(1, n + 1)])
+        start = perf_counter()
+        sentence = parse_single(text)
+        elapsed = perf_counter() - start
+        assert sentence.n == n and sentence.tokens[-1].head == n - 1
+        assert elapsed < 1.0
 
 
 class TestChildren:

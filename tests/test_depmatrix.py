@@ -18,8 +18,8 @@ from conftest import (
 )
 from dafa.depmatrix import (
     DepMatrixConfig,
+    _combine_matrices,
     base_matrix,
-    combine_matrices,
     embed_calibration,
     final_matrix,
     subgraph_matrix,
@@ -286,4 +286,4 @@ class TestNonFiniteMF:
         # warnings are errors in this suite, so a numpy overflow warning would fail here too
         m = np.full((1, 1), 1e308)
         with pytest.raises(ValueError, match="MF is not finite"):
-            combine_matrices(m, np.full((1, 1), s), np.array([w]), np.array([1.0]))
+            _combine_matrices(m, np.full((1, 1), s), np.array([w]), np.array([1.0]))

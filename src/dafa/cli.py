@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -93,6 +95,38 @@ def _dep_config(args) -> DepMatrixConfig:
 
 def _write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
+
+
+@contextmanager
+def _staged_dir(out_dir: Path):
+    """A directory to write into that becomes `out_dir` only when the block completes.
+
+    An existing `out_dir` stages its files in a hidden temporary directory inside itself (no
+    output stem starts with '.'), so only `out_dir` itself must be writable and each file is
+    moved up on one file system; a file there is replaced, not written through a link. A new
+    `out_dir` is staged beside itself and renamed into place. On any failure the staging
+    directory is removed, so `out_dir` is never left partial.
+    """
+    if out_dir.exists() and not out_dir.is_dir():
+        raise _InputError(f"--out {out_dir}: exists and is not a directory")
+    out_dir = out_dir.resolve()
+    existing = out_dir.is_dir()
+    if not existing:
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+    # mkdtemp's directory is private (mode 0700); a new out_dir is made inside it, usual mode
+    staging = Path(tempfile.mkdtemp(prefix=".dafa-partial-",
+                                    dir=out_dir if existing else out_dir.parent))
+    try:
+        work = staging if existing else staging / "out"
+        work.mkdir(exist_ok=True)
+        yield work
+        if existing:
+            for path in work.iterdir():
+                os.replace(path, out_dir / path.name)
+        else:
+            work.rename(out_dir)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _cmd_tfidf_fit(args) -> int:
@@ -231,26 +265,26 @@ def _cmd_demo(args) -> int:
         raise ValueError(f"d_hid must be >= 1, got {args.d_hid}")
     # the attention weights do not depend on d_seq, so one seeded set serves every pair
     attn_params = AttnParams.init(configs[0], seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for pair, stem, config in zip(pairs, stems, configs):
-        model = _pair_tfidf(tfidf, pair)
-        embeddings = EmbeddingTable.build(pair.a.forms() + pair.b.forms(), config.d_model, seed)
-        # fusion weights are sized by d_seq, so each pair gets its own seeded set
-        fusion_params = FusionParams.init(config.d_seq, config.d_v, args.d_hid, seed)
-        with _naming(pair):
-            output = dafa_layer(
-                pair.a, pair.b, model, embeddings, attn_params, fusion_params,
-                config, dep_config, pair_id=pair.pair_id,
-            )
-        _write_text(out_dir / f"{stem}.json", output.to_json() + "\n")
-        tokens = output.tokens
-        for head in range(config.heads):
-            write_heatmap_csv(out_dir / f"{stem}.sem.h{head}.csv", tokens, tokens,
-                              output.sem_weights[head])
-            write_heatmap_csv(out_dir / f"{stem}.dep.h{head}.csv", tokens, tokens,
-                              output.dep_weights[head])
-    print(f"wrote {len(pairs)} pair outputs -> {out_dir}")
+    with _staged_dir(Path(args.out)) as out_dir:
+        for pair, stem, config in zip(pairs, stems, configs):
+            model = _pair_tfidf(tfidf, pair)
+            forms = pair.a.forms() + pair.b.forms()
+            embeddings = EmbeddingTable.build(forms, config.d_model, seed)
+            # fusion weights are sized by d_seq, so each pair gets its own seeded set
+            fusion_params = FusionParams.init(config.d_seq, config.d_v, args.d_hid, seed)
+            with _naming(pair):
+                output = dafa_layer(
+                    pair.a, pair.b, model, embeddings, attn_params, fusion_params,
+                    config, dep_config, pair_id=pair.pair_id,
+                )
+            _write_text(out_dir / f"{stem}.json", output.to_json() + "\n")
+            tokens = output.tokens
+            for head in range(config.heads):
+                write_heatmap_csv(out_dir / f"{stem}.sem.h{head}.csv", tokens, tokens,
+                                  output.sem_weights[head])
+                write_heatmap_csv(out_dir / f"{stem}.dep.h{head}.csv", tokens, tokens,
+                                  output.dep_weights[head])
+    print(f"wrote {len(pairs)} pair outputs -> {Path(args.out)}")
     return 0
 
 

@@ -1,6 +1,8 @@
 """Shared test helpers: sentence builders, random trees, packed layouts of any length, the
-per-cell scoring oracles, the per-head attention loop and all-zero fusion parameters."""
+per-cell scoring oracles, the per-head attention loop, all-zero fusion parameters and the
+per-element heatmap CSV writer."""
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,3 +135,14 @@ def zero_fusion_params(d_seq, d_v, d_hid):
     """FusionParams of the given sizes with every weight 0."""
     shapes = FusionParams.init(d_seq, d_v, d_hid, seed=0).to_dict()
     return FusionParams.from_dict({name: np.zeros_like(v) for name, v in shapes.items()})
+
+
+def naive_write_heatmap_csv(path, row_labels, col_labels, matrix) -> None:
+    """Every field, each value as its repr, through csv.writer (byte-level oracle for
+    `write_heatmap_csv`)."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["", *col_labels])
+        for label, row in zip(row_labels, matrix):
+            writer.writerow([label, *[repr(float(x)) for x in row]])

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import conllu_block
+from conftest import conllu_block, naive_write_heatmap_csv
+from dafa import cli
 from dafa.attention import AttnConfig, AttnParams
 from dafa.cli import DEFAULT_D_HID, _build_parser, run
 from dafa.conllu import read_pairs
@@ -414,22 +417,30 @@ class TestGradcheckCommand:
         assert json.loads(out.read_text(encoding="utf-8"))[0]["op_name"] == "fuse"
 
 
+def demo_layer(pairs_file, tfidf_file):
+    """The first pair's layer in process, with demo's default sizes and seed 42."""
+    pair = read_pairs(pairs_file.read_text(encoding="utf-8"))[0]
+    layout = build_layout(pair.a, pair.b)
+    config = AttnConfig(d_model=16, heads=2, d_k=8, d_v=8, d_seq=layout.d_seq)
+    return dafa_layer(
+        pair.a, pair.b, TfIdfModel.from_json(tfidf_file.read_text(encoding="utf-8")),
+        EmbeddingTable.build(pair.a.forms() + pair.b.forms(), 16, 42),
+        AttnParams.init(config, 42), FusionParams.init(layout.d_seq, 8, 8, 42),
+        config, DepMatrixConfig(), pair_id=pair.pair_id,
+    )
+
+
+def staging_leftovers(parent):
+    return [p.name for p in parent.iterdir() if p.name.startswith(".dafa-partial-")]
+
+
 class TestDemoCommand:
     def test_outputs_parse_and_roundtrip(self, tmp_path, pairs_file, tfidf_file):
         out_dir = tmp_path / "demo"
         assert run(["demo", "--pairs", str(pairs_file), "--tfidf", str(tfidf_file),
                     "--seed", "42", "--out", str(out_dir)]) == 0
-        # the same layer in process, with demo's default sizes
-        pair = read_pairs(pairs_file.read_text(encoding="utf-8"))[0]
-        layout = build_layout(pair.a, pair.b)
-        config = AttnConfig(d_model=16, heads=2, d_k=8, d_v=8, d_seq=layout.d_seq)
-        expected = dafa_layer(
-            pair.a, pair.b, TfIdfModel.from_json(tfidf_file.read_text(encoding="utf-8")),
-            EmbeddingTable.build(pair.a.forms() + pair.b.forms(), 16, 42),
-            AttnParams.init(config, 42), FusionParams.init(layout.d_seq, 8, 8, 42),
-            config, DepMatrixConfig(), pair_id=pair.pair_id,
-        )
-        for head in range(config.heads):
+        expected = demo_layer(pairs_file, tfidf_file)
+        for head in range(2):
             for kind in ("sem", "dep"):
                 rows, cols, weights = read_heatmap_csv(out_dir / f"p0.{kind}.h{head}.csv")
                 assert rows == expected.tokens and cols == expected.tokens
@@ -442,6 +453,78 @@ class TestDemoCommand:
             value = np.asarray(data[name], dtype=np.float64)
             assert value.shape == getattr(expected, name).shape, name
             assert value.tobytes() == getattr(expected, name).tobytes(), name
+
+    def test_csv_bytes_match_per_element_writer(self, tmp_path, tfidf_file):
+        # forms holding a comma and quotes make csv quote the labels
+        pair_a = [('say "hi"', 2, "nsubj"), ("a,b", 0, "root"), ('"', 2, "obj")]
+        pair_b = [("x,y", 0, "root"), ('a,"b"', 1, "obj")]
+        pairs = tmp_path / "quoted.jsonl"
+        pairs.write_text(json.dumps({"id": "q", "a": conllu_block(pair_a),
+                                     "b": conllu_block(pair_b)}) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "demo"
+        assert run(["demo", "--pairs", str(pairs), "--tfidf", str(tfidf_file),
+                    "--out", str(out_dir)]) == 0
+        expected = demo_layer(pairs, tfidf_file)
+        oracle = tmp_path / "oracle.csv"
+        names = {"q.json"}
+        for head in range(2):
+            for kind in ("sem", "dep"):
+                name = f"q.{kind}.h{head}.csv"
+                naive_write_heatmap_csv(oracle, expected.tokens, expected.tokens,
+                                        getattr(expected, f"{kind}_weights")[head])
+                assert (out_dir / name).read_bytes() == oracle.read_bytes(), name
+                names.add(name)
+        assert {p.name for p in out_dir.iterdir()} == names
+        assert b'"say ""hi"""' in (out_dir / "q.sem.h0.csv").read_bytes()
+
+    def test_existing_out_dir_gains_the_outputs(self, tmp_path, pairs_file, tfidf_file):
+        out_dir = tmp_path / "demo"
+        out_dir.mkdir()
+        (out_dir / "keep.txt").write_text("kept", encoding="utf-8")
+        (out_dir / "p0.json").write_text("stale", encoding="utf-8")
+        fresh = tmp_path / "fresh"
+        for target in (out_dir, fresh):
+            assert run(["demo", "--pairs", str(pairs_file), "--tfidf", str(tfidf_file),
+                        "--out", str(target)]) == 0
+        assert (out_dir / "keep.txt").read_text(encoding="utf-8") == "kept"
+        for path in fresh.iterdir():
+            assert file_hash(out_dir / path.name) == file_hash(path), path.name
+        assert len(list(out_dir.iterdir())) == len(list(fresh.iterdir())) + 1
+        assert staging_leftovers(tmp_path) == []
+
+    def test_existing_out_dir_under_read_only_parent(self, tmp_path, monkeypatch, pairs_file,
+                                                     tfidf_file):
+        # an existing --out stages inside itself: its parent may be read-only or another mount
+        parent = tmp_path / "parent"
+        out_dir = parent / "demo"
+        out_dir.mkdir(parents=True)
+        staged_in = []
+        real_mkdtemp = tempfile.mkdtemp
+
+        def mkdtemp(**kwargs):
+            staged_in.append(Path(kwargs["dir"]))
+            return real_mkdtemp(**kwargs)
+
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+        parent.chmod(0o555)
+        try:
+            assert run(["demo", "--pairs", str(pairs_file), "--tfidf", str(tfidf_file),
+                        "--out", str(out_dir)]) == 0
+        finally:
+            parent.chmod(0o755)
+        assert staged_in == [out_dir.resolve()]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["p0.json"] + [f"p0.{kind}.h{h}.csv" for kind in ("sem", "dep") for h in range(2)])
+        assert staging_leftovers(parent) == []
+
+    def test_unencodable_form_leaves_no_output(self, tmp_path):
+        # a lone surrogate parses as a form, but no UTF-8 heatmap can hold it
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": "s", "a": conllu_block([("a\ud800", 0, "root")]),
+                                     "b": conllu_block(PAIR_B)}) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "demo"
+        assert run(["demo", "--pairs", str(pairs), "--out", str(out_dir)]) != 0
+        assert not out_dir.exists() and staging_leftovers(tmp_path) == []
 
     def test_byte_identical_across_runs(self, tmp_path, pairs_file, tfidf_file):
         first = tmp_path / "run1"
@@ -586,8 +669,43 @@ def test_overflowing_scores_fail_naming_the_pair(tmp_path, capsys, star_argv, co
     assert captured.err == ("error: pair 'star': MF is not finite: M + S or its weighting "
                             "overflows; lower alpha or theta\n")
     assert captured.out == ""
-    # demo fails inside its pair loop, after it made the output directory
-    assert not out.exists() or (command == "demo" and not any(out.iterdir()))
+    # demo fails inside its pair loop, but its files stay staged until every pair is done
+    assert not out.exists()
+    assert staging_leftovers(tmp_path) == []
+
+
+def test_failing_later_pair_leaves_no_output(tmp_path, capsys, tfidf_file):
+    # no form in common, so S is 0 and the first pair's MF stays finite
+    records = [{"id": "fine", "a": conllu_block([("one", 0, "root")]),
+                "b": conllu_block([("two", 0, "root")])},
+               {"id": "star", "a": conllu_block(STAR), "b": conllu_block(STAR)}]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    argv = ["demo", "--pairs", str(pairs), "--tfidf", str(tfidf_file), "--alpha", "1e308"]
+    out = tmp_path / "nested" / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert "pair 'star'" in capsys.readouterr().err
+    assert not out.exists() and staging_leftovers(out.parent) == []
+    # a failing run leaves an existing --out as it was
+    out.mkdir()
+    (out / "fine.json").write_text("old", encoding="utf-8")
+    assert run(argv + ["--out", str(out)]) == 1
+    assert [p.name for p in out.iterdir()] == ["fine.json"]
+    assert (out / "fine.json").read_text(encoding="utf-8") == "old"
+    assert staging_leftovers(out.parent) == []
+
+
+def test_out_naming_a_file_rejected_before_any_pair(tmp_path, capsys, monkeypatch, pairs_file,
+                                                    tfidf_file):
+    out = tmp_path / "out"
+    out.write_text("a file", encoding="utf-8")
+    computed = []
+    monkeypatch.setattr(cli, "dafa_layer", lambda *a, **k: computed.append(a))
+    assert run(["demo", "--pairs", str(pairs_file), "--tfidf", str(tfidf_file),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out {out}: exists and is not a directory\n"
+    assert computed == [] and out.read_text(encoding="utf-8") == "a file"
+    assert staging_leftovers(tmp_path) == []
 
 
 @pytest.mark.parametrize("command", ["matrix", "attend", "demo"])

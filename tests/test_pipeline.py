@@ -1,6 +1,5 @@
 """Pipeline tests: layout arithmetic, embeddings, the full layer, CSV/JSON round-trips."""
 
-import csv
 import json
 import math
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sentence, per_head_attention
+from conftest import make_sentence, naive_write_heatmap_csv, per_head_attention
 from dafa.attention import AttnConfig, AttnParams, multi_head_dafa
 from dafa.depmatrix import DepMatrixConfig
 from dafa.fusion import FusionParams, fuse
@@ -294,16 +293,6 @@ class TestLayerOutputJson:
         first, *_ = layer_fixture(a, b)
         second, *_ = layer_fixture(a, b)
         assert first.to_json() == second.to_json()
-
-
-def naive_write_heatmap_csv(path, row_labels, col_labels, matrix) -> None:
-    """The per-element writer that write_heatmap_csv replaced; its byte-level oracle."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["", *col_labels])
-        for label, row in zip(row_labels, matrix):
-            writer.writerow([label, *[repr(float(x)) for x in row]])
 
 
 labels = st.text(st.sampled_from('ab,"\' \n<>|'), max_size=6) | st.text(

@@ -48,11 +48,11 @@ def _load(path, parse, what=None):
 def _parse_signals(text: str) -> tuple[np.ndarray, np.ndarray]:
     data = json.loads(text)
     if not isinstance(data, dict) or "sem" not in data or "dep" not in data:
-        raise ValueError("expected object with 'sem' and 'dep' matrices")
+        raise ValueError("expected object with 'sem' and 'dep' arrays")
     sem = np.asarray(data["sem"], dtype=np.float64)
     dep = np.asarray(data["dep"], dtype=np.float64)
-    if sem.ndim != 2 or sem.shape != dep.shape:
-        raise ValueError("'sem' and 'dep' must be equal-shape matrices")
+    if sem.ndim < 2 or sem.shape != dep.shape:
+        raise ValueError("'sem' and 'dep' must be arrays of one shape (..., L, d_v)")
     return sem, dep
 
 
@@ -207,17 +207,12 @@ def _cmd_fuse(args) -> int:
         params = _load(args.params, FusionParams.from_json)
     else:
         d_hid = DEFAULT_D_HID if args.d_hid is None else args.d_hid
-        params = FusionParams.init(sem.shape[0], sem.shape[1], d_hid, _seed(args))
+        params = FusionParams.init(*sem.shape[-2:], d_hid, _seed(args))
     out = fuse(sem, dep, params)
-    payload = {
-        "fused": out.fused.tolist(),
-        "fusion_gate": out.fusion_gate.tolist(),
-        "filter_gate": out.filter_gate.tolist(),
-        "dep_refined": out.dep_refined.tolist(),
-        "sem_refined": out.sem_refined.tolist(),
-    }
+    payload = {name: getattr(out, name).tolist()
+               for name in ("fused", "fusion_gate", "filter_gate", "dep_refined", "sem_refined")}
     _write_text(args.out, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
-    print(f"fused {sem.shape[0]}x{sem.shape[1]} signals -> {args.out}")
+    print(f"fused {'x'.join(map(str, sem.shape))} signals -> {args.out}")
     return 0
 
 
@@ -236,15 +231,11 @@ def _cmd_gradcheck(args) -> int:
 
 def _output_stems(pairs, heads: int) -> list[str]:
     """One output file stem per pair; a stem that is empty, hidden, already used or no valid
-    file name (a NUL byte, a lone surrogate, or `<stem>.sem.h<heads-1>.csv` over 255 UTF-8
-    bytes) is an error."""
+    file name (a NUL byte, or `<stem>.sem.h<heads-1>.csv` over 255 UTF-8 bytes) is an error."""
     stems, seen = [pair.pair_id.replace("/", "_") for pair in pairs], set()
     for pair, stem in zip(pairs, stems):
-        try:
-            longest = f"{stem}.sem.h{heads - 1}.csv".encode("utf-8")
-            bad_name = b"\0" in longest or len(longest) > 255
-        except UnicodeEncodeError:  # a lone surrogate
-            bad_name = True
+        longest = f"{stem}.sem.h{heads - 1}.csv".encode("utf-8")  # ids are valid text
+        bad_name = b"\0" in longest or len(longest) > 255
         if not stem or stem.startswith(".") or stem in seen or bad_name:
             raise ValueError(f"pair id {pair.pair_id!r} maps to output stem {stem!r}, which is "
                              "empty, starts with '.', is used by an earlier pair or is not a "
@@ -355,8 +346,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_attend.add_argument("--out", required=True, help="output JSON")
     p_attend.set_defaults(func=_cmd_attend)
 
-    p_fuse = sub.add_parser("fuse", help="adaptive fusion over sem/dep signal matrices")
-    p_fuse.add_argument("--signals", required=True, help="JSON with 'sem' and 'dep' matrices")
+    p_fuse = sub.add_parser("fuse", help="adaptive fusion over sem/dep signals")
+    p_fuse.add_argument("--signals", required=True,
+                        help="JSON with 'sem' and 'dep' arrays of one shape (..., L, d_v), "
+                             "such as attend's output")
     p_fuse.add_argument("--params", default=None,
                         help="fusion params JSON file (default: params drawn from --seed)")
     p_fuse.add_argument("--d-hid", type=int, default=None,

@@ -193,6 +193,12 @@ def read_pairs(text: str) -> list[SentencePair]:
         pair_id = record.get("id", f"pair-{line_no}")
         if not isinstance(pair_id, str):
             raise ConlluError(f"record id must be a string, got {pair_id!r}", line=line_no)
+        for field, value in (("a", record["a"]), ("b", record["b"]), ("id", pair_id)):
+            try:  # a JSON escape can hold a lone surrogate, which no UTF-8 output can
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ConlluError(f"record {pair_id!r}: {field!r} is not valid text: {exc}",
+                                  line=line_no) from None
         try:
             a = parse_single(record["a"])
             b = parse_single(record["b"])

@@ -185,9 +185,12 @@ class TestAttendCommand:
 
     @pytest.mark.parametrize("flags", [[], ["--heads", "3", "--seed", "5"]],
                              ids=["defaults", "heads-3-seed-5"])
-    def test_weights_equal_demo_heatmaps(self, tmp_path, pairs_file, tfidf_file, flags):
-        # attend and demo run one attention half, so their weights agree bit for bit
-        out, out_dir = tmp_path / "attend.json", tmp_path / "demo"
+    def test_attend_then_fuse_equals_demo(self, tmp_path, monkeypatch, pairs_file, tfidf_file,
+                                          flags):
+        # attend and demo run one attention half, so their weights agree bit for bit; fuse on
+        # attend's stacks, with demo's seed and d_hid, gives demo's fusion values head by head
+        monkeypatch.delenv("DAFA_SEED", raising=False)
+        out, out_dir, fused = tmp_path / "attend.json", tmp_path / "demo", tmp_path / "fused.json"
         common = ["--tfidf", str(tfidf_file), *flags]
         assert run(["attend", "--pair", str(pairs_file), *common, "--out", str(out)]) == 0
         assert run(["demo", "--pairs", str(pairs_file), *common, "--out", str(out_dir)]) == 0
@@ -200,6 +203,18 @@ class TestAttendCommand:
                 rows, cols, csv_weights = read_heatmap_csv(out_dir / f"p0.{kind}.h{head}.csv")
                 assert rows == cols == data["tokens"]
                 assert csv_weights.tobytes() == expected.tobytes()
+        seed = flags[-1] if flags else str(cli.DEFAULT_SEED)
+        assert run(["fuse", "--signals", str(out), "--seed", seed, "--d-hid", str(DEFAULT_D_HID),
+                    "--out", str(fused)]) == 0
+        result = json.loads(fused.read_text(encoding="utf-8"))
+        layer = json.loads((out_dir / "p0.json").read_text(encoding="utf-8"))
+        assert np.shape(result["fused"]) == np.shape(data["sem"]) == (heads, 11, 8)
+        assert (np.asarray(result["fused"]).mean(axis=0).tobytes()
+                == np.asarray(layer["fused"], dtype=np.float64).tobytes())
+        for name, demo_name in (("fusion_gate", "fusion_gates"), ("filter_gate", "filter_gates")):
+            assert np.shape(result[name]) == np.shape(layer[demo_name])
+            assert (np.asarray(result[name], dtype=np.float64).tobytes()
+                    == np.asarray(layer[demo_name], dtype=np.float64).tobytes()), name
 
 
 def assert_fused_json_is_library_output(path, sem, dep, params):
@@ -517,14 +532,25 @@ class TestDemoCommand:
             ["p0.json"] + [f"p0.{kind}.h{h}.csv" for kind in ("sem", "dep") for h in range(2)])
         assert staging_leftovers(parent) == []
 
-    def test_unencodable_form_leaves_no_output(self, tmp_path):
-        # a lone surrogate parses as a form, but no UTF-8 heatmap can hold it
+    def test_unencodable_form_leaves_no_output(self, tmp_path, capsys, tfidf_file):
+        # a JSON escape can hold a lone surrogate, which no UTF-8 output can: a record whose
+        # form or id holds one is rejected when it is read, naming its line, by every reader
+        good = {"id": "good", "a": conllu_block(PAIR_A), "b": conllu_block(PAIR_B)}
+        bad_form = {"id": "s", "a": conllu_block([("a\ud800", 0, "root")]),
+                    "b": conllu_block(PAIR_B)}
         pairs = tmp_path / "pairs.jsonl"
-        pairs.write_text(json.dumps({"id": "s", "a": conllu_block([("a\ud800", 0, "root")]),
-                                     "b": conllu_block(PAIR_B)}) + "\n", encoding="utf-8")
-        out_dir = tmp_path / "demo"
-        assert run(["demo", "--pairs", str(pairs), "--out", str(out_dir)]) != 0
-        assert not out_dir.exists() and staging_leftovers(tmp_path) == []
+        capsys.readouterr()
+        for bad, field in ((bad_form, "'a'"), ({**good, "id": "bad\ud800"}, "'id'")):
+            pairs.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+            for command, flag, out in (("matrix", "--pairs", tmp_path / "m.jsonl"),
+                                       ("attend", "--pair", tmp_path / "a.json"),
+                                       ("demo", "--pairs", tmp_path / "demo")):
+                assert run([command, flag, str(pairs), "--tfidf", str(tfidf_file),
+                            "--out", str(out)]) == 2, (command, field)
+                captured = capsys.readouterr()
+                assert captured.err.startswith(f"error: {pairs}: line 2: record ")
+                assert f"{field} is not valid text" in captured.err and captured.out == ""
+                assert not out.exists() and staging_leftovers(tmp_path) == []
 
     def test_byte_identical_across_runs(self, tmp_path, pairs_file, tfidf_file):
         first = tmp_path / "run1"
@@ -565,8 +591,11 @@ class TestDemoCommand:
                    for pid in ids]
         pairs.write_text("\n".join(records) + "\n", encoding="utf-8")
         out_dir = tmp_path / "demo"
-        assert run(["demo", "--pairs", str(pairs), "--out", str(out_dir)]) == 1
-        assert "pair id" in capsys.readouterr().err
+        # an id no UTF-8 output can hold is refused as bad text when its record is read
+        unencodable = any("\ud800" in pid for pid in ids)
+        assert run(["demo", "--pairs", str(pairs), "--out", str(out_dir)]) == (
+            2 if unencodable else 1)
+        assert ("'id' is not valid text" if unencodable else "pair id") in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_longest_file_name_of_255_bytes_is_written(self, tmp_path):

@@ -1,6 +1,6 @@
 """Seeded mutation fuzz of the reading commands: randomly edited copies of `sample/` make
 `tfidf fit`, `matrix`, `attend` and `demo` exit 0, 1 or 2, never raise, and leave no output
-behind after a failure."""
+behind after a failure; `fuse` reads every file that `attend` writes."""
 
 import random
 from pathlib import Path
@@ -79,5 +79,8 @@ def test_edited_sample_never_crashes_or_leaves_output(tmp_path, capsys, clean_tf
             assert code in (0, 1, 2), (seed, argv[0], code)
             if code != 0:
                 assert not Path(argv[-1]).exists(), (seed, argv[0], capsys.readouterr().err)
+            elif argv[0] == "attend":
+                assert run(["fuse", "--signals", argv[-1], "--out", str(case / "f.json")]) == 0, \
+                    (seed, capsys.readouterr().err)
         assert not [p for p in case.iterdir() if p.name.startswith(".")], seed
         capsys.readouterr()

@@ -37,32 +37,33 @@ class AttnConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
+def _shapes(config: AttnConfig) -> dict[str, tuple[int, int, int]]:
+    """Each AttnParams field's shape under `config`, in seeded-draw order."""
+    return {
+        "w_q": (config.heads, config.d_model, config.d_k),
+        "w_k": (config.heads, config.d_model, config.d_k),
+        "w_v": (config.heads, config.d_model, config.d_v),
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class AttnParams:
-    """Per-head query/key/value projections."""
+    """Per-head query/key/value projections, shaped as `_shapes` lists."""
 
-    w_q: np.ndarray  # (heads, d_model, d_k)
-    w_k: np.ndarray  # (heads, d_model, d_k)
-    w_v: np.ndarray  # (heads, d_model, d_v)
+    w_q: np.ndarray
+    w_k: np.ndarray
+    w_v: np.ndarray
 
     @classmethod
     def init(cls, config: AttnConfig, seed) -> "AttnParams":
-        """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per matrix."""
+        """Seeded uniform init in [-1/sqrt(d_model), 1/sqrt(d_model)], drawn in w_q, w_k, w_v order."""
         rng = np.random.default_rng(seed)
-        proj = 1.0 / math.sqrt(config.d_model)
-        return cls(
-            w_q=rng.uniform(-proj, proj, (config.heads, config.d_model, config.d_k)),
-            w_k=rng.uniform(-proj, proj, (config.heads, config.d_model, config.d_k)),
-            w_v=rng.uniform(-proj, proj, (config.heads, config.d_model, config.d_v)),
-        )
+        bound = 1.0 / math.sqrt(config.d_model)
+        return cls(**{name: rng.uniform(-bound, bound, shape)
+                      for name, shape in _shapes(config).items()})
 
     def check_config(self, config: AttnConfig) -> None:
-        expected = {
-            "w_q": (config.heads, config.d_model, config.d_k),
-            "w_k": (config.heads, config.d_model, config.d_k),
-            "w_v": (config.heads, config.d_model, config.d_v),
-        }
-        for name, shape in expected.items():
+        for name, shape in _shapes(config).items():
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
 

@@ -16,7 +16,7 @@ import numpy as np
 from .attention import AttnConfig, AttnParams
 from .conllu import SentencePair, parse_conllu, read_pairs
 from .depmatrix import DepMatrixConfig, _combine_matrices, base_matrix, subgraph_matrix
-from .fusion import FusionParams, fuse
+from .fusion import FusionParams, _float_array, fuse
 from .gradcheck import DEFAULT_EPS, DEFAULT_TOL, GradCheckConfig, check
 from .pipeline import EmbeddingTable, build_layout, dafa_layer, pair_attention, write_heatmap_csv
 from .tfidf import TfIdfModel
@@ -32,13 +32,14 @@ class _InputError(Exception):
 def _load(path, parse, what=None):
     """Read one input file and parse its text; any failure is an _InputError naming the path.
 
-    `parse` may raise TypeError as well as ValueError: JSON of the wrong structure (a list or
-    an object where a number belongs) fails numpy's float conversion with a TypeError. When
-    `what` is given, an empty result is an error naming the records it lacks.
+    Besides ValueError and TypeError, JSON that Python cannot hold fails in `parse`: arrays
+    nested deeper than the recursion limit raise RecursionError, and an integer too large
+    for a float raises OverflowError where it is converted. When `what` is given, an empty
+    result is an error naming the records it lacks.
     """
     try:
         value = parse(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError, OverflowError) as exc:
         raise _InputError(f"{path}: {exc}") from None
     if what is not None and not value:
         raise _InputError(f"{path}: no {what} found")
@@ -49,8 +50,7 @@ def _parse_signals(text: str) -> tuple[np.ndarray, np.ndarray]:
     data = json.loads(text)
     if not isinstance(data, dict) or "sem" not in data or "dep" not in data:
         raise ValueError("expected object with 'sem' and 'dep' arrays")
-    sem = np.asarray(data["sem"], dtype=np.float64)
-    dep = np.asarray(data["dep"], dtype=np.float64)
+    sem, dep = _float_array("sem", data["sem"]), _float_array("dep", data["dep"])
     if sem.ndim < 2 or sem.shape != dep.shape:
         raise ValueError("'sem' and 'dep' must be arrays of one shape (..., L, d_v)")
     return sem, dep
@@ -313,10 +313,14 @@ def _add_seed_flag(parser) -> None:
 
 
 def _add_attn_flags(parser) -> None:
-    parser.add_argument("--d-model", type=int, default=16)
-    parser.add_argument("--heads", type=int, default=2)
-    parser.add_argument("--d-k", type=int, default=8)
-    parser.add_argument("--d-v", type=int, default=8)
+    parser.add_argument("--d-model", type=int, default=16,
+                        help="token embedding size (default %(default)s)")
+    parser.add_argument("--heads", type=int, default=2,
+                        help="attention heads (default %(default)s)")
+    parser.add_argument("--d-k", type=int, default=8,
+                        help="query and key size per head (default %(default)s)")
+    parser.add_argument("--d-v", type=int, default=8,
+                        help="value size per head (default %(default)s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -182,7 +182,7 @@ def read_pairs(text: str) -> list[SentencePair]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the limit
             raise ConlluError(f"invalid JSON record: {exc}", line=line_no) from None
         if (
             not isinstance(record, dict)

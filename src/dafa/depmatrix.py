@@ -176,12 +176,15 @@ def _combine_matrices(m: np.ndarray, s: np.ndarray, w_a: np.ndarray, w_b: np.nda
     return mf
 
 
-def embed_calibration(mf: np.ndarray, layout: PairLayout) -> np.ndarray:
+def embed_calibration(mf: np.ndarray, layout) -> np.ndarray:
     """Place the pair matrix, shifted by +1, into the packed d_seq layout.
 
     Cross-sentence cells get mf + 1 (both orientations, so the result is
     symmetric); every other cell is the neutral 1.0, which leaves the
-    corresponding attention logits untouched.
+    corresponding attention logits untouched. `layout` needs `a_span` and
+    `b_span` (slices of the packed sequence) and `d_seq`, as the PairLayout
+    from `pipeline.build_layout` has; it is not annotated, because `pipeline`
+    imports this module.
     """
     mf = np.asarray(mf, dtype=np.float64)
     a, b = layout.a_span, layout.b_span

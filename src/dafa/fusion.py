@@ -36,49 +36,55 @@ import numpy as np
 
 from .nnops import sigmoid, softmax
 
-# (field, shape spec, fan_in spec) in seeded-draw order; shapes reference
-# the (d_seq, d_v, d_hid) triple. A None field is drawn and discarded: the
-# pooling query weights, the query half of each score vector and the score
-# biases, which the row softmax cancels. Drawing them keeps every kept
-# value at the bits it had when they were parameters.
-_DRAW_SPECS = [
-    ("w_dep_proj", ("d_seq", "d_v"), "d_v"),
-    ("w_sem_proj", ("d_seq", "d_v"), "d_v"),
-    (None, ("d_seq", "d_v"), "d_v"),     # sem query weights
-    (None, ("d_seq",), "d_v"),           # sem query bias
-    (None, ("d_seq", "d_v"), "d_v"),     # dep query weights
-    (None, ("d_seq",), "d_v"),           # dep query bias
-    ("w_dep_score", ("d_seq",), "two_seq"),
-    (None, ("d_seq",), "two_seq"),       # query half of the dep score
-    (None, (), "two_seq"),               # dep score bias
-    ("w_sem_score", ("d_seq",), "two_seq"),
-    (None, ("d_seq",), "two_seq"),       # query half of the sem score
-    (None, (), "two_seq"),               # sem score bias
-    ("w_dep_hidden", ("d_hid", "d_v"), "d_v"),
-    ("b_dep_hidden", ("d_hid",), "d_v"),
-    ("w_sem_hidden", ("d_hid", "d_v"), "d_v"),
-    ("b_sem_hidden", ("d_hid",), "d_v"),
-    ("w_fusion_gate", ("two_hid",), "two_hid"),
-    ("w_value", ("d_v", "d_hid"), "d_hid"),
-    ("b_value", ("d_v",), "d_hid"),
-    ("w_output", ("d_v", "d_hid"), "d_hid"),
-    ("b_output", ("d_v",), "d_hid"),
-    ("w_filter_gate", ("two_v",), "two_v"),
-]
-_PARAM_SPECS = [spec for spec in _DRAW_SPECS if spec[0] is not None]
 
-PARAM_FIELDS = [name for name, _, _ in _PARAM_SPECS]
+def _draws(d_seq: int, d_v: int, d_hid: int) -> list[tuple[str | None, tuple, int]]:
+    """(field, shape, fan_in) of every seeded draw, in draw order.
+
+    A None field is drawn and discarded: the pooling query weights, the query half of each
+    score vector and the score biases, which the row softmax cancels. Drawing them keeps
+    every kept value at the bits it had when they were parameters.
+    """
+    return [
+        ("w_dep_proj", (d_seq, d_v), d_v),
+        ("w_sem_proj", (d_seq, d_v), d_v),
+        (None, (d_seq, d_v), d_v),          # sem query weights
+        (None, (d_seq,), d_v),              # sem query bias
+        (None, (d_seq, d_v), d_v),          # dep query weights
+        (None, (d_seq,), d_v),              # dep query bias
+        ("w_dep_score", (d_seq,), 2 * d_seq),
+        (None, (d_seq,), 2 * d_seq),        # query half of the dep score
+        (None, (), 2 * d_seq),              # dep score bias
+        ("w_sem_score", (d_seq,), 2 * d_seq),
+        (None, (d_seq,), 2 * d_seq),        # query half of the sem score
+        (None, (), 2 * d_seq),              # sem score bias
+        ("w_dep_hidden", (d_hid, d_v), d_v),
+        ("b_dep_hidden", (d_hid,), d_v),
+        ("w_sem_hidden", (d_hid, d_v), d_v),
+        ("b_sem_hidden", (d_hid,), d_v),
+        ("w_fusion_gate", (2 * d_hid,), 2 * d_hid),
+        ("w_value", (d_v, d_hid), d_hid),
+        ("b_value", (d_v,), d_hid),
+        ("w_output", (d_v, d_hid), d_hid),
+        ("b_output", (d_v,), d_hid),
+        ("w_filter_gate", (2 * d_v,), 2 * d_v),
+    ]
 
 
-def _dims_map(d_seq: int, d_v: int, d_hid: int) -> dict[str, int]:
-    return {
-        "d_seq": d_seq,
-        "d_v": d_v,
-        "d_hid": d_hid,
-        "two_seq": 2 * d_seq,
-        "two_hid": 2 * d_hid,
-        "two_v": 2 * d_v,
-    }
+PARAM_FIELDS = [name for name, _, _ in _draws(1, 1, 1) if name is not None]
+
+
+def _float_array(name: str, value) -> np.ndarray:
+    """A parsed JSON array as float64, in which every cell must be a JSON number.
+
+    numpy alone would read the string "1e3" as 1000.0 and true as 1.0. A string, boolean,
+    null or (in a ragged array) nested list raises a ValueError that names `name`.
+    """
+    cells = np.asarray(value, dtype=object)
+    for cell in cells.flat:
+        if type(cell) not in (int, float):
+            raise ValueError(f"{name!r} must be an array of numbers of one shape, "
+                             f"found {cell!r:.40}")
+    return cells.astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,23 +95,24 @@ class FusionParams:
     (d_seq, d_seq), and w_dep_score / w_sem_score contract its tanh into
     one score row. Gates: *_hidden transform the refined vectors to
     d_hid, w_fusion_gate blends them, w_value / w_output map the blend
-    back to d_v, and w_filter_gate scales the final feature.
+    back to d_v, and w_filter_gate scales the final feature. `_draws`
+    lists each weight's shape and init fan-in.
     """
 
-    w_dep_proj: np.ndarray    # (d_seq, d_v)
-    w_sem_proj: np.ndarray    # (d_seq, d_v)
-    w_dep_score: np.ndarray   # (d_seq,)
-    w_sem_score: np.ndarray   # (d_seq,)
-    w_dep_hidden: np.ndarray  # (d_hid, d_v)
-    b_dep_hidden: np.ndarray  # (d_hid,)
-    w_sem_hidden: np.ndarray  # (d_hid, d_v)
-    b_sem_hidden: np.ndarray  # (d_hid,)
-    w_fusion_gate: np.ndarray # (2 * d_hid,)
-    w_value: np.ndarray       # (d_v, d_hid)
-    b_value: np.ndarray       # (d_v,)
-    w_output: np.ndarray      # (d_v, d_hid)
-    b_output: np.ndarray      # (d_v,)
-    w_filter_gate: np.ndarray # (2 * d_v,)
+    w_dep_proj: np.ndarray
+    w_sem_proj: np.ndarray
+    w_dep_score: np.ndarray
+    w_sem_score: np.ndarray
+    w_dep_hidden: np.ndarray
+    b_dep_hidden: np.ndarray
+    w_sem_hidden: np.ndarray
+    b_sem_hidden: np.ndarray
+    w_fusion_gate: np.ndarray
+    w_value: np.ndarray
+    b_value: np.ndarray
+    w_output: np.ndarray
+    b_output: np.ndarray
+    w_filter_gate: np.ndarray
 
     @property
     def d_seq(self) -> int:
@@ -120,38 +127,35 @@ class FusionParams:
         return self.w_dep_hidden.shape[0]
 
     def __post_init__(self):
-        # convert every field first: from_dict hands over plain lists, and d_seq etc. read shapes
+        # convert every field first: callers may pass lists, and d_seq etc. read shapes
         for name in PARAM_FIELDS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        dims = _dims_map(self.d_seq, self.d_v, self.d_hid)
-        for name, shape_spec, _ in _PARAM_SPECS:
+        if self.w_dep_proj.ndim != 2 or self.w_dep_hidden.ndim != 2:
+            raise ValueError("w_dep_proj and w_dep_hidden, which fix d_seq, d_v and d_hid, "
+                             "must be 2-D")
+        shapes = {name: shape for name, shape, _ in _draws(self.d_seq, self.d_v, self.d_hid)}
+        for name in PARAM_FIELDS:
             value = getattr(self, name)
-            expected = tuple(dims[s] for s in shape_spec)
-            if value.shape != expected:
-                raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
+            if value.shape != shapes[name]:
+                raise ValueError(f"{name} has shape {value.shape}, expected {shapes[name]}")
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"fusion params {name!r} must be finite")
 
     @classmethod
     def init(cls, d_seq: int, d_v: int, d_hid: int, seed) -> "FusionParams":
-        """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn in _DRAW_SPECS order."""
+        """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn in _draws order."""
         if min(d_seq, d_v, d_hid) < 1:
             raise ValueError("d_seq, d_v, d_hid must all be >= 1")
         rng = np.random.default_rng(seed)
-        dims = _dims_map(d_seq, d_v, d_hid)
         values = {}
-        for name, shape_spec, fan_spec in _DRAW_SPECS:
-            bound = 1.0 / math.sqrt(dims[fan_spec])
-            values[name] = rng.uniform(-bound, bound, tuple(dims[s] for s in shape_spec))
+        for name, shape, fan_in in _draws(d_seq, d_v, d_hid):
+            bound = 1.0 / math.sqrt(fan_in)
+            values[name] = rng.uniform(-bound, bound, shape)
         values.pop(None)
         return cls(**values)
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
-
-    @classmethod
-    def from_dict(cls, values: dict) -> "FusionParams":
-        return cls(**{name: values[name] for name in PARAM_FIELDS})
 
     def to_json(self) -> str:
         payload = {name: v.tolist() for name, v in self.to_dict().items()}
@@ -168,7 +172,7 @@ class FusionParams:
         unknown = sorted(set(data) - set(PARAM_FIELDS))
         if unknown:
             raise ValueError(f"fusion params JSON has unknown keys {unknown}")
-        return cls.from_dict(data)
+        return cls(**{name: _float_array(name, value) for name, value in data.items()})
 
 
 @dataclass(frozen=True, eq=False)

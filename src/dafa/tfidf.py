@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -26,9 +27,11 @@ class TfIdfModel:
     df: Mapping[str, int]
 
     def __post_init__(self):
-        # type() rather than isinstance(): a JSON true is a bool, and bool subclasses int
-        if type(self.doc_count) is not int or self.doc_count < 1:
-            raise ValueError(f"doc_count must be an integer >= 1, got {self.doc_count!r}")
+        # type() rather than isinstance(): a JSON true is a bool, and bool subclasses int;
+        # idf divides 1 + doc_count as a float, so a float must hold it
+        if type(self.doc_count) is not int or not 1 <= self.doc_count <= sys.float_info.max:
+            raise ValueError(f"doc_count must be an integer >= 1 that a float can hold, "
+                             f"got {self.doc_count!r}")
         for form, count in self.df.items():
             # idf() looks up the lowercased form, so any other key could never match
             if not isinstance(form, str) or form != form.lower():

@@ -134,7 +134,7 @@ def per_head_attention(x, params, calibration):
 def zero_fusion_params(d_seq, d_v, d_hid):
     """FusionParams of the given sizes with every weight 0."""
     shapes = FusionParams.init(d_seq, d_v, d_hid, seed=0).to_dict()
-    return FusionParams.from_dict({name: np.zeros_like(v) for name, v in shapes.items()})
+    return FusionParams(**{name: np.zeros_like(v) for name, v in shapes.items()})
 
 
 def naive_write_heatmap_csv(path, row_labels, col_labels, matrix) -> None:

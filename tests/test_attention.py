@@ -264,6 +264,16 @@ class TestMultiHead:
         assert np.array_equal(first.w_q, second.w_q)
         assert np.array_equal(first.w_v, second.w_v)
 
+    def test_init_keeps_the_paper_draw(self):
+        # unequal sizes, so a swapped shape or a fan-in other than d_model changes the bits
+        cfg = AttnConfig(d_model=6, heads=3, d_k=4, d_v=5, d_seq=7)
+        params = AttnParams.init(cfg, seed=24)
+        rng = np.random.default_rng(24)
+        bound = 1.0 / math.sqrt(6)
+        for name, width in (("w_q", 4), ("w_k", 4), ("w_v", 5)):
+            expected = rng.uniform(-bound, bound, (3, 6, width))
+            assert getattr(params, name).tobytes() == expected.tobytes(), name
+
     def test_signals_are_weights_times_values(self):
         cfg = self.config(heads=2)
         params = AttnParams.init(cfg, seed=22)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -349,23 +350,60 @@ def _params_with(**changes):
 ZERO_SIGNALS = json.dumps({"sem": np.zeros((3, 2)).tolist(), "dep": np.zeros((3, 2)).tolist()})
 
 
-@pytest.mark.parametrize("flag, text", [
-    ("--params", _params_with(b_output=[0.1, [0.2]])),
-    ("--params", _params_with(w_dep_proj={"a": 1})),
-    ("--signals", json.dumps({"sem": {"0": [0.0]}, "dep": {"0": [0.0]}})),
-    ("--signals", json.dumps({"sem": [["x", "y"]], "dep": [["x", "y"]]})),
-], ids=["params-list-scalar", "params-dict-array", "signals-dict", "signals-non-numeric"])
-def test_malformed_input_file_is_input_error(tmp_path, capsys, flag, text):
+DEEP = "[" * 100_000 + "]" * 100_000          # deeper than Python's recursion limit
+HUGE = 10 ** 400                                # a JSON integer no float can hold
+
+
+def _signals_with(**changes):
+    return json.dumps({**json.loads(ZERO_SIGNALS), **changes})
+
+
+@pytest.mark.parametrize("flag, text, key", [
+    ("--params", _params_with(b_output=[0.1, [0.2]]), "b_output"),
+    ("--params", _params_with(w_dep_proj={"a": 1}), "w_dep_proj"),
+    ("--signals", json.dumps({"sem": {"0": [0.0]}, "dep": {"0": [0.0]}}), "sem"),
+    ("--signals", json.dumps({"sem": [["x", "y"]], "dep": [["x", "y"]]}), "sem"),
+    ("--signals", _signals_with(sem=[["1", "2"], ["3", "4"], ["5", "6"]]), "sem"),
+    ("--signals", _signals_with(dep=[[True, False], [0, 1], [0, 0]]), "dep"),
+    ("--signals", _signals_with(dep=[[0, 0], [0, None], [0, 0]]), "dep"),
+    ("--params", _params_with(b_output=["0.5", "1e3"]), "b_output"),
+    ("--params", _params_with(b_output=[True, 1]), "b_output"),
+    ("--params", _params_with(b_output=[None, 1]), "b_output"),
+    ("--params", _params_with(w_dep_proj=[0.1, 0.2]), "w_dep_proj"),
+    ("--signals", _signals_with(sem=[[HUGE, 0], [0, 0], [0, 0]]), None),
+    ("--params", _params_with(b_output=[HUGE, 0]), None),
+    ("--tfidf", json.dumps({"doc_count": HUGE, "df": {}}), "doc_count"),
+    ("--pairs", DEEP, None),
+    ("--tfidf", DEEP, None),
+    ("--signals", DEEP, None),
+    ("--params", DEEP, None),
+], ids=["params-list-scalar", "params-dict-array", "signals-dict", "signals-non-numeric",
+        "signals-numeric-string", "signals-bool", "signals-null", "params-numeric-string",
+        "params-bool", "params-null", "params-1d-proj", "signals-huge-int", "params-huge-int",
+        "tfidf-huge-doc-count", "pairs-deep", "tfidf-deep", "signals-deep", "params-deep"])
+def test_malformed_input_file_is_input_error(tmp_path, capsys, flag, text, key):
     bad = tmp_path / "bad.json"
     bad.write_text(text, encoding="utf-8")
     out = tmp_path / "out.json"
     signals = tmp_path / "signals.json"
     signals.write_text(ZERO_SIGNALS, encoding="utf-8")
-    argv = ["fuse", flag, str(bad)] + (["--signals", str(signals)] if flag == "--params" else [])
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"a": conllu_block(PAIR_A), "b": conllu_block(PAIR_B)}) + "\n",
+                     encoding="utf-8")
+    tfidf = tmp_path / "tfidf.json"
+    tfidf.write_text(TfIdfModel(doc_count=1, df={}).to_json(), encoding="utf-8")
+    argv = {
+        "--params": ["fuse", "--signals", str(signals), "--params", str(bad)],
+        "--signals": ["fuse", "--signals", str(bad)],
+        "--pairs": ["matrix", "--pairs", str(bad), "--tfidf", str(tfidf)],
+        "--tfidf": ["matrix", "--pairs", str(pairs), "--tfidf", str(bad)],
+    }[flag]
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:")
     assert "Traceback" not in err and "unknown" not in err
+    if key is not None:
+        assert repr(key) in err or f"{key} " in err, err
     assert not out.exists()
 
 
@@ -772,6 +810,14 @@ class TestArgumentErrors:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "tfidf" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["attend", "demo"])
+    def test_help_shows_the_layer_size_defaults(self, capsys, command):
+        assert run([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, default in (("--d-model", 16), ("--heads", 2), ("--d-k", 8), ("--d-v", 8)):
+            metavar = flag[2:].replace("-", "_").upper()
+            assert re.search(rf"{flag} {metavar} [^-]*\(default {default}\)", text), flag
 
     # argparse keeps the last value of a repeated flag; here a second value, also under an
     # abbreviation, exits 2 before any input is read or output written

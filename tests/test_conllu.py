@@ -248,6 +248,11 @@ class TestReadPairs:
         with pytest.raises(ConlluError, match="line 1"):
             read_pairs("{not json")
 
+    def test_json_nested_past_the_recursion_limit_names_its_line(self):
+        record = json.dumps({"a": TWO_TOKEN_BLOCK, "b": TWO_TOKEN_BLOCK})
+        with pytest.raises(ConlluError, match="line 2: invalid JSON record"):
+            read_pairs(record + "\n" + "[" * 100_000 + "]" * 100_000)
+
     def test_missing_field(self):
         with pytest.raises(ConlluError, match="'a' and 'b'"):
             read_pairs(json.dumps({"id": "x", "a": TWO_TOKEN_BLOCK}))

@@ -1,13 +1,18 @@
 """Dependency matrix tests, checked against naive re-implementations and hand arithmetic."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 import sys
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dafa
 from conftest import (
     make_sentence,
     naive_subgraph,
@@ -240,6 +245,23 @@ class TestEmbedCalibration:
         for mf in (np.zeros((2, 2)), np.zeros(6), np.zeros((2, 3, 1))):
             with pytest.raises(ValueError, match="spans"):
                 embed_calibration(mf, packed_layout(2, 3))
+
+
+def test_every_annotation_in_dafa_resolves():
+    # get_type_hints evaluates each annotation, so a name its module never imports fails here
+    for info in pkgutil.iter_modules(dafa.__path__):
+        module = importlib.import_module(f"dafa.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                typing.get_type_hints(obj)
+            elif inspect.isclass(obj):
+                typing.get_type_hints(obj)
+                for attr in vars(obj).values():
+                    func = getattr(attr, "__func__", getattr(attr, "fget", attr))
+                    if inspect.isfunction(func):
+                        typing.get_type_hints(func)
 
 
 class TestConfigs:

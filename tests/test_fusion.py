@@ -68,8 +68,8 @@ def paper_init(d_seq, d_v, d_hid, seed, scale=1.0) -> dict:
 def read_params(w) -> FusionParams:
     """The weights of a paper set that the forward reads."""
     d_seq = w["w_dep_proj"].shape[0]
-    return FusionParams.from_dict(
-        {name: w[name][:d_seq] if name.endswith("_score") else w[name] for name in PARAM_FIELDS})
+    return FusionParams(
+        **{name: w[name][:d_seq] if name.endswith("_score") else w[name] for name in PARAM_FIELDS})
 
 
 def naive_forward_trace(sem, dep, w) -> dict:
@@ -221,7 +221,7 @@ def random_signals(seed, d_seq, d_v, scale=1.0):
 
 
 def with_values(params, **values):
-    return FusionParams.from_dict({**params.to_dict(), **values})
+    return FusionParams(**{**params.to_dict(), **values})
 
 
 class TestSemanticGuided:
@@ -528,7 +528,7 @@ class TestFusionParams:
         values = zero_fusion_params(2, 2, 2).to_dict()
         values["w_dep_score"] = np.zeros(3)
         with pytest.raises(ValueError, match="w_dep_score"):
-            FusionParams.from_dict(values)
+            FusionParams(**values)
 
     @pytest.mark.parametrize("name, value", [("b_output", math.nan), ("w_dep_score", math.inf),
                                              ("b_sem_hidden", -math.inf)])
@@ -542,7 +542,7 @@ class TestFusionParams:
         # no FusionParams holds a non-finite weight, so none can reach fuse or to_json
         values = FusionParams.init(2, 2, 2, seed=24).to_dict()
         with pytest.raises(ValueError, match="fusion params 'b_output' must be finite"):
-            FusionParams.from_dict({**values, "b_output": np.array([np.nan, 0.0])})
+            FusionParams(**{**values, "b_output": np.array([np.nan, 0.0])})
         with pytest.raises(ValueError, match="fusion params 'w_value' must be finite"):
             FusionParams(**{**values, "w_value": np.full((2, 2), np.inf)})
 
@@ -582,7 +582,7 @@ class TestForwardTraceLeadingAxes:
                 for key, value in single.items():
                     assert trace[key][i].tobytes() == value.tobytes(), (i, key)
         # `fuse` on the stack (as dafa_layer calls it, one slice per head) equals the 2-D calls
-        fusion_params = FusionParams.from_dict(params[0])
+        fusion_params = FusionParams(**params[0])
         stacked_out = fuse(sem, dep, fusion_params)
         slices = [fuse(sem[i], dep[i], fusion_params) for i in range(b)]
         for field in dataclasses.fields(FusionOutput):

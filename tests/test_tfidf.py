@@ -137,6 +137,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             TfIdfModel.from_json(text)
 
+    def test_doc_count_no_float_holds_rejected(self):
+        # idf divides (1 + doc_count) as a float, which a 401-digit integer overflows
+        with pytest.raises(ValueError, match="doc_count"):
+            TfIdfModel.from_json(json.dumps({"doc_count": 10 ** 400, "df": {"a": 1}}))
+        assert TfIdfModel(doc_count=10 ** 308, df={"a": 1}).idf("a") > 700
+
     @pytest.mark.parametrize("df", [{"Apple": 1}, {"Apple": 2, "apple": 1}])
     def test_key_idf_could_never_match_rejected(self, df):
         # idf() lowercases the form before the lookup, so "Apple" would be a dead count

@@ -18,7 +18,8 @@ from .conllu import SentencePair, parse_conllu, read_pairs
 from .depmatrix import DepMatrixConfig, _combine_matrices, base_matrix, subgraph_matrix
 from .fusion import FusionParams, _float_array, fuse
 from .gradcheck import DEFAULT_EPS, DEFAULT_TOL, GradCheckConfig, check
-from .pipeline import EmbeddingTable, build_layout, dafa_layer, pair_attention, write_heatmap_csv
+from .pipeline import (EmbeddingTable, PairLayout, build_layout, dafa_layer, pair_attention,
+                       write_heatmap_csv)
 from .tfidf import TfIdfModel
 
 DEFAULT_SEED = 42
@@ -68,6 +69,11 @@ def _naming(pair: SentencePair):
         yield
     except ValueError as exc:
         raise ValueError(f"pair {pair.pair_id!r}: {exc}") from None
+
+
+def _layout(pair: SentencePair) -> PairLayout:
+    with _naming(pair):
+        return build_layout(pair.a, pair.b)
 
 
 def _non_negative(source: str, seed: int) -> int:
@@ -172,7 +178,7 @@ def _cmd_attend(args) -> int:
         print(f"note: {args.pair} has {len(pairs)} pair records; using the first, "
               f"{pair.pair_id!r}", file=sys.stderr)
     seed = _seed(args)
-    layout = build_layout(pair.a, pair.b)
+    layout = _layout(pair)
     config = _attn_config(args, layout.d_seq)
     model = _pair_tfidf(_load(args.tfidf, TfIdfModel.from_json) if args.tfidf else None, pair)
     dep_config = _dep_config(args)
@@ -251,7 +257,7 @@ def _cmd_demo(args) -> int:
     seed = _seed(args)
     # every setting is checked before the output directory exists
     dep_config = _dep_config(args)
-    configs = [_attn_config(args, build_layout(pair.a, pair.b).d_seq) for pair in pairs]
+    configs = [_attn_config(args, _layout(pair).d_seq) for pair in pairs]
     if args.d_hid < 1:
         raise ValueError(f"d_hid must be >= 1, got {args.d_hid}")
     # the attention weights do not depend on d_seq, so one seeded set serves every pair

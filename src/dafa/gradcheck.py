@@ -6,7 +6,9 @@ the same forward trace the operations use; the oracle re-estimates each
 scalar parameter's gradient with central finite differences. The oracle
 is batched: it stacks the +eps and -eps copies of a block of scalars
 along one leading axis and evaluates the loss once per block, through
-the same forward, which takes leading axes. A parameter
+the same forward, which takes leading axes. A block holds as many
+scalars as keep the call's stacked working set within a fixed cell
+budget, so a small check is one loss call. A parameter
 passes when its relative error is below the tolerance or its absolute
 error is below a small floor (which absorbs parameters whose true
 gradient is zero, where relative error is meaningless).
@@ -28,9 +30,10 @@ DEFAULT_TOL = 1e-5
 ABS_FLOOR = 1e-8
 _REL_DENOM_FLOOR = 1e-12
 
-# scalars perturbed per batched loss call (each gives a +eps and a -eps row); bounds the
-# stacked arrays' memory
-_FD_BLOCK = 32
+# cells one batched loss call may stack (16 MiB of float64): 2 rows per perturbed scalar times
+# the loss's per-row working set. Counting the forward's per-row blocks as well as the point
+# bounds the largest arrays the forward builds, not only the perturbed rows.
+_FD_CELLS = 2 ** 21
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -47,15 +50,18 @@ def probe_loss(output):
     return 0.5 * np.sum(matrix * matrix, axis=(-2, -1))
 
 
-def fd_gradient(f, params: dict, eps: float = DEFAULT_EPS) -> dict:
+def fd_gradient(f, params: dict, eps: float = DEFAULT_EPS, row_cells: int = 0) -> dict:
     """Central-difference gradient of a loss over a dict of arrays, evaluated in batches.
 
     `f` takes a dict holding every array of `params` with one extra leading
     axis of R rows, and returns R finite losses, one per row (shape (R,)).
     The scalars of all arrays, in dict order and then in C order, are
-    perturbed in blocks of up to 32: in a block's call, row 2j holds block
-    scalar j raised by eps and row 2j+1 holds it lowered by eps, and every
-    other entry of each row is unperturbed.
+    perturbed in blocks: in a block's call, row 2j holds block scalar j
+    raised by eps and row 2j+1 holds it lowered by eps, and every other
+    entry of each row is unperturbed. A row's working set is the point's
+    scalars plus `row_cells`, the cells `f` builds per row beyond them; a
+    block holds as many scalars as keep 2 rows each times that working set
+    within `_FD_CELLS`, and at least one.
     """
     _require_positive("eps", eps)
     base = {name: np.array(value, dtype=np.float64) for name, value in params.items()}
@@ -69,8 +75,9 @@ def fd_gradient(f, params: dict, eps: float = DEFAULT_EPS) -> dict:
 
     point = np.concatenate([value.ravel() for value in base.values()])
     grad = np.empty(point.size)
-    for lo in range(0, point.size, _FD_BLOCK):
-        count = min(_FD_BLOCK, point.size - lo)
+    block = max(1, _FD_CELLS // (2 * (point.size + row_cells)))
+    for lo in range(0, point.size, block):
+        count = min(block, point.size - lo)
         rows = np.repeat(point[None], 2 * count, axis=0)
         j = np.arange(count)
         rows[2 * j, lo + j] += eps
@@ -221,20 +228,29 @@ def compare_gradients(analytic: dict, fd: dict, tol: float):
     """Per-parameter max errors plus the overall pass flag.
 
     A scalar entry passes when |analytic - fd| / max(|analytic|, |fd|, 1e-12)
-    is below tol, or when the absolute difference is below ABS_FLOOR.
+    is below tol, or when the absolute difference is below ABS_FLOOR. Both
+    dicts must hold the same names, each a non-empty array of one shape in
+    both; the entries are compared in one pass over their concatenation.
     """
-    rel_errors, abs_errors, passed = {}, {}, True
-    for name in analytic:
-        a = np.atleast_1d(np.asarray(analytic[name], dtype=np.float64))
-        f = np.atleast_1d(np.asarray(fd[name], dtype=np.float64))
-        diff = np.abs(a - f)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), _REL_DENOM_FLOOR)
-        rel = diff / denom
-        ok = np.all((rel < tol) | (diff < ABS_FLOOR))
-        passed = passed and bool(ok)
-        rel_errors[name] = float(rel.max())
-        abs_errors[name] = float(diff.max())
-    return rel_errors, abs_errors, passed
+    a = {name: np.asarray(value, dtype=np.float64) for name, value in analytic.items()}
+    f = {name: np.asarray(value, dtype=np.float64) for name, value in fd.items()}
+    for name in {**a, **f}:
+        if name not in a or name not in f:
+            only = "an analytic" if name in a else "a finite-difference"
+            raise ValueError(f"parameter {name!r} has only {only} gradient")
+        if a[name].shape != f[name].shape or a[name].size == 0:
+            raise ValueError(f"parameter {name!r}: analytic gradient has shape "
+                             f"{a[name].shape}, finite-difference gradient {f[name].shape}; "
+                             "expected one non-empty shape")
+    sizes = [value.size for value in a.values()]
+    flat_a = np.concatenate([value.ravel() for value in a.values()])
+    flat_f = np.concatenate([f[name].ravel() for name in a])
+    diff = np.abs(flat_a - flat_f)
+    rel = diff / np.maximum(np.maximum(np.abs(flat_a), np.abs(flat_f)), _REL_DENOM_FLOOR)
+    starts = np.cumsum([0] + sizes[:-1])
+    rel_errors = dict(zip(a, np.maximum.reduceat(rel, starts).tolist()))
+    abs_errors = dict(zip(a, np.maximum.reduceat(diff, starts).tolist()))
+    return rel_errors, abs_errors, bool(np.all((rel < tol) | (diff < ABS_FLOOR)))
 
 
 def _fuse_case(cfg: GradCheckConfig, rng):
@@ -280,6 +296,9 @@ def check(
     _require_positive("eps", eps)
     if op_name not in _CASES:
         raise ValueError(f"unknown op {op_name!r}; expected one of {OP_NAMES}")
-    analytic, loss, point = _CASES[op_name](config or GradCheckConfig(), np.random.default_rng(seed))
-    fd = fd_gradient(loss, point, eps)
+    config = config or GradCheckConfig()
+    analytic, loss, point = _CASES[op_name](config, np.random.default_rng(seed))
+    # each op's forward builds two (d_seq, d_seq) blocks per row: t_dep and t_sem in fuse,
+    # the logits and the weights in attention
+    fd = fd_gradient(loss, point, eps, row_cells=2 * config.d_seq ** 2)
     return GradReport(op_name, seed, tol, eps, *compare_gradients(analytic, fd, tol))

@@ -47,8 +47,23 @@ class PairLayout:
         return range(self.n + 2, len(self.tokens) - 1)
 
 
+# dafa_layer's peak memory holds about LAYER_PEAK_ARRAYS (L, L) float64 arrays at L = n + m + 3
+# (traced with two heads); a pair whose estimate exceeds MAX_LAYER_BYTES is rejected before
+# any of them is allocated
+LAYER_PEAK_ARRAYS = 11
+MAX_LAYER_BYTES = 2 ** 30
+
+
 def build_layout(a: DepSentence, b: DepSentence) -> PairLayout:
-    """The packed tokens of a pair, with separators at positions 0, n+1 and n+m+2."""
+    """The packed tokens of a pair, with separators at positions 0, n+1 and n+m+2.
+
+    A pair whose estimated `dafa_layer` peak exceeds MAX_LAYER_BYTES is a ValueError.
+    """
+    d_seq = a.n + b.n + 3
+    peak = LAYER_PEAK_ARRAYS * 8 * d_seq ** 2
+    if peak > MAX_LAYER_BYTES:
+        raise ValueError(f"packed length L = {d_seq} (n = {a.n}, m = {b.n}) needs about "
+                         f"{peak:,} bytes, over the layer budget of {MAX_LAYER_BYTES:,} bytes")
     return PairLayout(tokens=(CLS_TOKEN, *a.forms(), SEP_TOKEN, *b.forms(), SEP_TOKEN), n=a.n)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import conllu_block, naive_write_heatmap_csv
-from dafa import cli
+from dafa import cli, pipeline
 from dafa.attention import AttnConfig, AttnParams
 from dafa.cli import DEFAULT_D_HID, _build_parser, run
 from dafa.conllu import read_pairs
@@ -760,6 +760,30 @@ def test_failing_later_pair_leaves_no_output(tmp_path, capsys, tfidf_file):
     assert [p.name for p in out.iterdir()] == ["fine.json"]
     assert (out / "fine.json").read_text(encoding="utf-8") == "old"
     assert staging_leftovers(out.parent) == []
+
+
+@pytest.mark.parametrize("command", ["attend", "demo"])
+def test_pair_over_the_layer_budget_rejected_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             tfidf_file, command):
+    # the star pair packs to L = 11, the pair before it to L = 5; the budget admits only L <= 10.
+    # attend uses its file's first record, so its file holds the star pair alone
+    records = [{"id": "fine", "a": conllu_block([("one", 0, "root")]),
+                "b": conllu_block([("two", 0, "root")])},
+               {"id": "star", "a": conllu_block(STAR), "b": conllu_block(STAR)}]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(json.dumps(r) + "\n" for r in records[command == "attend":]),
+                     encoding="utf-8")
+    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", pipeline.LAYER_PEAK_ARRAYS * 8 * 10 ** 2)
+    computed = []
+    monkeypatch.setattr(cli, "pair_attention", lambda *a: computed.append(a))
+    monkeypatch.setattr(cli, "dafa_layer", lambda *a, **k: computed.append(a))
+    out = tmp_path / "out"
+    flag = "--pair" if command == "attend" else "--pairs"
+    assert run([command, flag, str(pairs), "--tfidf", str(tfidf_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: pair 'star': packed length L = 11 (n = 4, m = 4) "
+                                       "needs about 10,648 bytes, over the layer budget of "
+                                       "8,800 bytes\n")
+    assert computed == [] and not out.exists() and staging_leftovers(tmp_path) == []
 
 
 def test_out_naming_a_file_rejected_before_any_pair(tmp_path, capsys, monkeypatch, pairs_file,

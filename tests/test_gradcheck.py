@@ -12,6 +12,7 @@ from dafa import gradcheck
 from dafa.attention import dep_attention, sem_attention
 from dafa.fusion import PARAM_FIELDS, FusionParams, _forward_trace, fuse
 from dafa.gradcheck import (
+    ABS_FLOOR,
     OP_NAMES,
     GradCheckConfig,
     check,
@@ -128,21 +129,25 @@ class TestFdGradient:
         d_v=st.integers(1, 8), d_hid=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
     )
-    # attention scalar counts d_seq * (2 d_k + d_v): 3, 31, 32 (one full block), 33, 34
+    # attention scalar counts d_seq * (2 d_k + d_v): 3, 31, 32, 33 and 34, each one block (one
+    # loss call), as is every check the strategy draws
     @example(op="sem_attention", d_seq=1, d_k=1, d_v=1, d_hid=1, seed=0)
     @example(op="dep_attention", d_seq=1, d_k=8, d_v=15, d_hid=1, seed=1)
     @example(op="sem_attention", d_seq=4, d_k=3, d_v=2, d_hid=1, seed=2)
     @example(op="dep_attention", d_seq=3, d_k=5, d_v=1, d_hid=1, seed=3)
     @example(op="dep_attention", d_seq=2, d_k=8, d_v=1, d_hid=1, seed=4)
-    # fuse: 26 scalars at all sizes 1; 538 scalars, 17 blocks, several arrays per block
+    # fuse: 26 scalars at all sizes 1; 538 scalars, the largest drawn check, still one block
+    # with every array in it (2 * 538 rows of 538 + 2 * 6**2 cells fit the budget)
     @example(op="fuse", d_seq=1, d_k=1, d_v=1, d_hid=1, seed=5)
     @example(op="fuse", d_seq=6, d_k=1, d_v=8, d_hid=5, seed=6)
+    # 270 scalars whose rows each hold 270 + 2 * 90**2 cells: blocks of 63, the fifth holds 18
+    @example(op="sem_attention", d_seq=90, d_k=1, d_v=1, d_hid=1, seed=7)
     def test_check_matches_per_scalar_oracle(self, op, d_seq, d_k, d_v, d_hid, seed):
         """`check`'s batched gradients equal the per-scalar loop on the same loss."""
         calls = []
 
-        def recording_fd_gradient(f, params, eps):
-            grads = fd_gradient(f, params, eps)
+        def recording_fd_gradient(f, params, eps, row_cells):
+            grads = fd_gradient(f, params, eps, row_cells)
             calls.append((f, params, eps, grads))
             return grads
 
@@ -160,6 +165,104 @@ class TestFdGradient:
         worst = max(float(np.max(np.abs(batched[name] - oracle[name]))) for name in oracle)
         target(worst, label="max |batched - per-scalar| gradient")
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize("op", OP_NAMES)
+    def test_block_size_does_not_change_gradients(self, op):
+        """One scalar per loss call gives the bits of the default single call."""
+        cases = []
+
+        def recording_fd_gradient(f, params, eps, row_cells):
+            cases.append((f, params, eps, row_cells))
+            return fd_gradient(f, params, eps, row_cells)
+
+        config = GradCheckConfig(d_seq=5, d_k=4, d_v=3, d_hid=2)
+        with mock.patch.object(gradcheck, "fd_gradient", recording_fd_gradient):
+            check(op, config, seed=13)
+        (f, params, eps, row_cells), = cases
+        rows = []
+
+        def counting(values):
+            rows.append(len(next(iter(values.values()))))
+            return f(values)
+
+        size = sum(np.size(value) for value in params.values())
+        one_call = fd_gradient(counting, params, eps, row_cells)
+        assert rows == [2 * size]
+        rows.clear()
+        with mock.patch.object(gradcheck, "_FD_CELLS", 1):
+            per_scalar = fd_gradient(counting, params, eps, row_cells)
+        assert rows == [2] * size
+        assert list(per_scalar) == list(one_call)
+        for name in one_call:
+            assert per_scalar[name].tobytes() == one_call[name].tobytes(), name
+
+
+def naive_compare_gradients(analytic: dict, fd: dict, tol: float):
+    """Per-name errors and pass flag, one numpy pass per name (reference)."""
+    rel_errors, abs_errors, passed = {}, {}, True
+    for name in analytic:
+        a = np.atleast_1d(np.asarray(analytic[name], dtype=np.float64))
+        f = np.atleast_1d(np.asarray(fd[name], dtype=np.float64))
+        diff = np.abs(a - f)
+        rel = diff / np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-12)
+        passed = passed and bool(np.all((rel < tol) | (diff < ABS_FLOOR)))
+        rel_errors[name] = float(rel.max())
+        abs_errors[name] = float(diff.max())
+    return rel_errors, abs_errors, passed
+
+
+class TestCompareGradients:
+    def test_fixed_entries_match_reference(self):
+        analytic = {
+            "w": np.array([[1.0, -2.0], [0.5, 0.25]]),
+            "b": np.float64(3.0),          # 0-d
+            "z": np.zeros(3),              # true gradient zero
+        }
+        fd = {
+            "w": analytic["w"] + np.array([[1e-7, 0.0], [-3e-8, 0.0]]),
+            "b": np.float64(3.0 + 3e-6),
+            "z": np.array([0.0, 5e-9, -2e-9]),
+        }
+        result = compare_gradients(analytic, fd, tol=1e-5)
+        assert result == naive_compare_gradients(analytic, fd, tol=1e-5)
+        rel_errors, abs_errors, passed = result
+        assert list(rel_errors) == list(abs_errors) == ["w", "b", "z"]
+        # "z" passes only through ABS_FLOOR: its relative error is 1
+        assert rel_errors["z"] == 1.0 and abs_errors["z"] == 5e-9 < ABS_FLOOR
+        assert passed
+        fd["z"] = np.array([0.0, 2e-8, 0.0])
+        assert compare_gradients(analytic, fd, tol=1e-5)[2] is False
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_entries_match_reference(self, data):
+        count = data.draw(st.integers(1, 5))
+        analytic, fd = {}, {}
+        for k in range(count):
+            shape = tuple(data.draw(st.lists(st.integers(1, 4), max_size=3)))
+            size = int(np.prod(shape))
+            values = data.draw(st.lists(st.floats(-10, 10), min_size=size, max_size=size))
+            scale = data.draw(st.sampled_from([0.0, 1e-10, 1e-8, 1e-6, 1e-3]))
+            noise = data.draw(st.lists(st.floats(-1, 1), min_size=size, max_size=size))
+            analytic[f"p{k}"] = np.reshape(values, shape)
+            fd[f"p{k}"] = analytic[f"p{k}"] + scale * np.reshape(noise, shape)
+        tol = data.draw(st.sampled_from([1e-7, 1e-5, 1e-2]))
+        assert compare_gradients(analytic, fd, tol) == naive_compare_gradients(analytic, fd, tol)
+
+    @pytest.mark.parametrize("analytic, fd, side", [
+        ({"q": np.ones(2)}, {"q": np.ones(2), "k": np.ones(2)}, "a finite-difference"),
+        ({"q": np.ones(2), "k": np.ones(2)}, {"q": np.ones(2)}, "an analytic"),
+    ])
+    def test_a_name_on_one_side_only_is_rejected(self, analytic, fd, side):
+        with pytest.raises(ValueError, match=f"parameter 'k' has only {side} gradient"):
+            compare_gradients(analytic, fd, tol=1e-5)
+
+    @pytest.mark.parametrize("a_shape, f_shape", [((1,), (3,)), ((3,), (1,)), ((), (1,)),
+                                                  ((2, 3), (3, 2)), ((0,), (0,))])
+    def test_shapes_must_match_and_be_non_empty(self, a_shape, f_shape):
+        with pytest.raises(ValueError, match=r"parameter 'w': analytic gradient has shape "):
+            compare_gradients({"v": np.ones(2), "w": np.ones(a_shape)},
+                              {"v": np.ones(2), "w": np.ones(f_shape)}, tol=1e-5)
 
 
 class TestAnalyticGradients:

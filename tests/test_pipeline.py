@@ -2,18 +2,21 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sentence, naive_write_heatmap_csv, per_head_attention
+from conftest import make_sentence, naive_write_heatmap_csv, per_head_attention, random_sentence
+from dafa import pipeline
 from dafa.attention import AttnConfig, AttnParams, multi_head_dafa
 from dafa.depmatrix import DepMatrixConfig
 from dafa.fusion import FusionParams, fuse
 from dafa.pipeline import (
     CLS_TOKEN,
+    LAYER_PEAK_ARRAYS,
     SEP_TOKEN,
     EmbeddingTable,
     build_layout,
@@ -73,6 +76,35 @@ class TestBuildLayout:
             assert [tokens[i] for i in layout.b_span] == b.forms()
             separators = set(range(layout.d_seq)) - set(layout.a_span) - set(layout.b_span)
             assert [tokens[i] for i in sorted(separators)] == [CLS_TOKEN, SEP_TOKEN, SEP_TOKEN]
+
+
+class TestLayerBudget:
+    def test_pair_over_the_budget_rejected_before_the_layer_runs(self, monkeypatch):
+        a = star(["r", "x", "y", "z"], ["dep"] * 3)
+        estimate = LAYER_PEAK_ARRAYS * 8 * 11 ** 2
+        monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", estimate)
+        assert build_layout(a, a).d_seq == 11
+        monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", estimate - 1)
+        monkeypatch.setattr(pipeline, "final_matrix", lambda *args: pytest.fail("scored"))
+        # dafa_layer checks the pair before it reads any other argument
+        for call in (lambda: build_layout(a, a), lambda: dafa_layer(a, a, *[None] * 5)):
+            with pytest.raises(ValueError, match=r"^packed length L = 11 \(n = 4, m = 4\) needs "
+                                                 r"about 10,648 bytes, over the layer budget of "
+                                                 r"10,647 bytes$"):
+                call()
+
+    def test_estimate_matches_a_measured_layer(self):
+        # numpy reports its array memory to tracemalloc
+        rng = np.random.default_rng(5)
+        vocab = [f"w{i}" for i in range(40)]
+        a, b = random_sentence(rng, 100, vocab), random_sentence(rng, 100, vocab)
+        tracemalloc.start()
+        try:
+            layer_fixture(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.9 < peak / (LAYER_PEAK_ARRAYS * 8 * 203 ** 2) < 1.1
 
 
 class TestEmbeddingTable:

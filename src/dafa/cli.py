@@ -18,8 +18,8 @@ from .conllu import SentencePair, parse_conllu, read_pairs
 from .depmatrix import DepMatrixConfig, _combine_matrices, base_matrix, subgraph_matrix
 from .fusion import FusionParams, _float_array, fuse
 from .gradcheck import DEFAULT_EPS, DEFAULT_TOL, GradCheckConfig, check
-from .pipeline import (EmbeddingTable, PairLayout, build_layout, dafa_layer, pair_attention,
-                       write_heatmap_csv)
+from .pipeline import (EmbeddingTable, PairLayout, _check_layer_budget, build_layout, dafa_layer,
+                       pair_attention, write_heatmap_csv)
 from .tfidf import TfIdfModel
 
 DEFAULT_SEED = 42
@@ -71,9 +71,12 @@ def _naming(pair: SentencePair):
         raise ValueError(f"pair {pair.pair_id!r}: {exc}") from None
 
 
-def _layout(pair: SentencePair) -> PairLayout:
+def _layout(pair: SentencePair, heads: int) -> PairLayout:
+    """The pair's layout, checked against the layer budget at `heads` heads."""
+    layout = build_layout(pair.a, pair.b)
     with _naming(pair):
-        return build_layout(pair.a, pair.b)
+        _check_layer_budget(layout, heads)
+    return layout
 
 
 def _non_negative(source: str, seed: int) -> int:
@@ -178,7 +181,7 @@ def _cmd_attend(args) -> int:
         print(f"note: {args.pair} has {len(pairs)} pair records; using the first, "
               f"{pair.pair_id!r}", file=sys.stderr)
     seed = _seed(args)
-    layout = _layout(pair)
+    layout = _layout(pair, args.heads)
     config = _attn_config(args, layout.d_seq)
     model = _pair_tfidf(_load(args.tfidf, TfIdfModel.from_json) if args.tfidf else None, pair)
     dep_config = _dep_config(args)
@@ -202,8 +205,8 @@ def _cmd_attend(args) -> int:
 
 def _cmd_fuse(args) -> int:
     if args.params is not None:
-        for flag, value in (("--seed", args.seed), ("--d-hid", args.d_hid)):
-            if value is not None:
+        for flag, dest in (("--seed", "seed"), ("--d-hid", "d_hid")):
+            if dest in args.given_flags:
                 raise _InputError(f"{flag} and --params exclude each other: "
                                   "the params file fixes every weight and d_hid")
     sem, dep = _load(args.signals, _parse_signals)
@@ -212,8 +215,7 @@ def _cmd_fuse(args) -> int:
     if args.params is not None:
         params = _load(args.params, FusionParams.from_json)
     else:
-        d_hid = DEFAULT_D_HID if args.d_hid is None else args.d_hid
-        params = FusionParams.init(*sem.shape[-2:], d_hid, _seed(args))
+        params = FusionParams.init(*sem.shape[-2:], args.d_hid, _seed(args))
     out = fuse(sem, dep, params)
     payload = {name: getattr(out, name).tolist()
                for name in ("fused", "fusion_gate", "filter_gate", "dep_refined", "sem_refined")}
@@ -257,7 +259,7 @@ def _cmd_demo(args) -> int:
     seed = _seed(args)
     # every setting is checked before the output directory exists
     dep_config = _dep_config(args)
-    configs = [_attn_config(args, _layout(pair).d_seq) for pair in pairs]
+    configs = [_attn_config(args, _layout(pair, args.heads).d_seq) for pair in pairs]
     if args.d_hid < 1:
         raise ValueError(f"d_hid must be >= 1, got {args.d_hid}")
     # the attention weights do not depend on d_seq, so one seeded set serves every pair
@@ -362,8 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "such as attend's output")
     p_fuse.add_argument("--params", default=None,
                         help="fusion params JSON file (default: params drawn from --seed)")
-    p_fuse.add_argument("--d-hid", type=int, default=None,
-                        help=f"hidden size for seeded params (default {DEFAULT_D_HID})")
+    p_fuse.add_argument("--d-hid", type=int, default=DEFAULT_D_HID,
+                        help="hidden size for seeded params (default %(default)s)")
     _add_seed_flag(p_fuse)
     p_fuse.add_argument("--out", required=True, help="output JSON")
     p_fuse.set_defaults(func=_cmd_fuse)

@@ -216,46 +216,38 @@ def _forward_trace(sem, dep, w) -> dict:
     (..., d_seq, d_v) and each weight may have leading axes in front of
     their own shape; they broadcast, and every output gains them.
 
-    Each guided pooling is one row shared by every position, so
-    `dep_pool` / `sem_pool` have shape (..., 1, d_seq), and the refined
-    vectors, hidden layers, fusion gate, blend, projection and squashed
-    output are one row each; only the filtration gate and the fused
-    output, which read sem[i], are per position. `fuse` returns the
-    results from this trace, the analytic backward pass differentiates it
-    and the finite differences evaluate it, so all run the same forward
-    code.
+    One loop runs both guided branches, dep then sem: the tanh projection
+    `t_*`, the pool `*_pool`, the refined vector and the hidden layer `h_*`.
+    Each pooling is one row shared by every position, so the pools have
+    shape (..., 1, d_seq), and the refined vectors, hidden layers, fusion
+    gate, blend, projection and squashed output are one row each; only the
+    filtration gate and the fused output, which read sem[i], are per
+    position. `fuse` returns the results from this trace, the analytic
+    backward pass differentiates it and the finite differences evaluate it,
+    so all run the same forward code.
     """
     d_v = w["w_dep_proj"].shape[-1]
-    t_dep = np.tanh(w["w_dep_proj"] @ dep.swapaxes(-1, -2))   # (..., d_seq, d_seq)
-    t_sem = np.tanh(w["w_sem_proj"] @ sem.swapaxes(-1, -2))
-
-    dep_pool = softmax(w["w_dep_score"][..., None, :] @ t_dep, axis=-1)  # (..., 1, d_seq)
-    dep_refined = dep_pool @ dep                                  # (..., 1, d_v)
-    sem_pool = softmax(w["w_sem_score"][..., None, :] @ t_sem, axis=-1)
-    sem_refined = sem_pool @ sem
-
-    hd = np.tanh(dep_refined @ w["w_dep_hidden"].swapaxes(-1, -2)
-                 + w["b_dep_hidden"][..., None, :])              # (..., 1, d_hid)
-    hs = np.tanh(sem_refined @ w["w_sem_hidden"].swapaxes(-1, -2)
-                 + w["b_sem_hidden"][..., None, :])
-    fusion_gate = sigmoid(_mv(np.concatenate([hd, hs], axis=-1), w["w_fusion_gate"]))
-    blend = fusion_gate[..., None] * hs + (1.0 - fusion_gate)[..., None] * hd
+    trace = {}
+    for name, signal in (("dep", dep), ("sem", sem)):  # the two guided branches
+        t = np.tanh(w[f"w_{name}_proj"] @ signal.swapaxes(-1, -2))     # (..., d_seq, d_seq)
+        pool = softmax(w[f"w_{name}_score"][..., None, :] @ t, axis=-1)  # (..., 1, d_seq)
+        refined = pool @ signal                                          # (..., 1, d_v)
+        hidden = np.tanh(refined @ w[f"w_{name}_hidden"].swapaxes(-1, -2)
+                         + w[f"b_{name}_hidden"][..., None, :])          # (..., 1, d_hid)
+        trace.update({f"t_{name}": t, f"{name}_pool": pool, f"{name}_refined": refined,
+                      f"h_{name}": hidden})
+    h_dep, h_sem = trace["h_dep"], trace["h_sem"]
+    fusion_gate = sigmoid(_mv(np.concatenate([h_dep, h_sem], axis=-1), w["w_fusion_gate"]))
+    blend = fusion_gate[..., None] * h_sem + (1.0 - fusion_gate)[..., None] * h_dep
 
     projected = blend @ w["w_value"].swapaxes(-1, -2) + w["b_value"][..., None, :]
     w_filter = w["w_filter_gate"]
     filter_gate = sigmoid(_mv(sem, w_filter[..., :d_v]) + _mv(projected, w_filter[..., d_v:]))
     squashed = np.tanh(blend @ w["w_output"].swapaxes(-1, -2) + w["b_output"][..., None, :])
     fused = filter_gate[..., None] * squashed                     # (..., d_seq, d_v)
-
-    return {
-        "t_dep": t_dep, "t_sem": t_sem,
-        "dep_pool": dep_pool, "sem_pool": sem_pool,
-        "dep_refined": dep_refined, "sem_refined": sem_refined,
-        "hd": hd, "hs": hs,
-        "fusion_gate": fusion_gate, "blend": blend,
-        "projected": projected, "filter_gate": filter_gate,
-        "squashed": squashed, "fused": fused,
-    }
+    trace.update(fusion_gate=fusion_gate, blend=blend, projected=projected,
+                 filter_gate=filter_gate, squashed=squashed, fused=fused)
+    return trace
 
 
 def fuse(sem, dep, params: FusionParams) -> FusionOutput:

@@ -141,7 +141,8 @@ def fuse_gradients(sem, dep, params: FusionParams) -> dict:
                          f"{np.shape(sem)}, dep has shape {np.shape(dep)}")
     sem = _check_signal("sem", sem, params)
     dep = _check_signal("dep", dep, params)
-    t = _forward_trace(sem, dep, params.to_dict())
+    w = params.to_dict()
+    t = _forward_trace(sem, dep, w)
     d_v, d_hid = params.d_v, params.d_hid
     g = {}
 
@@ -151,44 +152,38 @@ def fuse_gradients(sem, dep, params: FusionParams) -> dict:
     g_out_pre = g_squashed * (1.0 - t["squashed"] ** 2)
     g["w_output"] = g_out_pre.T @ t["blend"]
     g["b_output"] = g_out_pre[0]
-    g_blend = g_out_pre @ params.w_output
+    g_blend = g_out_pre @ w["w_output"]
 
     g_zf = g_filter * t["filter_gate"] * (1.0 - t["filter_gate"])
     g_zf_total = g_zf.sum()
     g["w_filter_gate"] = np.concatenate([sem.T @ g_zf, g_zf_total * t["projected"][0]])
-    g_sem_filter = np.outer(g_zf, params.w_filter_gate[:d_v])
-    g_projected = g_zf_total * params.w_filter_gate[None, d_v:]
+    g_sem_filter = np.outer(g_zf, w["w_filter_gate"][:d_v])
+    g_projected = g_zf_total * w["w_filter_gate"][None, d_v:]
     g["w_value"] = g_projected.T @ t["blend"]
     g["b_value"] = g_projected[0]
-    g_blend += g_projected @ params.w_value
+    g_blend += g_projected @ w["w_value"]
 
-    g_gate = np.sum(g_blend * (t["hs"] - t["hd"]), axis=1)
-    g_hs = t["fusion_gate"][:, None] * g_blend
-    g_hd = (1.0 - t["fusion_gate"])[:, None] * g_blend
+    g_gate = np.sum(g_blend * (t["h_sem"] - t["h_dep"]), axis=1)
+    g_hidden = {"sem": t["fusion_gate"][:, None] * g_blend,
+                "dep": (1.0 - t["fusion_gate"])[:, None] * g_blend}
     g_zg = g_gate * t["fusion_gate"] * (1.0 - t["fusion_gate"])
-    g["w_fusion_gate"] = np.concatenate([t["hd"], t["hs"]], axis=1).T @ g_zg
-    g_hd += g_zg[:, None] * params.w_fusion_gate[None, :d_hid]
-    g_hs += g_zg[:, None] * params.w_fusion_gate[None, d_hid:]
+    g["w_fusion_gate"] = np.concatenate([t["h_dep"], t["h_sem"]], axis=1).T @ g_zg
+    g_hidden["dep"] += g_zg[:, None] * w["w_fusion_gate"][None, :d_hid]
+    g_hidden["sem"] += g_zg[:, None] * w["w_fusion_gate"][None, d_hid:]
 
-    g_hd_pre = g_hd * (1.0 - t["hd"] ** 2)
-    g["w_dep_hidden"] = g_hd_pre.T @ t["dep_refined"]
-    g["b_dep_hidden"] = g_hd_pre[0]
-    g_dep_refined = g_hd_pre @ params.w_dep_hidden
-
-    g_hs_pre = g_hs * (1.0 - t["hs"] ** 2)
-    g["w_sem_hidden"] = g_hs_pre.T @ t["sem_refined"]
-    g["b_sem_hidden"] = g_hs_pre[0]
-    g_sem_refined = g_hs_pre @ params.w_sem_hidden
-
-    # the two guided poolings and their shared signal projections
-    for name, signal, g_refined in (("sem", sem, g_sem_refined), ("dep", dep, g_dep_refined)):
+    # each guided branch: its hidden layer, its pooling and its signal projection
+    for name, signal in (("sem", sem), ("dep", dep)):
         pool, tanh_proj = t[f"{name}_pool"], t[f"t_{name}"]
+        g_hidden_pre = g_hidden[name] * (1.0 - t[f"h_{name}"] ** 2)
+        g[f"w_{name}_hidden"] = g_hidden_pre.T @ t[f"{name}_refined"]
+        g[f"b_{name}_hidden"] = g_hidden_pre[0]
+        g_refined = g_hidden_pre @ w[f"w_{name}_hidden"]
         g_signal = pool.T @ g_refined
         g_scores = _softmax_rows_backward(pool, g_refined @ signal.T)[0]   # (d_seq,)
         g[f"w_{name}_score"] = tanh_proj @ g_scores
-        g_proj = np.outer(getattr(params, f"w_{name}_score"), g_scores) * (1.0 - tanh_proj ** 2)
+        g_proj = np.outer(w[f"w_{name}_score"], g_scores) * (1.0 - tanh_proj ** 2)
         g[f"w_{name}_proj"] = g_proj @ signal
-        g_signal += g_proj.T @ getattr(params, f"w_{name}_proj")
+        g_signal += g_proj.T @ w[f"w_{name}_proj"]
         g[name] = g_signal
 
     g["sem"] += g_sem_filter

@@ -47,24 +47,27 @@ class PairLayout:
         return range(self.n + 2, len(self.tokens) - 1)
 
 
-# dafa_layer's peak memory holds about LAYER_PEAK_ARRAYS (L, L) float64 arrays at L = n + m + 3
-# (traced with two heads); a pair whose estimate exceeds MAX_LAYER_BYTES is rejected before
-# any of them is allocated
-LAYER_PEAK_ARRAYS = 11
+def build_layout(a: DepSentence, b: DepSentence) -> PairLayout:
+    """The packed tokens of a pair, with separators at positions 0, n+1 and n+m+2."""
+    return PairLayout(tokens=(CLS_TOKEN, *a.forms(), SEP_TOKEN, *b.forms(), SEP_TOKEN), n=a.n)
+
+
 MAX_LAYER_BYTES = 2 ** 30
 
 
-def build_layout(a: DepSentence, b: DepSentence) -> PairLayout:
-    """The packed tokens of a pair, with separators at positions 0, n+1 and n+m+2.
+def _check_layer_budget(layout: PairLayout, heads: int) -> None:
+    """Reject a pair whose estimated `dafa_layer` peak at `heads` heads exceeds MAX_LAYER_BYTES,
+    before any of its (L, L) arrays is allocated.
 
-    A pair whose estimated `dafa_layer` peak exceeds MAX_LAYER_BYTES is a ValueError.
+    The traced peak holds about 5 (L, L) float64 arrays per head plus the calibration, at
+    L = n + m + 3 (traced at 1, 2, 4 and 8 heads), so the estimate is (5·heads + 1)·8·L² bytes.
     """
-    d_seq = a.n + b.n + 3
-    peak = LAYER_PEAK_ARRAYS * 8 * d_seq ** 2
+    d_seq = layout.d_seq
+    peak = (5 * heads + 1) * 8 * d_seq ** 2
     if peak > MAX_LAYER_BYTES:
-        raise ValueError(f"packed length L = {d_seq} (n = {a.n}, m = {b.n}) needs about "
-                         f"{peak:,} bytes, over the layer budget of {MAX_LAYER_BYTES:,} bytes")
-    return PairLayout(tokens=(CLS_TOKEN, *a.forms(), SEP_TOKEN, *b.forms(), SEP_TOKEN), n=a.n)
+        raise ValueError(f"packed length L = {d_seq} (n = {layout.n}, m = {len(layout.b_span)}) "
+                         f"with heads = {heads} needs about {peak:,} bytes, over the layer budget "
+                         f"of {MAX_LAYER_BYTES:,} bytes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +143,7 @@ def dafa_layer(
 ) -> LayerOutput:
     """Evaluate one calibrated-attention-plus-fusion layer on a sentence pair."""
     layout = build_layout(a, b)
+    _check_layer_budget(layout, attn_config.heads)
     if attn_config.d_seq != layout.d_seq:
         raise ValueError(f"config d_seq {attn_config.d_seq} != pair layout d_seq {layout.d_seq}")
     attn_params.check_config(attn_config)

@@ -765,7 +765,7 @@ def test_failing_later_pair_leaves_no_output(tmp_path, capsys, tfidf_file):
 @pytest.mark.parametrize("command", ["attend", "demo"])
 def test_pair_over_the_layer_budget_rejected_before_any_work(tmp_path, capsys, monkeypatch,
                                                              tfidf_file, command):
-    # the star pair packs to L = 11, the pair before it to L = 5; the budget admits only L <= 10.
+    # the star pair packs to L = 11, the pair before it to L = 5, which every budget below admits.
     # attend uses its file's first record, so its file holds the star pair alone
     records = [{"id": "fine", "a": conllu_block([("one", 0, "root")]),
                 "b": conllu_block([("two", 0, "root")])},
@@ -773,17 +773,22 @@ def test_pair_over_the_layer_budget_rejected_before_any_work(tmp_path, capsys, m
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text("".join(json.dumps(r) + "\n" for r in records[command == "attend":]),
                      encoding="utf-8")
-    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", pipeline.LAYER_PEAK_ARRAYS * 8 * 10 ** 2)
     computed = []
     monkeypatch.setattr(cli, "pair_attention", lambda *a: computed.append(a))
     monkeypatch.setattr(cli, "dafa_layer", lambda *a, **k: computed.append(a))
     out = tmp_path / "out"
     flag = "--pair" if command == "attend" else "--pairs"
-    assert run([command, flag, str(pairs), "--tfidf", str(tfidf_file), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: pair 'star': packed length L = 11 (n = 4, m = 4) "
-                                       "needs about 10,648 bytes, over the layer budget of "
-                                       "8,800 bytes\n")
-    assert computed == [] and not out.exists() and staging_leftovers(tmp_path) == []
+    argv = [command, flag, str(pairs), "--tfidf", str(tfidf_file), "--out", str(out)]
+    # the default 2 heads under a budget that admits only L <= 10, then 4 heads under one that
+    # admits L = 11 at 2 heads (10,648 bytes, to the byte)
+    for heads_argv, budget, needs in (([], 8_800, "heads = 2 needs about 10,648"),
+                                      (["--heads", "4"], 10_648, "heads = 4 needs about 20,328")):
+        monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", budget)
+        assert run(argv + heads_argv) == 1, heads_argv
+        assert capsys.readouterr().err == ("error: pair 'star': packed length L = 11 (n = 4, "
+                                           f"m = 4) with {needs} bytes, over the layer budget of "
+                                           f"{budget:,} bytes\n")
+        assert computed == [] and not out.exists() and staging_leftovers(tmp_path) == []
 
 
 def test_out_naming_a_file_rejected_before_any_pair(tmp_path, capsys, monkeypatch, pairs_file,
@@ -822,6 +827,7 @@ def test_parsed_defaults_are_the_library_defaults():
     assert sizes == GradCheckConfig(4, 3, 3, 3)
     assert (args.tol, args.eps) == (DEFAULT_TOL, DEFAULT_EPS) == (1e-5, 1e-5)
     assert parser.parse_args(["demo", "--pairs", "p", "--out", "o"]).d_hid == DEFAULT_D_HID == 8
+    assert parser.parse_args(["fuse", "--signals", "s", "--out", "o"]).d_hid == DEFAULT_D_HID
 
 
 class TestArgumentErrors:

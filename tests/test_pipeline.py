@@ -16,9 +16,9 @@ from dafa.depmatrix import DepMatrixConfig
 from dafa.fusion import FusionParams, fuse
 from dafa.pipeline import (
     CLS_TOKEN,
-    LAYER_PEAK_ARRAYS,
     SEP_TOKEN,
     EmbeddingTable,
+    _check_layer_budget,
     build_layout,
     dafa_layer,
     read_heatmap_csv,
@@ -78,33 +78,46 @@ class TestBuildLayout:
             assert [tokens[i] for i in sorted(separators)] == [CLS_TOKEN, SEP_TOKEN, SEP_TOKEN]
 
 
+def layer_estimate(d_seq, heads):
+    """The layer budget's rule: 5 (L, L) float64 arrays per head plus the calibration."""
+    return (5 * heads + 1) * 8 * d_seq ** 2
+
+
 class TestLayerBudget:
     def test_pair_over_the_budget_rejected_before_the_layer_runs(self, monkeypatch):
         a = star(["r", "x", "y", "z"], ["dep"] * 3)
-        estimate = LAYER_PEAK_ARRAYS * 8 * 11 ** 2
-        monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", estimate)
-        assert build_layout(a, a).d_seq == 11
-        monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", estimate - 1)
+        layout = build_layout(a, a)
+        assert layout.d_seq == 11
+        # the budget admits the pair at 2 heads, to the byte, and not at 4
+        monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", layer_estimate(11, 2))
+        assert pipeline.MAX_LAYER_BYTES == 10_648
+        _check_layer_budget(layout, 2)
         monkeypatch.setattr(pipeline, "final_matrix", lambda *args: pytest.fail("scored"))
-        # dafa_layer checks the pair before it reads any other argument
-        for call in (lambda: build_layout(a, a), lambda: dafa_layer(a, a, *[None] * 5)):
-            with pytest.raises(ValueError, match=r"^packed length L = 11 \(n = 4, m = 4\) needs "
-                                                 r"about 10,648 bytes, over the layer budget of "
-                                                 r"10,647 bytes$"):
+        config = AttnConfig(d_model=16, heads=4, d_k=6, d_v=5, d_seq=11)
+        # dafa_layer checks the pair before it reads any argument but the config
+        for call in (lambda: _check_layer_budget(layout, 4),
+                     lambda: dafa_layer(a, a, *[None] * 4, config)):
+            with pytest.raises(ValueError, match=r"^packed length L = 11 \(n = 4, m = 4\) with "
+                                                 r"heads = 4 needs about 20,328 bytes, over the "
+                                                 r"layer budget of 10,648 bytes$"):
                 call()
+        monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", layer_estimate(11, 2) - 1)
+        with pytest.raises(ValueError, match=r"with heads = 2 needs about 10,648 bytes"):
+            _check_layer_budget(layout, 2)
 
     def test_estimate_matches_a_measured_layer(self):
         # numpy reports its array memory to tracemalloc
         rng = np.random.default_rng(5)
         vocab = [f"w{i}" for i in range(40)]
         a, b = random_sentence(rng, 100, vocab), random_sentence(rng, 100, vocab)
-        tracemalloc.start()
-        try:
-            layer_fixture(a, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0.9 < peak / (LAYER_PEAK_ARRAYS * 8 * 203 ** 2) < 1.1
+        for heads in (1, 2, 4, 8):
+            tracemalloc.start()
+            try:
+                layer_fixture(a, b, heads=heads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0.9 < peak / layer_estimate(203, heads) < 1.1, heads
 
 
 class TestEmbeddingTable:

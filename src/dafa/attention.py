@@ -8,9 +8,9 @@ the same bits as a 2-D call on it. The semantic path is plain scaled
 dot-product attention; the dependency path multiplies the raw logits
 elementwise by a calibration matrix (>= 1 cross-sentence, exactly 1
 elsewhere) before scaling and softmax, so calibrated cells gain or keep
-attention mass while neutral cells are untouched. `multi_head_dafa` runs
-both paths for every head and returns their weights and signals as
-stacks with the head as the leading axis.
+attention mass while neutral cells are untouched; `attention_backward`
+differentiates either path. `multi_head_dafa` runs both paths for every
+head and returns their weights and signals as stacks, head first.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nnops import softmax
+from .nnops import softmax, softmax_backward
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,17 @@ def dep_attention(q, k, v, calibration) -> tuple[np.ndarray, np.ndarray]:
     logits = ((q @ k.swapaxes(-1, -2)) * calibration) / math.sqrt(q.shape[-1])
     weights = softmax(logits, axis=-1)
     return weights, weights @ v
+
+
+def attention_backward(q, k, v, weights, g_out, calibration=None) -> dict:
+    """Gradients for q, k and v of either path from its forward `weights` and the output gradient
+    `g_out` (pass the dep path's calibration); each keeps the call's broadcast leading axes."""
+    q, k, v = _as_qkv(q, k, v)
+    g_logits = softmax_backward(weights, g_out @ v.swapaxes(-1, -2))
+    if calibration is not None:
+        g_logits = g_logits * np.asarray(calibration, dtype=np.float64)
+    g_raw = g_logits * (1.0 / np.sqrt(q.shape[-1]))
+    return {"q": g_raw @ k, "k": g_raw.swapaxes(-1, -2) @ q, "v": weights.swapaxes(-1, -2) @ g_out}
 
 
 def multi_head_dafa(x, params: AttnParams, calibration) -> tuple[np.ndarray, ...]:

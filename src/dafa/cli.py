@@ -18,8 +18,8 @@ from .conllu import SentencePair, parse_conllu, read_pairs
 from .depmatrix import DepMatrixConfig, _combine_matrices, base_matrix, subgraph_matrix
 from .fusion import FusionParams, _float_array, fuse
 from .gradcheck import DEFAULT_EPS, DEFAULT_TOL, GradCheckConfig, check
-from .pipeline import (EmbeddingTable, PairLayout, _check_layer_budget, build_layout, dafa_layer,
-                       pair_attention, write_heatmap_csv)
+from .pipeline import (EmbeddingTable, PairLayout, _check_fuse_budget, _check_layer_budget,
+                       build_layout, dafa_layer, pair_attention, write_heatmap_csv)
 from .tfidf import TfIdfModel
 
 DEFAULT_SEED = 42
@@ -210,6 +210,7 @@ def _cmd_fuse(args) -> int:
                 raise _InputError(f"{flag} and --params exclude each other: "
                                   "the params file fixes every weight and d_hid")
     sem, dep = _load(args.signals, _parse_signals)
+    _check_fuse_budget(args.signals, sem.shape)
     if not (np.all(np.isfinite(sem)) and np.all(np.isfinite(dep))):
         raise ValueError(f"{args.signals}: 'sem' and 'dep' must be finite")
     if args.params is not None:

@@ -18,12 +18,12 @@ constant to each score row, which the row softmax cancels, so
 and only step (4), which reads s_i, is per position. `FusionOutput`
 returns each shared value once, without a position axis.
 
-The forward (`_forward_trace`) also takes optional leading axes: the
+The forward (`forward_trace`) also takes optional leading axes: the
 signals and every weight may carry extra axes in front of their own
 shape, which broadcast, and each slice gives the same bits as the 2-D
 call on it. `fuse` (which `dafa_layer` calls once on the stack of all
-heads), the analytic backward and the finite-difference oracle (which
-stacks perturbed copies along one leading axis) all run it.
+heads) and the finite-difference oracle (which stacks perturbed copies
+along one leading axis) run it; `fuse_backward` differentiates its trace.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nnops import sigmoid, softmax
+from .nnops import sigmoid, softmax, softmax_backward
 
 
 def _draws(d_seq: int, d_v: int, d_hid: int) -> list[tuple[str | None, tuple, int]]:
@@ -195,26 +195,17 @@ class FusionOutput:
     sem_pool_weights: np.ndarray  # (d_seq,)
 
 
-def _check_signal(name: str, signal, params: FusionParams) -> np.ndarray:
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.shape[-2:] != (params.d_seq, params.d_v):
-        raise ValueError(
-            f"{name} has shape {signal.shape}, expected (..., {params.d_seq}, {params.d_v})"
-        )
-    return signal
-
-
 def _mv(matrix, vector):
     """Matrix-vector product over leading axes: (..., m, n) x (..., n) -> (..., m)."""
     return (matrix @ vector[..., None])[..., 0]
 
 
-def _forward_trace(sem, dep, w) -> dict:
+def forward_trace(sem, dep, w) -> dict:
     """Run the whole network at once, keeping intermediates.
 
     `w` maps each name in PARAM_FIELDS to its weight array. The signals
-    (..., d_seq, d_v) and each weight may have leading axes in front of
-    their own shape; they broadcast, and every output gains them.
+    (..., d_seq, d_v), of one shape, and each weight may have leading axes
+    in front of their own shape; they broadcast, and every output gains them.
 
     One loop runs both guided branches, dep then sem: the tanh projection
     `t_*`, the pool `*_pool`, the refined vector and the hidden layer `h_*`.
@@ -222,11 +213,17 @@ def _forward_trace(sem, dep, w) -> dict:
     shape (..., 1, d_seq), and the refined vectors, hidden layers, fusion
     gate, blend, projection and squashed output are one row each; only the
     filtration gate and the fused output, which read sem[i], are per
-    position. `fuse` returns the results from this trace, the analytic
-    backward pass differentiates it and the finite differences evaluate it,
-    so all run the same forward code.
+    position. `fuse` returns the results from this trace, `fuse_backward`
+    differentiates it and the finite differences evaluate it, so all run
+    the same forward code.
     """
-    d_v = w["w_dep_proj"].shape[-1]
+    d_seq, d_v = w["w_dep_proj"].shape[-2:]
+    sem, dep = np.asarray(sem, dtype=np.float64), np.asarray(dep, dtype=np.float64)
+    for name, signal in (("sem", sem), ("dep", dep)):
+        if signal.shape[-2:] != (d_seq, d_v):
+            raise ValueError(f"{name} has shape {signal.shape}, expected (..., {d_seq}, {d_v})")
+    if sem.shape != dep.shape:
+        raise ValueError(f"sem shape {sem.shape} and dep shape {dep.shape} differ")
     trace = {}
     for name, signal in (("dep", dep), ("sem", sem)):  # the two guided branches
         t = np.tanh(w[f"w_{name}_proj"] @ signal.swapaxes(-1, -2))     # (..., d_seq, d_seq)
@@ -237,7 +234,8 @@ def _forward_trace(sem, dep, w) -> dict:
         trace.update({f"t_{name}": t, f"{name}_pool": pool, f"{name}_refined": refined,
                       f"h_{name}": hidden})
     h_dep, h_sem = trace["h_dep"], trace["h_sem"]
-    fusion_gate = sigmoid(_mv(np.concatenate([h_dep, h_sem], axis=-1), w["w_fusion_gate"]))
+    hidden = np.concatenate(np.broadcast_arrays(h_dep, h_sem), axis=-1)
+    fusion_gate = sigmoid(_mv(hidden, w["w_fusion_gate"]))
     blend = fusion_gate[..., None] * h_sem + (1.0 - fusion_gate)[..., None] * h_dep
 
     projected = blend @ w["w_value"].swapaxes(-1, -2) + w["b_value"][..., None, :]
@@ -250,13 +248,64 @@ def _forward_trace(sem, dep, w) -> dict:
     return trace
 
 
+def fuse_backward(sem, dep, w, trace, g_fused) -> dict:
+    """Gradients for every weight in `w` and both signals, from the `forward_trace(sem, dep, w)`
+    result `trace` and the gradient `g_fused` of its fused output, walking the trace in reverse.
+    A row shared across positions collects its gradient summed over them. Every gradient keeps
+    the call's broadcast leading axes; summing them is left to the caller."""
+    sem, dep, t = np.asarray(sem, dtype=np.float64), np.asarray(dep, dtype=np.float64), trace
+    d_v, d_hid = w["w_dep_proj"].shape[-1], w["w_dep_hidden"].shape[-2]
+    g = {}
+
+    g_filter = _mv(g_fused, t["squashed"][..., 0, :])              # (..., d_seq)
+    g_squashed = t["filter_gate"][..., None, :] @ g_fused           # shared rows are (..., 1, ·)
+    g_out_pre = g_squashed * (1.0 - t["squashed"] ** 2)
+    g["w_output"] = g_out_pre.swapaxes(-1, -2) @ t["blend"]
+    g["b_output"] = g_out_pre[..., 0, :]
+    g_blend = g_out_pre @ w["w_output"]
+
+    g_zf = g_filter * t["filter_gate"] * (1.0 - t["filter_gate"])
+    g_zf_total = g_zf.sum(axis=-1, keepdims=True)                  # (..., 1)
+    g["w_filter_gate"] = np.concatenate([_mv(sem.swapaxes(-1, -2), g_zf),
+                                         g_zf_total * t["projected"][..., 0, :]], axis=-1)
+    g_sem_filter = g_zf[..., :, None] * w["w_filter_gate"][..., None, :d_v]
+    g_projected = g_zf_total[..., None] * w["w_filter_gate"][..., None, d_v:]
+    g["w_value"] = g_projected.swapaxes(-1, -2) @ t["blend"]
+    g["b_value"] = g_projected[..., 0, :]
+    g_blend += g_projected @ w["w_value"]
+
+    g_gate = np.sum(g_blend * (t["h_sem"] - t["h_dep"]), axis=-1)  # (..., 1)
+    g_hidden = {"sem": t["fusion_gate"][..., None] * g_blend,
+                "dep": (1.0 - t["fusion_gate"])[..., None] * g_blend}
+    g_zg = g_gate * t["fusion_gate"] * (1.0 - t["fusion_gate"])
+    hidden = np.concatenate(np.broadcast_arrays(t["h_dep"], t["h_sem"]), axis=-1)
+    g["w_fusion_gate"] = _mv(hidden.swapaxes(-1, -2), g_zg)
+    g_hidden["dep"] += g_zg[..., None] * w["w_fusion_gate"][..., None, :d_hid]
+    g_hidden["sem"] += g_zg[..., None] * w["w_fusion_gate"][..., None, d_hid:]
+
+    # each guided branch: its hidden layer, its pooling and its signal projection
+    for name, signal in (("sem", sem), ("dep", dep)):
+        pool, tanh_proj = t[f"{name}_pool"], t[f"t_{name}"]
+        g_hidden_pre = g_hidden[name] * (1.0 - t[f"h_{name}"] ** 2)
+        g[f"w_{name}_hidden"] = g_hidden_pre.swapaxes(-1, -2) @ t[f"{name}_refined"]
+        g[f"b_{name}_hidden"] = g_hidden_pre[..., 0, :]
+        g_refined = g_hidden_pre @ w[f"w_{name}_hidden"]
+        g_signal = pool.swapaxes(-1, -2) @ g_refined
+        g_scores = softmax_backward(pool, g_refined @ signal.swapaxes(-1, -2))[..., 0, :]
+        g[f"w_{name}_score"] = _mv(tanh_proj, g_scores)
+        g_proj = (w[f"w_{name}_score"][..., :, None] * g_scores[..., None, :]
+                  * (1.0 - tanh_proj ** 2))
+        g[f"w_{name}_proj"] = g_proj @ signal
+        g_signal += g_proj.swapaxes(-1, -2) @ w[f"w_{name}_proj"]
+        g[name] = g_signal
+
+    g["sem"] += g_sem_filter
+    return g
+
+
 def fuse(sem, dep, params: FusionParams) -> FusionOutput:
     """Fuse signal stacks of one shape (..., d_seq, d_v), each (d_seq, d_v) slice on its own."""
-    sem = _check_signal("sem", sem, params)
-    dep = _check_signal("dep", dep, params)
-    if sem.shape != dep.shape:
-        raise ValueError(f"sem shape {sem.shape} and dep shape {dep.shape} differ")
-    trace = _forward_trace(sem, dep, params.to_dict())
+    trace = forward_trace(sem, dep, params.to_dict())
     return FusionOutput(
         fused=trace["fused"],
         fusion_gate=trace["fusion_gate"][..., 0],

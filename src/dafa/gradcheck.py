@@ -1,9 +1,10 @@
 """Gradient verification: hand-derived reverse-mode passes against central differences.
 
 Every differentiable operation is scalarized through a fixed probe loss
-(half the squared sum of its output matrix). The analytic gradients walk
-the same forward trace the operations use; the oracle re-estimates each
-scalar parameter's gradient with central finite differences. The oracle
+(half the squared sum of its output matrix). The analytic gradients are
+the backward passes beside each forward, fed the probe loss's upstream
+gradient, which is the output itself; the oracle re-estimates each scalar
+parameter's gradient with central finite differences. The oracle
 is batched: it stacks the +eps and -eps copies of a block of scalars
 along one leading axis and evaluates the loss once per block, through
 the same forward, which takes leading axes. A block holds as many
@@ -22,8 +23,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attention import dep_attention, sem_attention
-from .fusion import FusionParams, _check_signal, _forward_trace
+from .attention import attention_backward, dep_attention, sem_attention
+from .fusion import FusionParams, forward_trace, fuse_backward
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-5
@@ -94,100 +95,21 @@ def fd_gradient(f, params: dict, eps: float = DEFAULT_EPS, row_cells: int = 0) -
     return unflatten(grad)
 
 
-def _softmax_rows_backward(weights: np.ndarray, g_weights: np.ndarray) -> np.ndarray:
-    return weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
-
-
-def _attention_gradients(q, k, v, calibration=None) -> dict:
-    """Probe-loss gradients of one attention path with respect to q, k, v."""
-    q, k, v = (np.asarray(x, dtype=np.float64) for x in (q, k, v))
-    operands = {"q": q, "k": k, "v": v}
-    if calibration is not None:
-        operands["calibration"] = calibration
-    if any(x.ndim != 2 for x in operands.values()):
-        shapes = ", ".join(f"{name} {x.shape}" for name, x in operands.items())
-        raise ValueError(f"attention gradients take 2-D operands only, got {shapes}")
-    if calibration is None:
-        weights, out = sem_attention(q, k, v)
-    else:
-        weights, out = dep_attention(q, k, v, calibration)
-    scale = 1.0 / np.sqrt(q.shape[1])
-
-    g_out = out
-    g_weights = g_out @ v.T
-    g_v = weights.T @ g_out
-    g_logits = _softmax_rows_backward(weights, g_weights)
-    g_raw = g_logits * calibration * scale if calibration is not None else g_logits * scale
-    return {"q": g_raw @ k, "k": g_raw.T @ q, "v": g_v}
-
-
 def sem_attention_gradients(q, k, v) -> dict:
-    return _attention_gradients(q, k, v)
+    weights, out = sem_attention(q, k, v)
+    return attention_backward(q, k, v, weights, out)
 
 
 def dep_attention_gradients(q, k, v, calibration) -> dict:
-    return _attention_gradients(q, k, v, np.asarray(calibration, dtype=np.float64))
+    weights, out = dep_attention(q, k, v, calibration)
+    return attention_backward(q, k, v, weights, out, calibration)
 
 
 def fuse_gradients(sem, dep, params: FusionParams) -> dict:
-    """Probe-loss gradients for every fusion parameter and both input signals.
-
-    Mirrors the forward trace step by step in reverse. Every row that the
-    trace shares across positions collects the gradient summed over
-    positions. Unlike `fuse`, it takes 2-D (d_seq, d_v) signals only.
-    """
-    if np.ndim(sem) != 2 or np.ndim(dep) != 2:
-        raise ValueError(f"fuse gradients take 2-D signals only: sem has shape "
-                         f"{np.shape(sem)}, dep has shape {np.shape(dep)}")
-    sem = _check_signal("sem", sem, params)
-    dep = _check_signal("dep", dep, params)
+    """Probe-loss gradients for every fusion parameter and both input signals."""
     w = params.to_dict()
-    t = _forward_trace(sem, dep, w)
-    d_v, d_hid = params.d_v, params.d_hid
-    g = {}
-
-    g_fused = t["fused"]                                          # (d_seq, d_v)
-    g_filter = g_fused @ t["squashed"][0]                         # (d_seq,)
-    g_squashed = t["filter_gate"][None, :] @ g_fused              # shared rows are (1, ·)
-    g_out_pre = g_squashed * (1.0 - t["squashed"] ** 2)
-    g["w_output"] = g_out_pre.T @ t["blend"]
-    g["b_output"] = g_out_pre[0]
-    g_blend = g_out_pre @ w["w_output"]
-
-    g_zf = g_filter * t["filter_gate"] * (1.0 - t["filter_gate"])
-    g_zf_total = g_zf.sum()
-    g["w_filter_gate"] = np.concatenate([sem.T @ g_zf, g_zf_total * t["projected"][0]])
-    g_sem_filter = np.outer(g_zf, w["w_filter_gate"][:d_v])
-    g_projected = g_zf_total * w["w_filter_gate"][None, d_v:]
-    g["w_value"] = g_projected.T @ t["blend"]
-    g["b_value"] = g_projected[0]
-    g_blend += g_projected @ w["w_value"]
-
-    g_gate = np.sum(g_blend * (t["h_sem"] - t["h_dep"]), axis=1)
-    g_hidden = {"sem": t["fusion_gate"][:, None] * g_blend,
-                "dep": (1.0 - t["fusion_gate"])[:, None] * g_blend}
-    g_zg = g_gate * t["fusion_gate"] * (1.0 - t["fusion_gate"])
-    g["w_fusion_gate"] = np.concatenate([t["h_dep"], t["h_sem"]], axis=1).T @ g_zg
-    g_hidden["dep"] += g_zg[:, None] * w["w_fusion_gate"][None, :d_hid]
-    g_hidden["sem"] += g_zg[:, None] * w["w_fusion_gate"][None, d_hid:]
-
-    # each guided branch: its hidden layer, its pooling and its signal projection
-    for name, signal in (("sem", sem), ("dep", dep)):
-        pool, tanh_proj = t[f"{name}_pool"], t[f"t_{name}"]
-        g_hidden_pre = g_hidden[name] * (1.0 - t[f"h_{name}"] ** 2)
-        g[f"w_{name}_hidden"] = g_hidden_pre.T @ t[f"{name}_refined"]
-        g[f"b_{name}_hidden"] = g_hidden_pre[0]
-        g_refined = g_hidden_pre @ w[f"w_{name}_hidden"]
-        g_signal = pool.T @ g_refined
-        g_scores = _softmax_rows_backward(pool, g_refined @ signal.T)[0]   # (d_seq,)
-        g[f"w_{name}_score"] = tanh_proj @ g_scores
-        g_proj = np.outer(w[f"w_{name}_score"], g_scores) * (1.0 - tanh_proj ** 2)
-        g[f"w_{name}_proj"] = g_proj @ signal
-        g_signal += g_proj.T @ w[f"w_{name}_proj"]
-        g[name] = g_signal
-
-    g["sem"] += g_sem_filter
-    return g
+    trace = forward_trace(sem, dep, w)
+    return fuse_backward(sem, dep, w, trace, trace["fused"])
 
 
 @dataclass(frozen=True)
@@ -253,7 +175,7 @@ def _fuse_case(cfg: GradCheckConfig, rng):
     sem = rng.uniform(-1.0, 1.0, (cfg.d_seq, cfg.d_v))
     dep = rng.uniform(-1.0, 1.0, (cfg.d_seq, cfg.d_v))
     return (fuse_gradients(sem, dep, params),
-            lambda w: probe_loss(_forward_trace(w["sem"], w["dep"], w)["fused"]),
+            lambda w: probe_loss(forward_trace(w["sem"], w["dep"], w)["fused"]),
             {**params.to_dict(), "sem": sem, "dep": dep})
 
 

@@ -14,6 +14,11 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
+def softmax_backward(weights: np.ndarray, g_weights: np.ndarray) -> np.ndarray:
+    """Gradient through a last-axis softmax, from its output `weights` and their gradient."""
+    return weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
+
+
 def sigmoid(x):
     """Logistic function, evaluated on the overflow-free branch per sign."""
     x = np.asarray(x, dtype=np.float64)

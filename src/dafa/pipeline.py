@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -68,6 +69,15 @@ def _check_layer_budget(layout: PairLayout, heads: int) -> None:
         raise ValueError(f"packed length L = {d_seq} (n = {layout.n}, m = {len(layout.b_span)}) "
                          f"with heads = {heads} needs about {peak:,} bytes, over the layer budget "
                          f"of {MAX_LAYER_BYTES:,} bytes")
+
+
+def _check_fuse_budget(source: str, shape: tuple) -> None:
+    """Reject signals of `shape` (..., L, d_v) from `source` whose `fuse` peak, as traced 3 (L, L)
+    float64 arrays per (L, d_v) slice or 3·slices·8·L² bytes, exceeds MAX_LAYER_BYTES."""
+    peak = 3 * math.prod(shape[:-2]) * 8 * shape[-2] ** 2
+    if peak > MAX_LAYER_BYTES:
+        raise ValueError(f"{source}: signals of shape {shape} need about {peak:,} bytes in fuse, "
+                         f"over the layer budget of {MAX_LAYER_BYTES:,} bytes")
 
 
 @dataclass(frozen=True, eq=False)

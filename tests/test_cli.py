@@ -791,6 +791,27 @@ def test_pair_over_the_layer_budget_rejected_before_any_work(tmp_path, capsys, m
         assert computed == [] and not out.exists() and staging_leftovers(tmp_path) == []
 
 
+def test_signals_over_the_fuse_budget_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    # (2, 4, 3) signals need 3 (L, L) float64 arrays per slice in fuse: 3·2·8·4² = 768 bytes
+    signals = tmp_path / "signals.json"
+    signals.write_text(json.dumps({"sem": np.zeros((2, 4, 3)).tolist(),
+                                   "dep": np.zeros((2, 4, 3)).tolist()}), encoding="utf-8")
+    out = tmp_path / "fused.json"
+    argv = ["fuse", "--signals", str(signals), "--out", str(out)]
+    computed = []
+    monkeypatch.setattr(cli, "fuse", lambda *a: computed.append(a))
+    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", 767)
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (f"error: {signals}: signals of shape (2, 4, 3) need about "
+                                       "768 bytes in fuse, over the layer budget of 767 bytes\n")
+    assert computed == [] and not out.exists()
+    # a budget of 768 bytes admits them, to the byte
+    monkeypatch.setattr(cli, "fuse", fuse)
+    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", 768)
+    assert run(argv) == 0
+    assert np.shape(json.loads(out.read_text(encoding="utf-8"))["fused"]) == (2, 4, 3)
+
+
 def test_out_naming_a_file_rejected_before_any_pair(tmp_path, capsys, monkeypatch, pairs_file,
                                                     tfidf_file):
     out = tmp_path / "out"

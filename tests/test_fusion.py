@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from conftest import zero_fusion_params
-from dafa.fusion import PARAM_FIELDS, FusionOutput, FusionParams, _forward_trace, fuse
+from dafa.fusion import PARAM_FIELDS, FusionOutput, FusionParams, forward_trace, fuse
 from dafa.nnops import sigmoid, softmax
 
 # max |fuse - naive_forward_trace| allowed per output. The two differ only in rounding: the
@@ -558,9 +558,9 @@ class TestForwardTraceLeadingAxes:
         stacked = {name: np.stack([p[name] for p in params]) for name in PARAM_FIELDS}
         sem = rng.uniform(-1, 1, (b, d_seq, d_v))
         dep = rng.uniform(-1, 1, (b, d_seq, d_v))
-        trace = _forward_trace(sem, dep, stacked)
+        trace = forward_trace(sem, dep, stacked)
         for i in range(b):
-            single = _forward_trace(sem[i], dep[i], params[i])
+            single = forward_trace(sem[i], dep[i], params[i])
             assert trace.keys() == single.keys()
             for key, value in single.items():
                 assert trace[key][i].tobytes() == value.tobytes(), (i, key)
@@ -572,15 +572,22 @@ class TestForwardTraceLeadingAxes:
         stacked = {name: np.stack([p[name] for p in params]) for name in PARAM_FIELDS}
         sem = rng.uniform(-1, 1, (b, d_seq, d_v))
         dep = rng.uniform(-1, 1, (b, d_seq, d_v))
-        shared_signals = _forward_trace(sem[0], dep[0], stacked)     # 2-D signals, stacked weights
-        shared_weights = _forward_trace(sem, dep, params[0])         # stacked signals, 2-D weights
+        shared_signals = forward_trace(sem[0], dep[0], stacked)     # 2-D signals, stacked weights
+        shared_weights = forward_trace(sem, dep, params[0])         # stacked signals, 2-D weights
+        # one stacked weight against 2-D others: h_dep gains the axis, h_sem does not
+        one_stacked = {**params[0], "w_dep_hidden": stacked["w_dep_hidden"]}
+        one_weight = forward_trace(sem[0], dep[0], one_stacked)
         for i in range(b):
+            one_slice = {**params[0], "w_dep_hidden": params[i]["w_dep_hidden"]}
             for trace, single in (
-                (shared_signals, _forward_trace(sem[0], dep[0], params[i])),
-                (shared_weights, _forward_trace(sem[i], dep[i], params[0])),
+                (shared_signals, forward_trace(sem[0], dep[0], params[i])),
+                (shared_weights, forward_trace(sem[i], dep[i], params[0])),
+                (one_weight, forward_trace(sem[0], dep[0], one_slice)),
             ):
                 for key, value in single.items():
-                    assert trace[key][i].tobytes() == value.tobytes(), (i, key)
+                    # an entry the stacked input does not reach has no leading axis
+                    value_i = np.broadcast_to(trace[key], (b, *value.shape))[i]
+                    assert value_i.tobytes() == value.tobytes(), (i, key)
         # `fuse` on the stack (as dafa_layer calls it, one slice per head) equals the 2-D calls
         fusion_params = FusionParams(**params[0])
         stacked_out = fuse(sem, dep, fusion_params)

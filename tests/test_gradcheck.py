@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import zero_fusion_params
 from dafa import gradcheck
-from dafa.attention import dep_attention, sem_attention
-from dafa.fusion import PARAM_FIELDS, FusionParams, _forward_trace, fuse
+from dafa.attention import attention_backward, dep_attention, sem_attention
+from dafa.fusion import PARAM_FIELDS, FusionParams, forward_trace, fuse, fuse_backward
 from dafa.gradcheck import (
     ABS_FLOOR,
     OP_NAMES,
@@ -45,7 +45,28 @@ def naive_fd_gradient(f, params: dict, eps: float) -> dict:
 
 def fuse_loss(values):
     """Probe loss of the fusion forward over one leading axis of perturbation rows."""
-    return probe_loss(_forward_trace(values["sem"], values["dep"], values)["fused"])
+    return probe_loss(forward_trace(values["sem"], values["dep"], values)["fused"])
+
+
+def op_inputs(op, rng, lead=()):
+    """Inputs of an op in OP_NAMES, with 2-D weights and signals (or q, k, v) of leading axes
+    `lead`, and the calibration (None but for dep_attention); every output is (*lead, 5, 3)."""
+    calibration = 1.0 + rng.uniform(0, 1, (5, 5)) if op == "dep_attention" else None
+    if op == "fuse":
+        signals = {name: rng.uniform(-1, 1, lead + (5, 3)) for name in ("sem", "dep")}
+        return {**FusionParams.init(5, 3, 2, seed=14).to_dict(), **signals}, calibration
+    shapes = {"q": (5, 4), "k": (5, 4), "v": (5, 3)}
+    return {name: rng.uniform(-1, 1, lead + shape) for name, shape in shapes.items()}, calibration
+
+
+def output_and_backward(op, x, calibration):
+    """The op's output at the inputs `x`, and its backward pass there as a function of g."""
+    if op == "fuse":
+        trace = forward_trace(x["sem"], x["dep"], x)
+        return trace["fused"], lambda g: fuse_backward(x["sem"], x["dep"], x, trace, g)
+    weights, out = (sem_attention(x["q"], x["k"], x["v"]) if calibration is None
+                    else dep_attention(x["q"], x["k"], x["v"], calibration))
+    return out, lambda g: attention_backward(x["q"], x["k"], x["v"], weights, g, calibration)
 
 
 class TestProbeLoss:
@@ -305,29 +326,38 @@ class TestAnalyticGradients:
     def test_fuse_signal_shapes_checked(self, shape, bad):
         params = FusionParams.init(4, 3, 2, seed=10)
         inputs = {"sem": np.zeros((4, 3)), "dep": np.zeros((4, 3)), bad: np.zeros(shape)}
-        with pytest.raises(ValueError, match=rf"{bad} has shape"):
+        # a stack ends in (d_seq, d_v), so against a 2-D signal only the equal-shape check fails
+        message = (r"sem shape \(.*\) and dep shape \(.*\) differ" if len(shape) == 3
+                   else rf"{bad} has shape")
+        with pytest.raises(ValueError, match=message):
             fuse_gradients(inputs["sem"], inputs["dep"], params)
 
-    def test_fuse_gradients_take_2d_signals_only(self):
-        # fuse takes (..., d_seq, d_v) stacks; its backward pass does not
-        params = FusionParams.init(4, 3, 2, seed=10)
-        stack = np.zeros((2, 4, 3))
-        assert fuse(stack, stack, params).fused.shape == (2, 4, 3)
-        with pytest.raises(ValueError, match=r"2-D signals only: sem has shape \(2, 4, 3\), "
-                                             r"dep has shape \(4, 3\)"):
-            fuse_gradients(stack, stack[0], params)
+    @pytest.mark.parametrize("op", OP_NAMES)
+    def test_stacked_backward_equals_slices(self, op):
+        # one call on (heads, ...) stacks, with 2-D weights and a shared calibration (or none),
+        # gives slice by slice the bits of the 2-D calls; every gradient keeps the heads axis
+        heads, rng = 3, np.random.default_rng(13)
+        x, calibration = op_inputs(op, rng, (heads,))
+        g = rng.normal(size=(heads, 5, 3))
+        stacked = output_and_backward(op, x, calibration)[1](g)
+        for i in range(heads):
+            x_i = {name: value[i] if value.ndim == 3 else value for name, value in x.items()}
+            single = output_and_backward(op, x_i, calibration)[1](g[i])
+            assert stacked.keys() == single.keys()
+            for name, value in single.items():
+                assert stacked[name].shape == (heads,) + value.shape, name
+                assert stacked[name][i].tobytes() == value.tobytes(), (i, name)
 
-    @pytest.mark.parametrize("calibration", [None, np.ones((3, 3)), np.ones((2, 3, 3))])
-    def test_attention_gradients_take_2d_operands_only(self, calibration):
-        rng = np.random.default_rng(11)
-        q, k, v = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 2))
-        if calibration is not None and calibration.ndim == 3:
-            q, k, v = q[0], k[0], v[0]
-        with pytest.raises(ValueError, match=r"2-D operands only, got q \(.*\), k \(.*\), v "):
-            if calibration is None:
-                sem_attention_gradients(q, k, v)
-            else:
-                dep_attention_gradients(q, k, v, calibration)
+    @pytest.mark.parametrize("op", OP_NAMES)
+    def test_backward_takes_the_upstream_gradient(self, op):
+        # with an upstream gradient g unlike the output, each backward gives sum(g * output)'s
+        rng = np.random.default_rng(15)
+        x, calibration = op_inputs(op, rng)
+        g = rng.normal(size=(5, 3))
+        analytic = output_and_backward(op, x, calibration)[1](g)
+        fd = fd_gradient(
+            lambda y: np.sum(g * output_and_backward(op, y, calibration)[0], axis=(-2, -1)), x)
+        assert compare_gradients(analytic, fd, tol=1e-6)[2]
 
 
 class TestFuseReport:

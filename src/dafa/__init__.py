@@ -38,7 +38,6 @@ from .pipeline import (
     LayerOutput,
     build_layout,
     dafa_layer,
-    read_heatmap_csv,
     write_heatmap_csv,
 )
 from .tfidf import TfIdfModel
@@ -71,7 +70,6 @@ __all__ = [
     "multi_head_dafa",
     "parse_conllu",
     "parse_single",
-    "read_heatmap_csv",
     "read_pairs",
     "sem_attention",
     "subgraph_matrix",

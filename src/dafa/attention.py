@@ -11,6 +11,9 @@ elsewhere) before scaling and softmax, so calibrated cells gain or keep
 attention mass while neutral cells are untouched; `attention_backward`
 differentiates either path. `multi_head_dafa` runs both paths for every
 head and returns their weights and signals as stacks, head first.
+Each op allocates its logits once, as `q @ k^T`; the calibration multiply
+(unless the calibration's broadcast widens the logits), the 1/sqrt(d_k)
+scale and the softmax run in place on them, with the formula's bits.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nnops import softmax, softmax_backward
+from .nnops import softmax_backward, softmax_in_place
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,9 @@ def _as_qkv(q, k, v):
 def sem_attention(q, k, v) -> tuple[np.ndarray, np.ndarray]:
     """Standard scaled dot-product attention over the last two axes; returns (weights, output)."""
     q, k, v = _as_qkv(q, k, v)
-    logits = (q @ k.swapaxes(-1, -2)) / math.sqrt(q.shape[-1])
-    weights = softmax(logits, axis=-1)
+    logits = q @ k.swapaxes(-1, -2)
+    logits /= math.sqrt(q.shape[-1])
+    weights = softmax_in_place(logits)
     return weights, weights @ v
 
 
@@ -107,8 +111,13 @@ def dep_attention(q, k, v, calibration) -> tuple[np.ndarray, np.ndarray]:
             f"calibration shape {calibration.shape} does not end in the logits' "
             f"(q rows, k rows) {logit_shape}"
         )
-    logits = ((q @ k.swapaxes(-1, -2)) * calibration) / math.sqrt(q.shape[-1])
-    weights = softmax(logits, axis=-1)
+    logits = q @ k.swapaxes(-1, -2)
+    if np.broadcast_shapes(logits.shape, calibration.shape) == logits.shape:
+        logits *= calibration
+    else:  # the calibration's leading axes widen the logits: the product is a new array
+        logits = logits * calibration
+    logits /= math.sqrt(q.shape[-1])
+    weights = softmax_in_place(logits)
     return weights, weights @ v
 
 

@@ -24,6 +24,8 @@ shape, which broadcast, and each slice gives the same bits as the 2-D
 call on it. `fuse` (which `dafa_layer` calls once on the stack of all
 heads) and the finite-difference oracle (which stacks perturbed copies
 along one leading axis) run it; `fuse_backward` differentiates its trace.
+Each branch allocates its (d_seq, d_seq) projection once: the tanh, and
+the softmax of the pooling scores, run in place on the fresh products.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nnops import sigmoid, softmax, softmax_backward
+from .nnops import sigmoid, softmax_backward, softmax_in_place
 
 
 def _draws(d_seq: int, d_v: int, d_hid: int) -> list[tuple[str | None, tuple, int]]:
@@ -226,8 +228,9 @@ def forward_trace(sem, dep, w) -> dict:
         raise ValueError(f"sem shape {sem.shape} and dep shape {dep.shape} differ")
     trace = {}
     for name, signal in (("dep", dep), ("sem", sem)):  # the two guided branches
-        t = np.tanh(w[f"w_{name}_proj"] @ signal.swapaxes(-1, -2))     # (..., d_seq, d_seq)
-        pool = softmax(w[f"w_{name}_score"][..., None, :] @ t, axis=-1)  # (..., 1, d_seq)
+        t = w[f"w_{name}_proj"] @ signal.swapaxes(-1, -2)                # (..., d_seq, d_seq)
+        np.tanh(t, out=t)
+        pool = softmax_in_place(w[f"w_{name}_score"][..., None, :] @ t)  # (..., 1, d_seq)
         refined = pool @ signal                                          # (..., 1, d_v)
         hidden = np.tanh(refined @ w[f"w_{name}_hidden"].swapaxes(-1, -2)
                          + w[f"b_{name}_hidden"][..., None, :])          # (..., 1, d_hid)

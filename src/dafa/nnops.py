@@ -1,17 +1,22 @@
-"""Small numerically-careful primitives shared by the attention and fusion code."""
+"""Small numerically-careful primitives shared by the attention and fusion code. The attention
+logits and the fusion pooling scores, which their callers own, go through `softmax_in_place`."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with per-slice max subtraction; exp and divide run in place on that fresh copy."""
-    x = np.asarray(x, dtype=np.float64)
-    e = x - np.max(x, axis=axis, keepdims=True)
-    np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
-    return e
+def softmax_in_place(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax with per-slice max subtraction, written over the float64 array `x`; returns `x`."""
+    x -= np.max(x, axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.sum(x, axis=axis, keepdims=True)
+    return x
+
+
+def softmax(x, axis: int = -1) -> np.ndarray:
+    """Softmax with per-slice max subtraction, on a float64 copy of `x`."""
+    return softmax_in_place(np.array(x, dtype=np.float64), axis)
 
 
 def softmax_backward(weights: np.ndarray, g_weights: np.ndarray) -> np.ndarray:

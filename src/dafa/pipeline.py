@@ -60,11 +60,11 @@ def _check_layer_budget(layout: PairLayout, heads: int) -> None:
     """Reject a pair whose estimated `dafa_layer` peak at `heads` heads exceeds MAX_LAYER_BYTES,
     before any of its (L, L) arrays is allocated.
 
-    The traced peak holds about 5 (L, L) float64 arrays per head plus the calibration, at
-    L = n + m + 3 (traced at 1, 2, 4 and 8 heads), so the estimate is (5·heads + 1)·8·L² bytes.
+    The traced peak holds about 4 (L, L) float64 arrays per head plus the calibration, at
+    L = n + m + 3 (traced at 1, 2, 4 and 8 heads), so the estimate is (4·heads + 1)·8·L² bytes.
     """
     d_seq = layout.d_seq
-    peak = (5 * heads + 1) * 8 * d_seq ** 2
+    peak = (4 * heads + 1) * 8 * d_seq ** 2
     if peak > MAX_LAYER_BYTES:
         raise ValueError(f"packed length L = {d_seq} (n = {layout.n}, m = {len(layout.b_span)}) "
                          f"with heads = {heads} needs about {peak:,} bytes, over the layer budget "
@@ -72,9 +72,9 @@ def _check_layer_budget(layout: PairLayout, heads: int) -> None:
 
 
 def _check_fuse_budget(source: str, shape: tuple) -> None:
-    """Reject signals of `shape` (..., L, d_v) from `source` whose `fuse` peak, as traced 3 (L, L)
-    float64 arrays per (L, d_v) slice or 3·slices·8·L² bytes, exceeds MAX_LAYER_BYTES."""
-    peak = 3 * math.prod(shape[:-2]) * 8 * shape[-2] ** 2
+    """Reject signals of `shape` (..., L, d_v) from `source` whose `fuse` peak, as traced 2 (L, L)
+    float64 arrays per (L, d_v) slice or 2·slices·8·L² bytes, exceeds MAX_LAYER_BYTES."""
+    peak = 2 * math.prod(shape[:-2]) * 8 * shape[-2] ** 2
     if peak > MAX_LAYER_BYTES:
         raise ValueError(f"{source}: signals of shape {shape} need about {peak:,} bytes in fuse, "
                          f"over the layer budget of {MAX_LAYER_BYTES:,} bytes")
@@ -187,15 +187,3 @@ def write_heatmap_csv(path, row_labels, col_labels, matrix) -> None:
         for label, row in zip(row_labels, rows):
             head = line.writerow([label, ""] if row else [label])[:-1]
             fh.write(head + ",".join(map(repr, row)) + "\n")
-
-
-def read_heatmap_csv(path):
-    """Inverse of write_heatmap_csv: (row_labels, col_labels, matrix)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty heatmap CSV")
-    col_labels = rows[0][1:]
-    row_labels = [row[0] for row in rows[1:]]
-    matrix = np.array([[float(x) for x in row[1:]] for row in rows[1:]], dtype=np.float64)
-    return row_labels, col_labels, matrix

@@ -1,6 +1,6 @@
 """Shared test helpers: sentence builders, random trees, packed layouts of any length, the
-per-cell scoring oracles, the per-head attention loop, all-zero fusion parameters and the
-per-element heatmap CSV writer."""
+per-cell scoring oracles, the per-head attention loop, all-zero fusion parameters, the
+per-element heatmap CSV writer and the heatmap CSV reader."""
 
 import csv
 from dataclasses import dataclass
@@ -146,3 +146,15 @@ def naive_write_heatmap_csv(path, row_labels, col_labels, matrix) -> None:
         writer.writerow(["", *col_labels])
         for label, row in zip(row_labels, matrix):
             writer.writerow([label, *[repr(float(x)) for x in row]])
+
+
+def read_heatmap_csv(path):
+    """Inverse of `write_heatmap_csv`: (row_labels, col_labels, matrix)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path}: empty heatmap CSV")
+    col_labels = rows[0][1:]
+    row_labels = [row[0] for row in rows[1:]]
+    matrix = np.array([[float(x) for x in row[1:]] for row in rows[1:]], dtype=np.float64)
+    return row_labels, col_labels, matrix

@@ -10,7 +10,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import conllu_block, make_sentence, naive_subgraph, packed_layout, random_sentence
+from conftest import (
+    conllu_block,
+    make_sentence,
+    naive_subgraph,
+    packed_layout,
+    random_sentence,
+    read_heatmap_csv,
+)
 from dafa.attention import dep_attention, sem_attention
 from dafa.cli import run
 from dafa.depmatrix import (
@@ -22,7 +29,7 @@ from dafa.depmatrix import (
 )
 from dafa.fusion import FusionParams, fuse
 from dafa.gradcheck import GradCheckConfig, check
-from dafa.pipeline import build_layout, read_heatmap_csv
+from dafa.pipeline import build_layout
 from dafa.tfidf import TfIdfModel
 
 PAIR_A = [("Apple", 2, "nsubj"), ("exceeded", 0, "root"), ("the", 4, "det"), ("company", 2, "obj")]

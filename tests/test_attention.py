@@ -163,6 +163,43 @@ class TestLeadingAxes:
             sem_attention(np.zeros(3), np.zeros((1, 3)), np.zeros((1, 2)))
 
 
+def three_allocation_attention(q, k, v, calibration=None):
+    """The forward as a chain of fresh arrays: softmax(((q @ k^T) * C) / sqrt(d_k)) @ v."""
+    raw = q @ k.swapaxes(-1, -2)
+    if calibration is not None:
+        raw = raw * calibration
+    shifted = raw / math.sqrt(q.shape[-1])
+    shifted = shifted - np.max(shifted, axis=-1, keepdims=True)
+    weights = np.exp(shifted) / np.sum(np.exp(shifted), axis=-1, keepdims=True)
+    return weights, weights @ v
+
+
+class TestInPlaceSteps:
+    """The logits are scaled and softmaxed over the array `q @ k^T` returns: the ops write no
+    argument, and their bits are those of the formula's chain of fresh arrays."""
+
+    @pytest.mark.parametrize("qk_lead, c_lead", [
+        ((), ()),            # 2-D: the multiply runs in place
+        ((3,), (3,)),        # stacked calibration as wide as the logits: in place
+        ((3,), ()),          # a 2-D calibration shared by every slice: in place
+        ((), (3,)),          # stacked wider than 2-D logits: a fresh product
+        ((1,), (3,)),        # widening a length-1 axis: a fresh product
+    ])
+    def test_arguments_unchanged_and_bits_of_the_formula(self, qk_lead, c_lead):
+        rng = np.random.default_rng(17)
+        q, k = rng.normal(size=(*qk_lead, 4, 3)), rng.normal(size=(*qk_lead, 6, 3))
+        v = rng.normal(size=(*qk_lead, 6, 2))
+        c = 1.0 + rng.uniform(0, 2, (*c_lead, 4, 6))
+        before = [x.copy() for x in (q, k, v, c)]
+        for got, expected in ((sem_attention(q, k, v), three_allocation_attention(q, k, v)),
+                              (dep_attention(q, k, v, c),
+                               three_allocation_attention(q, k, v, c))):
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1].tobytes() == expected[1].tobytes()
+        for x, copy in zip((q, k, v, c), before):
+            assert x.tobytes() == copy.tobytes()
+
+
 class TestSoftmaxProperties:
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)

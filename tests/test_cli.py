@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import conllu_block, naive_write_heatmap_csv
+from conftest import conllu_block, naive_write_heatmap_csv, read_heatmap_csv
 from dafa import cli, pipeline
 from dafa.attention import AttnConfig, AttnParams
 from dafa.cli import DEFAULT_D_HID, _build_parser, run
@@ -17,7 +17,7 @@ from dafa.conllu import read_pairs
 from dafa.depmatrix import DepMatrixConfig, base_matrix, final_matrix, subgraph_matrix
 from dafa.fusion import FusionParams, fuse
 from dafa.gradcheck import DEFAULT_EPS, DEFAULT_TOL, GradCheckConfig
-from dafa.pipeline import EmbeddingTable, build_layout, dafa_layer, read_heatmap_csv
+from dafa.pipeline import EmbeddingTable, build_layout, dafa_layer
 from dafa.tfidf import TfIdfModel
 
 PAIR_A = [("Apple", 2, "nsubj"), ("exceeded", 0, "root"), ("the", 4, "det"), ("company", 2, "obj")]
@@ -780,9 +780,9 @@ def test_pair_over_the_layer_budget_rejected_before_any_work(tmp_path, capsys, m
     flag = "--pair" if command == "attend" else "--pairs"
     argv = [command, flag, str(pairs), "--tfidf", str(tfidf_file), "--out", str(out)]
     # the default 2 heads under a budget that admits only L <= 10, then 4 heads under one that
-    # admits L = 11 at 2 heads (10,648 bytes, to the byte)
-    for heads_argv, budget, needs in (([], 8_800, "heads = 2 needs about 10,648"),
-                                      (["--heads", "4"], 10_648, "heads = 4 needs about 20,328")):
+    # admits L = 11 at 2 heads (8,712 bytes, to the byte)
+    for heads_argv, budget, needs in (([], 7_200, "heads = 2 needs about 8,712"),
+                                      (["--heads", "4"], 8_712, "heads = 4 needs about 16,456")):
         monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", budget)
         assert run(argv + heads_argv) == 1, heads_argv
         assert capsys.readouterr().err == ("error: pair 'star': packed length L = 11 (n = 4, "
@@ -792,7 +792,7 @@ def test_pair_over_the_layer_budget_rejected_before_any_work(tmp_path, capsys, m
 
 
 def test_signals_over_the_fuse_budget_rejected_before_any_work(tmp_path, capsys, monkeypatch):
-    # (2, 4, 3) signals need 3 (L, L) float64 arrays per slice in fuse: 3·2·8·4² = 768 bytes
+    # (2, 4, 3) signals need 2 (L, L) float64 arrays per slice in fuse: 2·2·8·4² = 512 bytes
     signals = tmp_path / "signals.json"
     signals.write_text(json.dumps({"sem": np.zeros((2, 4, 3)).tolist(),
                                    "dep": np.zeros((2, 4, 3)).tolist()}), encoding="utf-8")
@@ -800,14 +800,14 @@ def test_signals_over_the_fuse_budget_rejected_before_any_work(tmp_path, capsys,
     argv = ["fuse", "--signals", str(signals), "--out", str(out)]
     computed = []
     monkeypatch.setattr(cli, "fuse", lambda *a: computed.append(a))
-    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", 767)
+    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", 511)
     assert run(argv) == 1
     assert capsys.readouterr().err == (f"error: {signals}: signals of shape (2, 4, 3) need about "
-                                       "768 bytes in fuse, over the layer budget of 767 bytes\n")
+                                       "512 bytes in fuse, over the layer budget of 511 bytes\n")
     assert computed == [] and not out.exists()
-    # a budget of 768 bytes admits them, to the byte
+    # a budget of 512 bytes admits them, to the byte
     monkeypatch.setattr(cli, "fuse", fuse)
-    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", 768)
+    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", 512)
     assert run(argv) == 0
     assert np.shape(json.loads(out.read_text(encoding="utf-8"))["fused"]) == (2, 4, 3)
 

@@ -598,3 +598,26 @@ class TestForwardTraceLeadingAxes:
             assert value.shape == (b,) + single[0].shape, field.name
             for i in range(b):
                 assert value[i].tobytes() == single[i].tobytes(), (i, field.name)
+
+    @pytest.mark.parametrize("stack_weights", [False, True])
+    def test_arguments_unchanged_and_bits_of_the_formula(self, stack_weights):
+        # tanh and the pooling softmax run in place over fresh products: the forward writes
+        # neither signal nor any weight, and gives the bits of the fresh-array formulas
+        b, d_seq, d_v, d_hid = 3, 6, 4, 3
+        rng = np.random.default_rng(13)
+        params = [FusionParams.init(d_seq, d_v, d_hid, seed=s).to_dict() for s in range(b)]
+        w = ({name: np.stack([p[name] for p in params]) for name in PARAM_FIELDS}
+             if stack_weights else {name: params[0][name].copy() for name in PARAM_FIELDS})
+        sem, dep = rng.uniform(-2, 2, (b, d_seq, d_v)), rng.uniform(-2, 2, (b, d_seq, d_v))
+        before = {"sem": sem.copy(), "dep": dep.copy(),
+                  **{name: value.copy() for name, value in w.items()}}
+        trace = forward_trace(sem, dep, w)
+        for name, signal in (("dep", dep), ("sem", sem)):
+            t = np.tanh(w[f"w_{name}_proj"] @ signal.swapaxes(-1, -2))
+            assert trace[f"t_{name}"].tobytes() == t.tobytes()
+            scores = w[f"w_{name}_score"][..., None, :] @ t
+            shifted = scores - np.max(scores, axis=-1, keepdims=True)
+            pool = np.exp(shifted) / np.sum(np.exp(shifted), axis=-1, keepdims=True)
+            assert trace[f"{name}_pool"].tobytes() == pool.tobytes()
+        for name, value in {"sem": sem, "dep": dep, **w}.items():
+            assert value.tobytes() == before[name].tobytes(), name

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sentence, naive_write_heatmap_csv, per_head_attention, random_sentence
+from conftest import (
+    make_sentence,
+    naive_write_heatmap_csv,
+    per_head_attention,
+    random_sentence,
+    read_heatmap_csv,
+)
 from dafa import pipeline
 from dafa.attention import AttnConfig, AttnParams, multi_head_dafa
 from dafa.depmatrix import DepMatrixConfig
@@ -21,7 +27,6 @@ from dafa.pipeline import (
     _check_layer_budget,
     build_layout,
     dafa_layer,
-    read_heatmap_csv,
     write_heatmap_csv,
 )
 from dafa.tfidf import TfIdfModel
@@ -79,8 +84,8 @@ class TestBuildLayout:
 
 
 def layer_estimate(d_seq, heads):
-    """The layer budget's rule: 5 (L, L) float64 arrays per head plus the calibration."""
-    return (5 * heads + 1) * 8 * d_seq ** 2
+    """The layer budget's rule: 4 (L, L) float64 arrays per head plus the calibration."""
+    return (4 * heads + 1) * 8 * d_seq ** 2
 
 
 class TestLayerBudget:
@@ -90,7 +95,7 @@ class TestLayerBudget:
         assert layout.d_seq == 11
         # the budget admits the pair at 2 heads, to the byte, and not at 4
         monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", layer_estimate(11, 2))
-        assert pipeline.MAX_LAYER_BYTES == 10_648
+        assert pipeline.MAX_LAYER_BYTES == 8_712
         _check_layer_budget(layout, 2)
         monkeypatch.setattr(pipeline, "final_matrix", lambda *args: pytest.fail("scored"))
         config = AttnConfig(d_model=16, heads=4, d_k=6, d_v=5, d_seq=11)
@@ -98,11 +103,11 @@ class TestLayerBudget:
         for call in (lambda: _check_layer_budget(layout, 4),
                      lambda: dafa_layer(a, a, *[None] * 4, config)):
             with pytest.raises(ValueError, match=r"^packed length L = 11 \(n = 4, m = 4\) with "
-                                                 r"heads = 4 needs about 20,328 bytes, over the "
-                                                 r"layer budget of 10,648 bytes$"):
+                                                 r"heads = 4 needs about 16,456 bytes, over the "
+                                                 r"layer budget of 8,712 bytes$"):
                 call()
         monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", layer_estimate(11, 2) - 1)
-        with pytest.raises(ValueError, match=r"with heads = 2 needs about 10,648 bytes"):
+        with pytest.raises(ValueError, match=r"with heads = 2 needs about 8,712 bytes"):
             _check_layer_budget(layout, 2)
 
     def test_estimate_matches_a_measured_layer(self):
@@ -118,6 +123,21 @@ class TestLayerBudget:
             finally:
                 tracemalloc.stop()
             assert 0.9 < peak / layer_estimate(203, heads) < 1.1, heads
+
+    @pytest.mark.parametrize("shape", [(1, 300, 8), (2, 300, 8), (4, 150, 5), (8, 100, 3)])
+    def test_fuse_estimate_matches_a_measured_fuse(self, shape):
+        # the fuse budget's rule: 2 (L, L) float64 arrays per (L, d_v) slice
+        slices, d_seq, d_v = shape
+        rng = np.random.default_rng(9)
+        sem, dep = rng.normal(size=shape), rng.normal(size=shape)
+        params = FusionParams.init(d_seq, d_v, 4, seed=3)
+        tracemalloc.start()
+        try:
+            fuse(sem, dep, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.9 < peak / (2 * slices * 8 * d_seq ** 2) < 1.1, shape
 
 
 class TestEmbeddingTable:

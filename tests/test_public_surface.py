@@ -11,13 +11,13 @@ EXPECTED_NAMES = [
     "EmbeddingTable", "FusionOutput", "FusionParams", "GradCheckConfig", "GradReport",
     "LayerOutput", "SentencePair", "TfIdfModel", "Token", "base_matrix", "build_layout",
     "check", "dafa_layer", "dep_attention", "embed_calibration", "final_matrix", "fuse",
-    "multi_head_dafa", "parse_conllu", "parse_single", "read_heatmap_csv", "read_pairs",
+    "multi_head_dafa", "parse_conllu", "parse_single", "read_pairs",
     "sem_attention", "subgraph_matrix", "write_heatmap_csv",
 ]
 
 
 def test_public_surface_is_pinned():
-    assert len(EXPECTED_NAMES) == 30
+    assert len(EXPECTED_NAMES) == 29
     assert sorted(dafa.__all__) == EXPECTED_NAMES
     for name in dafa.__all__:
         assert getattr(dafa, name) is not None, name

@@ -10,7 +10,9 @@ elementwise by a calibration matrix (>= 1 cross-sentence, exactly 1
 elsewhere) before scaling and softmax, so calibrated cells gain or keep
 attention mass while neutral cells are untouched; `attention_backward`
 differentiates either path. `multi_head_dafa` runs both paths for every
-head and returns their weights and signals as stacks, head first.
+head and returns their weights and signals as stacks, head first; it
+stacks the sem path's heads before the dep path runs, so at most one
+path's per-head weights are alive beside the stacks.
 Each op allocates its logits once, as `q @ k^T`; the calibration multiply
 (unless the calibration's broadcast widens the logits), the 1/sqrt(d_k)
 scale and the softmax run in place on them, with the formula's bits.
@@ -145,6 +147,7 @@ def multi_head_dafa(x, params: AttnParams, calibration) -> tuple[np.ndarray, ...
     q, k, v = x @ params.w_q, x @ params.w_k, x @ params.w_v   # (heads, d_seq, .)
     # one call per head slice, although both ops take the stack: the benchmark's logit
     # counter (bench/workloads.py::_count_logits) reads len(q) * len(k), right for 2-D only
-    sem_w, sem = zip(*map(sem_attention, q, k, v))
-    dep_w, dep = zip(*(dep_attention(*qkv, calibration) for qkv in zip(q, k, v)))
-    return np.stack(sem_w), np.stack(sem), np.stack(dep_w), np.stack(dep)
+    # each path's heads are stacked before the next path runs, so its per-head copies are gone
+    sem_w, sem = map(np.stack, zip(*map(sem_attention, q, k, v)))
+    dep_w, dep = map(np.stack, zip(*(dep_attention(*qkv, calibration) for qkv in zip(q, k, v))))
+    return sem_w, sem, dep_w, dep

@@ -103,21 +103,26 @@ def subgraph_matrix(a: DepSentence, b: DepSentence, config: DepMatrixConfig = De
 
     alpha, nu = config.alpha, config.nu
     scores: list[dict[int, float]] = [{} for _ in key_a]  # scores[i][j], matching pairs only
+    rows, cols, values = [], [], []                       # the same cells, for one scatter
     for i in _deepest_first(kids_a, codes_a.parent.index(-1)):
+        matches = nodes_b.get(key_a[i])
+        if matches is None:
+            continue
         kids = [(scores[x], key_a[x]) for x in kids_a[i]]
         row = scores[i]
-        for j in nodes_b.get(key_a[i], ()):
+        for j in matches:
             kids_j = kids_b[j]
             child_sum = 0.0
             for kid_scores, kid_key in kids:
                 for y in kids_j.get(kid_key, ()):
                     child_sum += kid_scores[y]
-            row[j] = alpha + nu * child_sum
+            row[j] = score = alpha + nu * child_sum
+            rows.append(i)
+            cols.append(j)
+            values.append(score)
 
     out = np.zeros((a.n, b.n), dtype=np.float64)
-    for i, row in enumerate(scores):
-        if row:
-            out[i, list(row)] = list(row.values())
+    out[rows, cols] = values  # no match leaves three empty lists and an all-zero matrix
     return out
 
 

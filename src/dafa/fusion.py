@@ -26,6 +26,9 @@ heads) and the finite-difference oracle (which stacks perturbed copies
 along one leading axis) run it; `fuse_backward` differentiates its trace.
 Each branch allocates its (d_seq, d_seq) projection once: the tanh, and
 the softmax of the pooling scores, run in place on the fresh products.
+The forward pools that tanh block at once and keeps it out of the trace,
+so one (d_seq, d_seq) block per slice is alive at a time; the backward
+rebuilds it with the same operations, for the same bits.
 """
 
 from __future__ import annotations
@@ -202,6 +205,14 @@ def _mv(matrix, vector):
     return (matrix @ vector[..., None])[..., 0]
 
 
+def _tanh_proj(w_proj, signal):
+    """A guided branch's projection tanh(w_proj @ signal^T), (..., d_seq, d_seq), the tanh
+    written over the fresh product. The forward pools it at once and lets it go;
+    `fuse_backward` calls this again for the same bits."""
+    t = w_proj @ signal.swapaxes(-1, -2)
+    return np.tanh(t, out=t)
+
+
 def forward_trace(sem, dep, w) -> dict:
     """Run the whole network at once, keeping intermediates.
 
@@ -209,8 +220,9 @@ def forward_trace(sem, dep, w) -> dict:
     (..., d_seq, d_v), of one shape, and each weight may have leading axes
     in front of their own shape; they broadcast, and every output gains them.
 
-    One loop runs both guided branches, dep then sem: the tanh projection
-    `t_*`, the pool `*_pool`, the refined vector and the hidden layer `h_*`.
+    One loop runs both guided branches, dep then sem: the pool `*_pool` of
+    the branch's tanh projection (`_tanh_proj`, not kept), the refined vector
+    and the hidden layer `h_*`.
     Each pooling is one row shared by every position, so the pools have
     shape (..., 1, d_seq), and the refined vectors, hidden layers, fusion
     gate, blend, projection and squashed output are one row each; only the
@@ -228,14 +240,12 @@ def forward_trace(sem, dep, w) -> dict:
         raise ValueError(f"sem shape {sem.shape} and dep shape {dep.shape} differ")
     trace = {}
     for name, signal in (("dep", dep), ("sem", sem)):  # the two guided branches
-        t = w[f"w_{name}_proj"] @ signal.swapaxes(-1, -2)                # (..., d_seq, d_seq)
-        np.tanh(t, out=t)
-        pool = softmax_in_place(w[f"w_{name}_score"][..., None, :] @ t)  # (..., 1, d_seq)
-        refined = pool @ signal                                          # (..., 1, d_v)
+        pool = softmax_in_place(w[f"w_{name}_score"][..., None, :]
+                                @ _tanh_proj(w[f"w_{name}_proj"], signal))  # (..., 1, d_seq)
+        refined = pool @ signal                                             # (..., 1, d_v)
         hidden = np.tanh(refined @ w[f"w_{name}_hidden"].swapaxes(-1, -2)
-                         + w[f"b_{name}_hidden"][..., None, :])          # (..., 1, d_hid)
-        trace.update({f"t_{name}": t, f"{name}_pool": pool, f"{name}_refined": refined,
-                      f"h_{name}": hidden})
+                         + w[f"b_{name}_hidden"][..., None, :])             # (..., 1, d_hid)
+        trace.update({f"{name}_pool": pool, f"{name}_refined": refined, f"h_{name}": hidden})
     h_dep, h_sem = trace["h_dep"], trace["h_sem"]
     hidden = np.concatenate(np.broadcast_arrays(h_dep, h_sem), axis=-1)
     fusion_gate = sigmoid(_mv(hidden, w["w_fusion_gate"]))
@@ -253,7 +263,8 @@ def forward_trace(sem, dep, w) -> dict:
 
 def fuse_backward(sem, dep, w, trace, g_fused) -> dict:
     """Gradients for every weight in `w` and both signals, from the `forward_trace(sem, dep, w)`
-    result `trace` and the gradient `g_fused` of its fused output, walking the trace in reverse.
+    result `trace` and the gradient `g_fused` of its fused output, walking the trace in reverse
+    and rebuilding each branch's tanh block, which the trace does not keep.
     A row shared across positions collects its gradient summed over them. Every gradient keeps
     the call's broadcast leading axes; summing them is left to the caller."""
     sem, dep, t = np.asarray(sem, dtype=np.float64), np.asarray(dep, dtype=np.float64), trace
@@ -288,7 +299,7 @@ def fuse_backward(sem, dep, w, trace, g_fused) -> dict:
 
     # each guided branch: its hidden layer, its pooling and its signal projection
     for name, signal in (("sem", sem), ("dep", dep)):
-        pool, tanh_proj = t[f"{name}_pool"], t[f"t_{name}"]
+        pool, tanh_proj = t[f"{name}_pool"], _tanh_proj(w[f"w_{name}_proj"], signal)
         g_hidden_pre = g_hidden[name] * (1.0 - t[f"h_{name}"] ** 2)
         g[f"w_{name}_hidden"] = g_hidden_pre.swapaxes(-1, -2) @ t[f"{name}_refined"]
         g[f"b_{name}_hidden"] = g_hidden_pre[..., 0, :]

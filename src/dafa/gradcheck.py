@@ -215,7 +215,7 @@ def check(
         raise ValueError(f"unknown op {op_name!r}; expected one of {OP_NAMES}")
     config = config or GradCheckConfig()
     analytic, loss, point = _CASES[op_name](config, np.random.default_rng(seed))
-    # each op's forward builds two (d_seq, d_seq) blocks per row: t_dep and t_sem in fuse,
-    # the logits and the weights in attention
-    fd = fd_gradient(loss, point, eps, row_cells=2 * config.d_seq ** 2)
+    # each op's forward builds one (d_seq, d_seq) block per row: a guided branch's tanh
+    # projection in fuse, freed before the next, and the logits, softmaxed in place, in attention
+    fd = fd_gradient(loss, point, eps, row_cells=config.d_seq ** 2)
     return GradReport(op_name, seed, tol, eps, *compare_gradients(analytic, fd, tol))

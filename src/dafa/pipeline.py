@@ -60,11 +60,15 @@ def _check_layer_budget(layout: PairLayout, heads: int) -> None:
     """Reject a pair whose estimated `dafa_layer` peak at `heads` heads exceeds MAX_LAYER_BYTES,
     before any of its (L, L) arrays is allocated.
 
-    The traced peak holds about 4 (L, L) float64 arrays per head plus the calibration, at
-    L = n + m + 3 (traced at 1, 2, 4 and 8 heads), so the estimate is (4·heads + 1)·8·L² bytes.
+    The traced peak holds about 3 (L, L) float64 arrays per head plus 1.5: the calibration and
+    about half an array of scoring and vectors that does not scale with heads. The 3 per head
+    are the sem weight stack and the dep path's per-head weights and their stack while
+    attention stacks them, then both stacks and one tanh block per head in fuse. At
+    L = n + m + 3 (traced at 1, 2, 4 and 8 heads) the estimate is thus
+    (3·heads + 1.5)·8·L² = 12·(2·heads + 1)·L² bytes.
     """
     d_seq = layout.d_seq
-    peak = (4 * heads + 1) * 8 * d_seq ** 2
+    peak = 12 * (2 * heads + 1) * d_seq ** 2
     if peak > MAX_LAYER_BYTES:
         raise ValueError(f"packed length L = {d_seq} (n = {layout.n}, m = {len(layout.b_span)}) "
                          f"with heads = {heads} needs about {peak:,} bytes, over the layer budget "
@@ -72,9 +76,9 @@ def _check_layer_budget(layout: PairLayout, heads: int) -> None:
 
 
 def _check_fuse_budget(source: str, shape: tuple) -> None:
-    """Reject signals of `shape` (..., L, d_v) from `source` whose `fuse` peak, as traced 2 (L, L)
-    float64 arrays per (L, d_v) slice or 2·slices·8·L² bytes, exceeds MAX_LAYER_BYTES."""
-    peak = 2 * math.prod(shape[:-2]) * 8 * shape[-2] ** 2
+    """Reject signals of `shape` (..., L, d_v) from `source` whose `fuse` peak, as traced 1 (L, L)
+    float64 array per (L, d_v) slice or slices·8·L² bytes, exceeds MAX_LAYER_BYTES."""
+    peak = math.prod(shape[:-2]) * 8 * shape[-2] ** 2
     if peak > MAX_LAYER_BYTES:
         raise ValueError(f"{source}: signals of shape {shape} need about {peak:,} bytes in fuse, "
                          f"over the layer budget of {MAX_LAYER_BYTES:,} bytes")

@@ -107,6 +107,12 @@ class TestSubgraphMatrix:
         m = subgraph_matrix(a, b)
         assert m[0, 0] == 0.0
 
+    def test_no_matching_pair_gives_zeros(self):
+        a = make_sentence([("one", 2, "nsubj"), ("two", 0, "root")])
+        b = make_sentence([("one", 2, "obj"), ("three", 0, "root"), ("two", 2, "dep")])
+        m = subgraph_matrix(a, b)
+        assert m.shape == (2, 3) and m.dtype == np.float64 and not np.any(m)
+
     def test_matches_naive_recursion(self):
         rng = np.random.default_rng(29)
         for _ in range(40):

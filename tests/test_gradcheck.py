@@ -158,10 +158,10 @@ class TestFdGradient:
     @example(op="dep_attention", d_seq=3, d_k=5, d_v=1, d_hid=1, seed=3)
     @example(op="dep_attention", d_seq=2, d_k=8, d_v=1, d_hid=1, seed=4)
     # fuse: 26 scalars at all sizes 1; 538 scalars, the largest drawn check, still one block
-    # with every array in it (2 * 538 rows of 538 + 2 * 6**2 cells fit the budget)
+    # with every array in it (2 * 538 rows of 538 + 6**2 cells fit the budget)
     @example(op="fuse", d_seq=1, d_k=1, d_v=1, d_hid=1, seed=5)
     @example(op="fuse", d_seq=6, d_k=1, d_v=8, d_hid=5, seed=6)
-    # 270 scalars whose rows each hold 270 + 2 * 90**2 cells: blocks of 63, the fifth holds 18
+    # 270 scalars whose rows each hold 270 + 90**2 cells: blocks of 125, the third holds 20
     @example(op="sem_attention", d_seq=90, d_k=1, d_v=1, d_hid=1, seed=7)
     def test_check_matches_per_scalar_oracle(self, op, d_seq, d_k, d_v, d_hid, seed):
         """`check`'s batched gradients equal the per-scalar loop on the same loss."""

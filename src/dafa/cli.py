@@ -407,9 +407,9 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (_InputError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, ValueError) else 2
+    except (_InputError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1 if isinstance(exc, (ValueError, MemoryError)) else 2
 
 
 def main() -> None:

@@ -81,7 +81,12 @@ def subgraph_matrix(a: DepSentence, b: DepSentence, config: DepMatrixConfig = De
 
     Only matching pairs are visited: sentence a's nodes deepest-first, and
     for each one the b nodes with the same (form, relation) code, so every
-    child pair is scored before its parents. The child sum is a plain
+    child pair is scored before its parents. Each score is written into
+    the returned matrix once and read back by its parents as a Python
+    float, so an overflowing score is a silent inf (which `final_matrix`
+    rejects), not a numpy warning. Grouping each b node's children by
+    code bounds the work at a pair of hubs: only child pairs with equal
+    codes are read, not all k_a·k_b of them. The child sum is a plain
     sequential sum over the matching child pairs in (a child ascending,
     b child ascending) order. Unmatched child pairs would only add +0.0,
     so the result is bitwise equal to summing over all child pairs; a
@@ -102,27 +107,20 @@ def subgraph_matrix(a: DepSentence, b: DepSentence, config: DepMatrixConfig = De
     kids_a = _children(codes_a.parent)
 
     alpha, nu = config.alpha, config.nu
-    scores: list[dict[int, float]] = [{} for _ in key_a]  # scores[i][j], matching pairs only
-    rows, cols, values = [], [], []                       # the same cells, for one scatter
+    out = np.zeros((a.n, b.n), dtype=np.float64)
+    score = out.item
     for i in _deepest_first(kids_a, codes_a.parent.index(-1)):
         matches = nodes_b.get(key_a[i])
         if matches is None:
             continue
-        kids = [(scores[x], key_a[x]) for x in kids_a[i]]
-        row = scores[i]
+        kids = [(x, key_a[x]) for x in kids_a[i]]
         for j in matches:
             kids_j = kids_b[j]
             child_sum = 0.0
-            for kid_scores, kid_key in kids:
+            for x, kid_key in kids:
                 for y in kids_j.get(kid_key, ()):
-                    child_sum += kid_scores[y]
-            row[j] = score = alpha + nu * child_sum
-            rows.append(i)
-            cols.append(j)
-            values.append(score)
-
-    out = np.zeros((a.n, b.n), dtype=np.float64)
-    out[rows, cols] = values  # no match leaves three empty lists and an all-zero matrix
+                    child_sum += score(x, y)
+            out[i, j] = alpha + nu * child_sum
     return out
 
 

@@ -60,6 +60,54 @@ def random_pair(rng, max_n=8, vocab=("alpha", "beta", "gamma", "delta", "epsilon
     return random_sentence(rng, n, vocab), random_sentence(rng, m, vocab)
 
 
+_GEN_LABELS = ("nsubj", "obj", "det", "amod", "advmod", "nmod", "case", "obl", "conj", "cc")
+_LABEL_P = 1.0 / np.arange(1, len(_GEN_LABELS) + 1)  # skewed like a treebank
+_LABEL_P /= _LABEL_P.sum()
+_FORM_P = 1.0 / np.arange(1, 2001) ** 1.1  # Zipf over 2,000 forms
+_FORM_P /= _FORM_P.sum()
+
+
+def aligned_pair(rng, n, edits):
+    """A random n-token tree a, a paraphrase b of it, and the ground-truth alignment.
+
+    b copies a, redraws 15% of its forms and 10% of its relations, then deletes up to `edits`
+    leaves and inserts up to `edits` new leaves, as the benchmark's generator derives its
+    pairs. alignment[i] is the 0-based position in b of a-token i's copy, None if deleted.
+    """
+    def form():
+        word = f"w{rng.choice(len(_FORM_P), p=_FORM_P):04d}"
+        return word.capitalize() if rng.random() < 0.1 else word
+
+    def rel():
+        return _GEN_LABELS[rng.choice(len(_GEN_LABELS), p=_LABEL_P)]
+
+    order = [int(x) for x in rng.permutation(n)]
+    head = {order[0]: None} | {order[k]: order[int(rng.integers(k))] for k in range(1, n)}
+    a = [{"id": i, "form": form(), "head": head[i], "rel": "root" if head[i] is None else rel()}
+         for i in range(n)]
+    b = [dict(node) for node in a]
+    for node in b:
+        node["form"] = form() if rng.random() < 0.15 else node["form"]
+        node["rel"] = rel() if node["head"] is not None and rng.random() < 0.1 else node["rel"]
+    for _ in range(int(rng.integers(edits + 1))):
+        heads = {node["head"] for node in b}
+        leaves = [k for k, node in enumerate(b)
+                  if node["head"] is not None and node["id"] not in heads]
+        del b[leaves[int(rng.integers(len(leaves)))]]
+    for new_id in range(n, n + int(rng.integers(edits + 1))):
+        where = int(rng.integers(len(b) + 1))
+        parent = b[int(rng.integers(len(b)))]["id"]
+        b.insert(where, {"id": new_id, "form": form(), "head": parent, "rel": rel()})
+
+    def sentence(nodes):
+        at = {node["id"]: k for k, node in enumerate(nodes, start=1)}
+        return make_sentence([(node["form"], at.get(node["head"], 0), node["rel"])
+                              for node in nodes])
+
+    at_b = {node["id"]: k for k, node in enumerate(b)}
+    return sentence(a), sentence(b), [at_b.get(i) for i in range(n)]
+
+
 def word_match(a, b):
     """1.0 for case-insensitive form equality, else 0.0."""
     return 1.0 if a.lower() == b.lower() else 0.0

@@ -812,6 +812,41 @@ def test_signals_over_the_fuse_budget_rejected_before_any_work(tmp_path, capsys,
     assert np.shape(json.loads(out.read_text(encoding="utf-8"))["fused"]) == (2, 4, 3)
 
 
+# the allocation is faked: whether numpy refuses a real oversized array depends on the host's
+# overcommit policy. demo fails once before --out exists (AttnParams) and once inside its pair
+# loop (FusionParams); a bare MemoryError, as Python raises it, carries no message
+@pytest.mark.parametrize("command, owner, name, message", [
+    ("demo", AttnParams, "init", "Unable to allocate 14.6 TiB for an array"),
+    ("demo", FusionParams, "init", ""),
+    ("attend", AttnParams, "init", "Unable to allocate 14.6 TiB for an array"),
+    ("fuse", FusionParams, "init", "Unable to allocate 7.28 TiB for an array"),
+    ("gradcheck", cli, "check", ""),
+])
+def test_out_of_memory_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, pairs_file,
+                                                   tfidf_file, command, owner, name, message):
+    signals = tmp_path / "signals.json"
+    signals.write_text(json.dumps({"sem": np.zeros((4, 3)).tolist(),
+                                   "dep": np.zeros((4, 3)).tolist()}), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "demo": ["demo", "--pairs", str(pairs_file), "--tfidf", str(tfidf_file)],
+        "attend": ["attend", "--pair", str(pairs_file), "--tfidf", str(tfidf_file)],
+        "fuse": ["fuse", "--signals", str(signals)],
+        "gradcheck": ["gradcheck", "--op", "attend"],
+    }[command]
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(owner, name, out_of_memory)
+    capsys.readouterr()  # drop what fitting the tf-idf fixture printed
+    assert run(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message or 'out of memory'}\n"
+    assert captured.out == ""
+    assert not out.exists() and staging_leftovers(tmp_path) == []
+
+
 def test_out_naming_a_file_rejected_before_any_pair(tmp_path, capsys, monkeypatch, pairs_file,
                                                     tfidf_file):
     out = tmp_path / "out"

@@ -68,7 +68,8 @@ LABELS = ("root", "dep", "obj")
 
 @st.composite
 def trees(draw, max_n=40):
-    """A rooted tree of random, star or chain shape, with optionally one repeated form."""
+    """A rooted tree of random, star or chain shape, with one repeated form, forms sampled
+    from FORMS, or all forms distinct."""
     n = draw(st.integers(1, max_n))
     shape = draw(st.sampled_from(["random", "star", "chain"]))
     order = draw(st.permutations(range(1, n + 1)))
@@ -81,10 +82,17 @@ def trees(draw, max_n=40):
         else:
             parent = order[draw(st.integers(0, pos - 1))]
         heads[order[pos]] = parent
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["one", "sampled", "distinct"]))
+    if kind == "one":
         forms = [draw(st.sampled_from(FORMS))] * n
-    else:
+    elif kind == "sampled":
         forms = draw(st.lists(st.sampled_from(FORMS), min_size=n, max_size=n))
+    else:
+        # the k-th node attached is w{k}: every such tree's root is w0, and a hub's children
+        # all differ in form, the case that grouping b's children by code serves
+        forms = [""] * n
+        for k, node in enumerate(order):
+            forms[node - 1] = f"w{k}"
     rels = draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))
     return make_sentence([(forms[i - 1], heads[i], rels[i - 1]) for i in range(1, n + 1)])
 

@@ -64,11 +64,14 @@ def _pair_tfidf(model: TfIdfModel | None, pair: SentencePair) -> TfIdfModel:
 
 @contextmanager
 def _naming(pair: SentencePair):
-    """Prefix a ValueError raised while one pair is computed with that pair's id."""
+    """Prefix a ValueError or MemoryError raised while one pair is computed with that pair's id."""
     try:
         yield
     except ValueError as exc:
         raise ValueError(f"pair {pair.pair_id!r}: {exc}") from None
+    except MemoryError as exc:
+        # a plain MemoryError: numpy's subclass is built from a shape and dtype, not a message
+        raise MemoryError(f"pair {pair.pair_id!r}: {str(exc) or 'out of memory'}") from None
 
 
 def _layout(pair: SentencePair, heads: int) -> PairLayout:
@@ -270,9 +273,9 @@ def _cmd_demo(args) -> int:
             model = _pair_tfidf(tfidf, pair)
             forms = pair.a.forms() + pair.b.forms()
             embeddings = EmbeddingTable.build(forms, config.d_model, seed)
-            # fusion weights are sized by d_seq, so each pair gets its own seeded set
-            fusion_params = FusionParams.init(config.d_seq, config.d_v, args.d_hid, seed)
             with _naming(pair):
+                # fusion weights are sized by d_seq, so each pair gets its own seeded set
+                fusion_params = FusionParams.init(config.d_seq, config.d_v, args.d_hid, seed)
                 output = dafa_layer(
                     pair.a, pair.b, model, embeddings, attn_params, fusion_params,
                     config, dep_config, pair_id=pair.pair_id,

@@ -119,26 +119,15 @@ class FusionParams:
     b_output: np.ndarray
     w_filter_gate: np.ndarray
 
-    @property
-    def d_seq(self) -> int:
-        return self.w_dep_proj.shape[0]
-
-    @property
-    def d_v(self) -> int:
-        return self.w_dep_proj.shape[1]
-
-    @property
-    def d_hid(self) -> int:
-        return self.w_dep_hidden.shape[0]
-
     def __post_init__(self):
-        # convert every field first: callers may pass lists, and d_seq etc. read shapes
+        # convert every field first: callers may pass lists, and the sizes below read shapes
         for name in PARAM_FIELDS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.w_dep_proj.ndim != 2 or self.w_dep_hidden.ndim != 2:
             raise ValueError("w_dep_proj and w_dep_hidden, which fix d_seq, d_v and d_hid, "
                              "must be 2-D")
-        shapes = {name: shape for name, shape, _ in _draws(self.d_seq, self.d_v, self.d_hid)}
+        sizes = (*self.w_dep_proj.shape, self.w_dep_hidden.shape[0])  # d_seq, d_v, d_hid
+        shapes = {name: shape for name, shape, _ in _draws(*sizes)}
         for name in PARAM_FIELDS:
             value = getattr(self, name)
             if value.shape != shapes[name]:

@@ -1,22 +1,17 @@
-"""Small numerically-careful primitives shared by the attention and fusion code. The attention
-logits and the fusion pooling scores, which their callers own, go through `softmax_in_place`."""
+"""Small numerically-careful primitives shared by the attention and fusion code. The one softmax,
+`softmax_in_place`, runs over the attention logits and the fusion pooling scores its callers own."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def softmax_in_place(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with per-slice max subtraction, written over the float64 array `x`; returns `x`."""
-    x -= np.max(x, axis=axis, keepdims=True)
+def softmax_in_place(x: np.ndarray) -> np.ndarray:
+    """Last-axis softmax with per-row max subtraction, written over the float64 `x`; returns `x`."""
+    x -= np.max(x, axis=-1, keepdims=True)
     np.exp(x, out=x)
-    x /= np.sum(x, axis=axis, keepdims=True)
+    x /= np.sum(x, axis=-1, keepdims=True)
     return x
-
-
-def softmax(x, axis: int = -1) -> np.ndarray:
-    """Softmax with per-slice max subtraction, on a float64 copy of `x`."""
-    return softmax_in_place(np.array(x, dtype=np.float64), axis)
 
 
 def softmax_backward(weights: np.ndarray, g_weights: np.ndarray) -> np.ndarray:
@@ -25,7 +20,8 @@ def softmax_backward(weights: np.ndarray, g_weights: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x):
-    """Logistic function, evaluated on the overflow-free branch per sign."""
+    """Logistic function from one exp of -|x|, which never overflows; NaN keeps its sign bit."""
     x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    nonneg = x >= 0
+    e = np.exp(np.where(nonneg, -x, x))
+    return np.where(nonneg, 1.0 / (1.0 + e), e / (1.0 + e))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import zero_fusion_params
 from dafa.fusion import PARAM_FIELDS, FusionOutput, FusionParams, forward_trace, fuse
-from dafa.nnops import sigmoid, softmax
+from dafa.nnops import sigmoid, softmax_in_place
 
 # max |fuse - naive_forward_trace| allowed per output. The two differ only in rounding: the
 # oracle adds to each score row a constant that its row softmax cancels. The filtration gate
@@ -93,14 +93,14 @@ def naive_forward_trace(sem, dep, w) -> dict:
     tu_sem = np.tanh(u_sem)
     dep_scores = (wd_top[..., None, :] @ t_dep + tu_sem @ wd_bot[..., None]
                   + w["b_dep_score"][..., None, None])
-    dep_pool = softmax(dep_scores, axis=-1)
+    dep_pool = softmax_in_place(dep_scores)
     dep_refined = dep_pool @ dep                                  # (..., d_seq, d_v)
 
     u_dep = dep_refined @ w["w_dep_query"].swapaxes(-1, -2) + w["b_dep_query"][..., None, :]
     tu_dep = np.tanh(u_dep)
     sem_scores = (ws_top[..., None, :] @ t_sem + tu_dep @ ws_bot[..., None]
                   + w["b_sem_score"][..., None, None])
-    sem_pool = softmax(sem_scores, axis=-1)
+    sem_pool = softmax_in_place(sem_scores)
     sem_refined = sem_pool @ sem
 
     hd = np.tanh(dep_refined @ w["w_dep_hidden"].swapaxes(-1, -2)
@@ -622,3 +622,21 @@ class TestForwardTraceLeadingAxes:
             assert trace[f"{name}_pool"].tobytes() == pool.tobytes()
         for name, value in {"sem": sem, "dep": dep, **w}.items():
             assert value.tobytes() == before[name].tobytes(), name
+
+
+def three_exp_sigmoid(x):
+    """Oracle: the per-sign formula with all three exps taken over the whole array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+
+def test_sigmoid_has_the_bits_of_the_three_exp_formula():
+    # under filterwarnings = error, an overflow warning from sigmoid would fail this test
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300,
+                      709.8, -709.8, 745.2, -745.2, 1e308, -1e308])
+    draws = np.random.default_rng(25).normal(scale=300.0, size=100_000)
+    for x in (edges, draws):
+        got = sigmoid(x)
+        assert got.tobytes() == three_exp_sigmoid(x).tobytes()
+        numbers = got[~np.isnan(x)]
+        assert np.all((numbers >= 0.0) & (numbers <= 1.0))

@@ -11,8 +11,8 @@ elsewhere) before scaling and softmax, so calibrated cells gain or keep
 attention mass while neutral cells are untouched; `attention_backward`
 differentiates either path. `multi_head_dafa` runs both paths for every
 head and returns their weights and signals as stacks, head first; it
-stacks the sem path's heads before the dep path runs, so at most one
-path's per-head weights are alive beside the stacks.
+copies each head's result into a preallocated stack, so at most one
+head's fresh weights are alive beside the stacks.
 Each op allocates its logits once, as `q @ k^T`; the calibration multiply
 (unless the calibration's broadcast widens the logits), the 1/sqrt(d_k)
 scale and the softmax run in place on them, with the formula's bits.
@@ -145,9 +145,14 @@ def multi_head_dafa(x, params: AttnParams, calibration) -> tuple[np.ndarray, ...
     if x.ndim != 2 or x.shape[1] != params.w_q.shape[1]:
         raise ValueError(f"input shape {x.shape} does not match d_model {params.w_q.shape[1]}")
     q, k, v = x @ params.w_q, x @ params.w_k, x @ params.w_v   # (heads, d_seq, .)
+    heads, d_seq, d_v = v.shape
     # one call per head slice, although both ops take the stack: the benchmark's logit
-    # counter (bench/workloads.py::_count_logits) reads len(q) * len(k), right for 2-D only
-    # each path's heads are stacked before the next path runs, so its per-head copies are gone
-    sem_w, sem = map(np.stack, zip(*map(sem_attention, q, k, v)))
-    dep_w, dep = map(np.stack, zip(*(dep_attention(*qkv, calibration) for qkv in zip(q, k, v))))
-    return sem_w, sem, dep_w, dep
+    # counter (bench/workloads.py::_count_logits) reads len(q) * len(k), right for 2-D only;
+    # each result is copied into a preallocated stack, so one head's fresh weights are alive
+    stacks = []
+    for op, extra in ((sem_attention, ()), (dep_attention, (calibration,))):
+        weights, signal = np.empty((heads, d_seq, d_seq)), np.empty((heads, d_seq, d_v))
+        for h in range(heads):
+            weights[h], signal[h] = op(q[h], k[h], v[h], *extra)
+        stacks += (weights, signal)
+    return tuple(stacks)

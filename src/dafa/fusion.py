@@ -21,9 +21,10 @@ returns each shared value once, without a position axis.
 The forward (`forward_trace`) also takes optional leading axes: the
 signals and every weight may carry extra axes in front of their own
 shape, which broadcast, and each slice gives the same bits as the 2-D
-call on it. `fuse` (which `dafa_layer` calls once on the stack of all
-heads) and the finite-difference oracle (which stacks perturbed copies
-along one leading axis) run it; `fuse_backward` differentiates its trace.
+call on it. `fuse` (which `dafa_layer` calls once per head, so one
+head's tanh block is alive at a time) and the finite-difference oracle
+(which stacks perturbed copies along one leading axis) run it;
+`fuse_backward` differentiates its trace.
 Each branch allocates its (d_seq, d_seq) projection once: the tanh, and
 the softmax of the pooling scores, run in place on the fresh products.
 The forward pools that tanh block at once and keeps it out of the trace,

@@ -2,8 +2,8 @@
 
 Packs the pair as <CLS> a-tokens <SEP> b-tokens <SEP>, embeds the tokens
 with a seeded table, builds the calibration matrix from the dependency
-trees, runs both attention paths for every head, fuses the heads' signals
-in one call on their stack (the head is the leading axis throughout), and
+trees, runs both attention paths for every head, fuses each head's signals
+in its own call, so one head's (L, L) tanh block is alive at a time, and
 averages the fused features across heads.
 """
 
@@ -60,15 +60,14 @@ def _check_layer_budget(layout: PairLayout, heads: int) -> None:
     """Reject a pair whose estimated `dafa_layer` peak at `heads` heads exceeds MAX_LAYER_BYTES,
     before any of its (L, L) arrays is allocated.
 
-    The traced peak holds about 3 (L, L) float64 arrays per head plus 1.5: the calibration and
-    about half an array of scoring and vectors that does not scale with heads. The 3 per head
-    are the sem weight stack and the dep path's per-head weights and their stack while
-    attention stacks them, then both stacks and one tanh block per head in fuse. At
-    L = n + m + 3 (traced at 1, 2, 4 and 8 heads) the estimate is thus
-    (3·heads + 1.5)·8·L² = 12·(2·heads + 1)·L² bytes.
+    The traced peak holds about 2 (L, L) float64 arrays per head plus 2.5. The 2 per head are
+    the sem and dep weight stacks; the 2.5 are the calibration, one fresh array beside the
+    stacks (a head's logits in attention, then its tanh block in fuse) and about half an array
+    of scoring and vectors. At L = n + m + 3 (traced at 1, 2, 4 and 8 heads, 1.02-1.06 times
+    this) the estimate is thus (2·heads + 2.5)·8·L² = 4·(4·heads + 5)·L² bytes.
     """
     d_seq = layout.d_seq
-    peak = 12 * (2 * heads + 1) * d_seq ** 2
+    peak = 4 * (4 * heads + 5) * d_seq ** 2
     if peak > MAX_LAYER_BYTES:
         raise ValueError(f"packed length L = {d_seq} (n = {layout.n}, m = {len(layout.b_span)}) "
                          f"with heads = {heads} needs about {peak:,} bytes, over the layer budget "
@@ -163,15 +162,18 @@ def dafa_layer(
     attn_params.check_config(attn_config)
     calibration, sem_weights, sem, dep_weights, dep = pair_attention(
         a, b, layout, tfidf, embeddings, attn_params, dep_config)
-    fusion = fuse(sem, dep, fusion_params)  # rejects fusion params of another size
+    # one head per call, so one (L, L) tanh block is alive; rejects fusion params of another size
+    fusions = [fuse(*signals, fusion_params) for signals in zip(sem, dep)]
+    fused, fusion_gates, filter_gates = (np.stack([getattr(f, name) for f in fusions])
+                                         for name in ("fused", "fusion_gate", "filter_gate"))
     return LayerOutput(
         pair_id=pair_id,
         tokens=list(layout.tokens),
-        fused=fusion.fused.mean(axis=0),
+        fused=fused.mean(axis=0),
         sem_weights=sem_weights,
         dep_weights=dep_weights,
-        fusion_gates=fusion.fusion_gate,
-        filter_gates=fusion.filter_gate,
+        fusion_gates=fusion_gates,
+        filter_gates=filter_gates,
         calibration=calibration,
     )
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import per_head_attention
+from dafa import attention
 from dafa.attention import (
     AttnConfig,
     AttnParams,
@@ -321,6 +322,26 @@ class TestMultiHead:
             v = x @ params.w_v[h]
             assert np.array_equal(sem[h], sem_w[h] @ v)
             assert np.array_equal(dep[h], dep_w[h] @ v)
+
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_each_op_called_once_per_head_on_2d_slices(self, monkeypatch, heads):
+        # bench/workloads.py::_count_logits adds len(q) * len(k) per op call, which counts the
+        # logits only if every call gets one head's 2-D q and k: 2·heads·L² cells in all
+        calls, cells = [], []
+        for name in ("sem_attention", "dep_attention"):
+            def counted(q, k, *rest, op=getattr(attention, name), name=name):
+                calls.append((name, np.shape(q), np.shape(k)))
+                cells.append(len(q) * len(k))
+                return op(q, k, *rest)
+            monkeypatch.setattr(attention, name, counted)
+        d_seq = 5
+        params = AttnParams.init(self.config(heads, d_seq), seed=25)
+        x = np.random.default_rng(26).normal(size=(d_seq, 6))
+        multi_head_dafa(x, params, np.ones((d_seq, d_seq)))
+        slices = [(d_seq, 3), (d_seq, 3)]
+        assert calls == ([("sem_attention", *slices)] * heads
+                         + [("dep_attention", *slices)] * heads)
+        assert sum(cells) == 2 * heads * d_seq ** 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -780,9 +780,9 @@ def test_pair_over_the_layer_budget_rejected_before_any_work(tmp_path, capsys, m
     flag = "--pair" if command == "attend" else "--pairs"
     argv = [command, flag, str(pairs), "--tfidf", str(tfidf_file), "--out", str(out)]
     # the default 2 heads under a budget that admits only L <= 10, then 4 heads under one that
-    # admits L = 11 at 2 heads (7,260 bytes, to the byte)
-    for heads_argv, budget, needs in (([], 6_000, "heads = 2 needs about 7,260"),
-                                      (["--heads", "4"], 7_260, "heads = 4 needs about 13,068")):
+    # admits L = 11 at 2 heads (6,292 bytes, to the byte)
+    for heads_argv, budget, needs in (([], 6_000, "heads = 2 needs about 6,292"),
+                                      (["--heads", "4"], 6_292, "heads = 4 needs about 10,164")):
         monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", budget)
         assert run(argv + heads_argv) == 1, heads_argv
         assert capsys.readouterr().err == ("error: pair 'star': packed length L = 11 (n = 4, "

@@ -84,9 +84,10 @@ class TestBuildLayout:
 
 
 def layer_estimate(d_seq, heads):
-    """The layer budget's rule: 3 (L, L) float64 arrays per head plus 1.5 (the calibration and
-    what does not scale with heads), (3·heads + 1.5)·8·L² bytes."""
-    return 12 * (2 * heads + 1) * d_seq ** 2
+    """The layer budget's rule: 2 (L, L) float64 arrays per head plus 2.5 (the calibration, one
+    fresh array beside the weight stacks and what does not scale with heads),
+    (2·heads + 2.5)·8·L² bytes."""
+    return 4 * (4 * heads + 5) * d_seq ** 2
 
 
 class TestLayerBudget:
@@ -96,7 +97,7 @@ class TestLayerBudget:
         assert layout.d_seq == 11
         # the budget admits the pair at 2 heads, to the byte, and not at 4
         monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", layer_estimate(11, 2))
-        assert pipeline.MAX_LAYER_BYTES == 7_260
+        assert pipeline.MAX_LAYER_BYTES == 6_292
         _check_layer_budget(layout, 2)
         monkeypatch.setattr(pipeline, "final_matrix", lambda *args: pytest.fail("scored"))
         config = AttnConfig(d_model=16, heads=4, d_k=6, d_v=5, d_seq=11)
@@ -104,11 +105,11 @@ class TestLayerBudget:
         for call in (lambda: _check_layer_budget(layout, 4),
                      lambda: dafa_layer(a, a, *[None] * 4, config)):
             with pytest.raises(ValueError, match=r"^packed length L = 11 \(n = 4, m = 4\) with "
-                                                 r"heads = 4 needs about 13,068 bytes, over the "
-                                                 r"layer budget of 7,260 bytes$"):
+                                                 r"heads = 4 needs about 10,164 bytes, over the "
+                                                 r"layer budget of 6,292 bytes$"):
                 call()
         monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", layer_estimate(11, 2) - 1)
-        with pytest.raises(ValueError, match=r"with heads = 2 needs about 7,260 bytes"):
+        with pytest.raises(ValueError, match=r"with heads = 2 needs about 6,292 bytes"):
             _check_layer_budget(layout, 2)
 
     def test_estimate_matches_a_measured_layer(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -13,13 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import AttnConfig, AttnParams
+from .attention import AttnConfig, AttnParams, _shapes
 from .conllu import SentencePair, parse_conllu, read_pairs
 from .depmatrix import DepMatrixConfig, _combine_matrices, base_matrix, subgraph_matrix
-from .fusion import FusionParams, _float_array, fuse
-from .gradcheck import DEFAULT_EPS, DEFAULT_TOL, GradCheckConfig, check
-from .pipeline import (EmbeddingTable, PairLayout, _check_fuse_budget, _check_layer_budget,
-                       build_layout, dafa_layer, pair_attention, write_heatmap_csv)
+from .fusion import FusionParams, _draws, _float_array, fuse
+from .gradcheck import DEFAULT_EPS, DEFAULT_TOL, GradCheckConfig, _fd_cells, check
+from .pipeline import (EmbeddingTable, PairLayout, _check_budget, _layer_estimate, build_layout,
+                       dafa_layer, pair_attention, write_heatmap_csv)
 from .tfidf import TfIdfModel
 
 DEFAULT_SEED = 42
@@ -72,14 +73,6 @@ def _naming(pair: SentencePair):
     except MemoryError as exc:
         # a plain MemoryError: numpy's subclass is built from a shape and dtype, not a message
         raise MemoryError(f"pair {pair.pair_id!r}: {str(exc) or 'out of memory'}") from None
-
-
-def _layout(pair: SentencePair, heads: int) -> PairLayout:
-    """The pair's layout, checked against the layer budget at `heads` heads."""
-    layout = build_layout(pair.a, pair.b)
-    with _naming(pair):
-        _check_layer_budget(layout, heads)
-    return layout
 
 
 def _non_negative(source: str, seed: int) -> int:
@@ -172,9 +165,27 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-def _attn_config(args, d_seq: int) -> AttnConfig:
-    return AttnConfig(d_model=args.d_model, heads=args.heads, d_k=args.d_k, d_v=args.d_v,
-                      d_seq=d_seq)
+def _fusion_cells(d_seq: int, d_v: int, d_hid: int) -> int:
+    """Cells `FusionParams.init` draws, discarded draws included."""
+    return sum(math.prod(shape) for _, shape, _ in _draws(d_seq, d_v, d_hid))
+
+
+def _attn_config(args, pair: SentencePair, layout: PairLayout, d_hid: int = 0) -> AttnConfig:
+    """The attention config for the pair's layout, once the pair's layer and what the size flags
+    draw beside it fit the memory budget: each AttnParams weight (heads, d_model, d) and its
+    product with x, (heads, L, d); the embedding table (at most L rows) and x; and, given
+    `d_hid`, the pair's FusionParams."""
+    config = AttnConfig(d_model=args.d_model, heads=args.heads, d_k=args.d_k, d_v=args.d_v,
+                        d_seq=layout.d_seq)
+    source, needs = _layer_estimate(layout, config.heads)
+    cells = sum(heads * (d_model + layout.d_seq) * d
+                for heads, d_model, d in _shapes(config).values())
+    cells += 2 * layout.d_seq * config.d_model
+    cells += _fusion_cells(layout.d_seq, config.d_v, d_hid) if d_hid else 0
+    sizes = f", d_model = {config.d_model}, d_k = {config.d_k}, d_v = {config.d_v}"
+    with _naming(pair):
+        _check_budget(source + sizes + (f", d_hid = {d_hid}" if d_hid else ""), needs + 8 * cells)
+    return config
 
 
 def _cmd_attend(args) -> int:
@@ -184,8 +195,8 @@ def _cmd_attend(args) -> int:
         print(f"note: {args.pair} has {len(pairs)} pair records; using the first, "
               f"{pair.pair_id!r}", file=sys.stderr)
     seed = _seed(args)
-    layout = _layout(pair, args.heads)
-    config = _attn_config(args, layout.d_seq)
+    layout = build_layout(pair.a, pair.b)
+    config = _attn_config(args, pair, layout)
     model = _pair_tfidf(_load(args.tfidf, TfIdfModel.from_json) if args.tfidf else None, pair)
     dep_config = _dep_config(args)
     embeddings = EmbeddingTable.build(pair.a.forms() + pair.b.forms(), config.d_model, seed)
@@ -213,13 +224,19 @@ def _cmd_fuse(args) -> int:
                 raise _InputError(f"{flag} and --params exclude each other: "
                                   "the params file fixes every weight and d_hid")
     sem, dep = _load(args.signals, _parse_signals)
-    _check_fuse_budget(args.signals, sem.shape)
+    # the forward holds 1 (L, L) float64 array per (L, d_v) slice; seeded params are drawn beside
+    *slices, d_seq, d_v = sem.shape
+    seeded = args.params is None
+    draws = _fusion_cells(d_seq, d_v, args.d_hid) if seeded else 0
+    _check_budget(f"{args.signals}: signals of shape {sem.shape}"
+                  + (f" with d_hid = {args.d_hid}" if seeded else ""),
+                  8 * (math.prod(slices) * d_seq ** 2 + draws))
     if not (np.all(np.isfinite(sem)) and np.all(np.isfinite(dep))):
         raise ValueError(f"{args.signals}: 'sem' and 'dep' must be finite")
-    if args.params is not None:
-        params = _load(args.params, FusionParams.from_json)
+    if seeded:
+        params = FusionParams.init(d_seq, d_v, args.d_hid, _seed(args))
     else:
-        params = FusionParams.init(*sem.shape[-2:], args.d_hid, _seed(args))
+        params = _load(args.params, FusionParams.from_json)
     out = fuse(sem, dep, params)
     payload = {name: getattr(out, name).tolist()
                for name in ("fused", "fusion_gate", "filter_gate", "dep_refined", "sem_refined")}
@@ -232,6 +249,9 @@ def _cmd_gradcheck(args) -> int:
     config = GradCheckConfig(d_seq=args.d_seq, d_k=args.d_k, d_v=args.d_v, d_hid=args.d_hid)
     ops = ["fuse"] if args.op == "fuse" else ["sem_attention", "dep_attention"]
     seed = _seed(args)
+    _check_budget(f"gradcheck --op {args.op} with "
+                  + ", ".join(f"{name} = {value}" for name, value in vars(config).items()),
+                  sum(_fd_cells(op, config) for op in ops), "cells")
     reports = [check(op, config, seed=seed, tol=args.tol, eps=args.eps) for op in ops]
     payload = json.dumps([json.loads(r.to_json()) for r in reports], sort_keys=True, indent=2,
                          allow_nan=False)
@@ -263,9 +283,10 @@ def _cmd_demo(args) -> int:
     seed = _seed(args)
     # every setting is checked before the output directory exists
     dep_config = _dep_config(args)
-    configs = [_attn_config(args, _layout(pair, args.heads).d_seq) for pair in pairs]
     if args.d_hid < 1:
         raise ValueError(f"d_hid must be >= 1, got {args.d_hid}")
+    configs = [_attn_config(args, pair, build_layout(pair.a, pair.b), args.d_hid)
+               for pair in pairs]
     # the attention weights do not depend on d_seq, so one seeded set serves every pair
     attn_params = AttnParams.init(configs[0], seed)
     with _staged_dir(Path(args.out)) as out_dir:

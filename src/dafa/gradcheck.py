@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attention import attention_backward, dep_attention, sem_attention
-from .fusion import FusionParams, forward_trace, fuse_backward
+from .fusion import FusionParams, _draws, forward_trace, fuse_backward
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-5
@@ -199,6 +199,19 @@ _CASES = {
     "dep_attention": lambda cfg, rng: _attention_case(cfg, rng, calibrated=True),
 }
 OP_NAMES = tuple(_CASES)
+
+
+def _fd_cells(op_name: str, cfg: GradCheckConfig) -> int:
+    """The cells `fd_gradient` stacks when `check` runs `op_name`, without drawing anything:
+    2 rows per perturbed scalar, each row the N scalars plus the d_seq² block of `row_cells`,
+    2·N·(N + d_seq²) in all. fuse perturbs its params, as `_draws` shapes them, and both
+    signals; attention perturbs q, k and v."""
+    if op_name == "fuse":
+        n = (sum(math.prod(shape) for name, shape, _ in _draws(cfg.d_seq, cfg.d_v, cfg.d_hid)
+                 if name) + 2 * cfg.d_seq * cfg.d_v)
+    else:
+        n = cfg.d_seq * (2 * cfg.d_k + cfg.d_v)
+    return 2 * n * (n + cfg.d_seq ** 2)
 
 
 def check(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -54,11 +53,28 @@ def build_layout(a: DepSentence, b: DepSentence) -> PairLayout:
 
 
 MAX_LAYER_BYTES = 2 ** 30
+# gradcheck's work budget, in the cells `fd_gradient` stacks. Its oracle ran at 6-13 ns per cell
+# (2-vCPU VM, one BLAS thread): `--op fuse --d-seq 40 --d-v 8 --d-hid 8`, 1.1e7 cells, in 0.11 s;
+# dep_attention at d_seq = 600, 3.95e9 cells, in 28 s; `--op fuse --d-seq 850 --d-v 1 --d-hid 1`,
+# 7.4e9 cells, in 94 s at a 63 MB peak RSS. So 2**33 cells is one to two minutes, and it refuses
+# `--op fuse --d-seq 3000 --d-v 2 --d-hid 2` (5.4e11 cells, about 1.7 h). Under W cells N
+# perturbed scalars and d_seq are at most sqrt(W/2) and (W/6)**(1/3), so an admitted check also
+# peaks at tens of MB.
+MAX_GRADCHECK_CELLS = 2 ** 33
 
 
-def _check_layer_budget(layout: PairLayout, heads: int) -> None:
-    """Reject a pair whose estimated `dafa_layer` peak at `heads` heads exceeds MAX_LAYER_BYTES,
-    before any of its (L, L) arrays is allocated.
+def _check_budget(source: str, needs: int, unit: str = "bytes") -> None:
+    """Reject what `source` names, with its sizes, when its estimate `needs` is over the budget:
+    MAX_LAYER_BYTES of memory, or MAX_GRADCHECK_CELLS of gradcheck's work for the unit "cells".
+    Each caller estimates from shapes, before it draws or allocates what it counts."""
+    budget = MAX_GRADCHECK_CELLS if unit == "cells" else MAX_LAYER_BYTES
+    if needs > budget:
+        raise ValueError(f"{source} needs about {needs:,} {unit}, over the budget of "
+                         f"{budget:,} {unit}")
+
+
+def _layer_estimate(layout: PairLayout, heads: int) -> tuple[str, int]:
+    """The pair named by its sizes, and its estimated `dafa_layer` peak in bytes at `heads` heads.
 
     The traced peak holds about 2 (L, L) float64 arrays per head plus 2.5. The 2 per head are
     the sem and dep weight stacks; the 2.5 are the calibration, one fresh array beside the
@@ -66,21 +82,8 @@ def _check_layer_budget(layout: PairLayout, heads: int) -> None:
     of scoring and vectors. At L = n + m + 3 (traced at 1, 2, 4 and 8 heads, 1.02-1.06 times
     this) the estimate is thus (2·heads + 2.5)·8·L² = 4·(4·heads + 5)·L² bytes.
     """
-    d_seq = layout.d_seq
-    peak = 4 * (4 * heads + 5) * d_seq ** 2
-    if peak > MAX_LAYER_BYTES:
-        raise ValueError(f"packed length L = {d_seq} (n = {layout.n}, m = {len(layout.b_span)}) "
-                         f"with heads = {heads} needs about {peak:,} bytes, over the layer budget "
-                         f"of {MAX_LAYER_BYTES:,} bytes")
-
-
-def _check_fuse_budget(source: str, shape: tuple) -> None:
-    """Reject signals of `shape` (..., L, d_v) from `source` whose `fuse` peak, as traced 1 (L, L)
-    float64 array per (L, d_v) slice or slices·8·L² bytes, exceeds MAX_LAYER_BYTES."""
-    peak = math.prod(shape[:-2]) * 8 * shape[-2] ** 2
-    if peak > MAX_LAYER_BYTES:
-        raise ValueError(f"{source}: signals of shape {shape} need about {peak:,} bytes in fuse, "
-                         f"over the layer budget of {MAX_LAYER_BYTES:,} bytes")
+    return (f"packed length L = {layout.d_seq} (n = {layout.n}, m = {len(layout.b_span)}) "
+            f"with heads = {heads}", 4 * (4 * heads + 5) * layout.d_seq ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +159,7 @@ def dafa_layer(
 ) -> LayerOutput:
     """Evaluate one calibrated-attention-plus-fusion layer on a sentence pair."""
     layout = build_layout(a, b)
-    _check_layer_budget(layout, attn_config.heads)
+    _check_budget(*_layer_estimate(layout, attn_config.heads))
     if attn_config.d_seq != layout.d_seq:
         raise ValueError(f"config d_seq {attn_config.d_seq} != pair layout d_seq {layout.d_seq}")
     attn_params.check_config(attn_config)
@@ -187,7 +190,11 @@ def write_heatmap_csv(path, row_labels, col_labels, matrix) -> None:
     # ("<label>,"; an empty label alone would be written '""'). The writer's sink returns its
     # argument, so `writerow` returns the line instead of writing it.
     line = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
-    rows = np.asarray(matrix, dtype=np.float64).tolist()
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.shape != (len(row_labels), len(col_labels)):
+        raise ValueError(f"matrix of shape {matrix.shape} does not match the labels' "
+                         f"({len(row_labels)}, {len(col_labels)})")
+    rows = matrix.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(line.writerow(["", *col_labels]))
         for label, row in zip(row_labels, rows):

@@ -762,11 +762,18 @@ def test_failing_later_pair_leaves_no_output(tmp_path, capsys, tfidf_file):
     assert staging_leftovers(out.parent) == []
 
 
+def fail_on_draws(monkeypatch):
+    """Make every seeded parameter draw and gradient check fail the test."""
+    for owner, name in ((AttnParams, "init"), (EmbeddingTable, "build"), (FusionParams, "init"),
+                        (cli, "check")):
+        monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: pytest.fail(f"{_name} ran"))
+
+
 @pytest.mark.parametrize("command", ["attend", "demo"])
 def test_pair_over_the_layer_budget_rejected_before_any_work(tmp_path, capsys, monkeypatch,
                                                              tfidf_file, command):
-    # the star pair packs to L = 11, the pair before it to L = 5, which every budget below admits.
-    # attend uses its file's first record, so its file holds the star pair alone
+    # the star pair packs to L = 11, the pair before it to L = 5, which the first two budgets
+    # below admit. attend uses its file's first record, so its file holds the star pair alone
     records = [{"id": "fine", "a": conllu_block([("one", 0, "root")]),
                 "b": conllu_block([("two", 0, "root")])},
                {"id": "star", "a": conllu_block(STAR), "b": conllu_block(STAR)}]
@@ -776,23 +783,38 @@ def test_pair_over_the_layer_budget_rejected_before_any_work(tmp_path, capsys, m
     computed = []
     monkeypatch.setattr(cli, "pair_attention", lambda *a: computed.append(a))
     monkeypatch.setattr(cli, "dafa_layer", lambda *a, **k: computed.append(a))
+    fail_on_draws(monkeypatch)
     out = tmp_path / "out"
     flag = "--pair" if command == "attend" else "--pairs"
     argv = [command, flag, str(pairs), "--tfidf", str(tfidf_file), "--out", str(out)]
-    # the default 2 heads under a budget that admits only L <= 10, then 4 heads under one that
-    # admits L = 11 at 2 heads (6,292 bytes, to the byte)
-    for heads_argv, budget, needs in (([], 6_000, "heads = 2 needs about 6,292"),
-                                      (["--heads", "4"], 6_292, "heads = 4 needs about 10,164")):
+    # at L = 11 the layer's (L, L) arrays take (2·heads + 2.5)·8·L² bytes, 6,292 at 2 heads and
+    # 10,164 at 4; the default flags' draws and products add 1,648 cells at 2 heads and 2,944 at
+    # 4, and demo's fusion params 740 more. The default 2 heads, under a budget 1 byte short;
+    # 4 heads, under one that admits L = 11 at 2 heads, to the byte; then flag-sized weights
+    # under the real budget, which name the first pair, demo's at L = 5
+    d_hid = ", d_hid = 8" if command == "demo" else ""
+    two, four, huge = ((19_476, 33_716, "32,000,656,007,700") if command == "attend" else
+                       (25_396, 39_636, "32,000,368,006,036"))
+    star = "'star': packed length L = 11 (n = 4, m = 4)"
+    first = star if command == "attend" else "'fine': packed length L = 5 (n = 1, m = 1)"
+    for extra_argv, budget, message in (
+            ([], two - 1, f"{star} with heads = 2, d_model = 16, d_k = 8, d_v = 8{d_hid} "
+                          f"needs about {two:,}"),
+            (["--heads", "4"], two, f"{star} with heads = 4, d_model = 16, d_k = 8, d_v = 8{d_hid} "
+                                    f"needs about {four:,}"),
+            (["--d-model", "1000000", "--d-k", "1000000"], 2 ** 30,
+             f"{first} with heads = 2, d_model = 1000000, d_k = 1000000, d_v = 8{d_hid} "
+             f"needs about {huge}")):
         monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", budget)
-        assert run(argv + heads_argv) == 1, heads_argv
-        assert capsys.readouterr().err == ("error: pair 'star': packed length L = 11 (n = 4, "
-                                           f"m = 4) with {needs} bytes, over the layer budget of "
+        assert run(argv + extra_argv) == 1, extra_argv
+        assert capsys.readouterr().err == (f"error: pair {message} bytes, over the budget of "
                                            f"{budget:,} bytes\n")
         assert computed == [] and not out.exists() and staging_leftovers(tmp_path) == []
 
 
 def test_signals_over_the_fuse_budget_rejected_before_any_work(tmp_path, capsys, monkeypatch):
-    # (2, 4, 3) signals need 1 (L, L) float64 array per slice in fuse: 2·8·4² = 256 bytes
+    # (2, 4, 3) signals need 1 (L, L) float64 array per slice in fuse, 2·8·4² = 256 bytes, and the
+    # params seeded at d_hid = 8 draw 214 cells beside them: 256 + 1,712 = 1,968 bytes
     signals = tmp_path / "signals.json"
     signals.write_text(json.dumps({"sem": np.zeros((2, 4, 3)).tolist(),
                                    "dep": np.zeros((2, 4, 3)).tolist()}), encoding="utf-8")
@@ -800,16 +822,40 @@ def test_signals_over_the_fuse_budget_rejected_before_any_work(tmp_path, capsys,
     argv = ["fuse", "--signals", str(signals), "--out", str(out)]
     computed = []
     monkeypatch.setattr(cli, "fuse", lambda *a: computed.append(a))
-    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", 255)
-    assert run(argv) == 1
-    assert capsys.readouterr().err == (f"error: {signals}: signals of shape (2, 4, 3) need about "
-                                       "256 bytes in fuse, over the layer budget of 255 bytes\n")
-    assert computed == [] and not out.exists()
-    # a budget of 256 bytes admits them, to the byte
-    monkeypatch.setattr(cli, "fuse", fuse)
-    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", 256)
+    fail_on_draws(monkeypatch)
+    # 1 byte short; then a flag-sized d_hid under the real budget
+    for extra_argv, budget, needs in (([], 1_967, "d_hid = 8 needs about 1,968"),
+                                      (["--d-hid", "1000000000000"], 2 ** 30,
+                                       "d_hid = 1000000000000 needs about 128,000,000,000,944")):
+        monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", budget)
+        assert run(argv + extra_argv) == 1
+        assert capsys.readouterr().err == (f"error: {signals}: signals of shape (2, 4, 3) with "
+                                           f"{needs} bytes, over the budget of {budget:,} "
+                                           "bytes\n")
+        assert computed == [] and not out.exists()
+    # a budget of 1,968 bytes admits them, to the byte
+    monkeypatch.undo()
+    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", 1_968)
     assert run(argv) == 0
     assert np.shape(json.loads(out.read_text(encoding="utf-8"))["fused"]) == (2, 4, 3)
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (["--op", "attend", "--d-seq", "20000"],
+     "attend with d_seq = 20000, d_k = 3, d_v = 3, d_hid = 3 needs about 288,129,600,000,000"),
+    (["--op", "fuse", "--d-seq", "3000", "--d-v", "2", "--d-hid", "2"],
+     "fuse with d_seq = 3000, d_k = 3, d_v = 2, d_hid = 2 needs about 542,379,842,048"),
+])
+def test_gradcheck_over_the_work_budget_rejected_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                 argv, needs):
+    # the oracle stacks 2·N·(N + d_seq²) cells for N perturbed scalars, for each op checked
+    fail_on_draws(monkeypatch)
+    out = tmp_path / "report.json"
+    assert run(["gradcheck", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: gradcheck --op {needs} cells, over the budget of "
+                            "8,589,934,592 cells\n")
+    assert captured.out == "" and not out.exists()
 
 
 def assert_out_of_memory_exits_1(tmp_path, capsys, monkeypatch, argv, owner, name, message,

@@ -217,6 +217,33 @@ class TestFdGradient:
         for name in one_call:
             assert per_scalar[name].tobytes() == one_call[name].tobytes(), name
 
+    # the default sizes and CI's attention check are one block; CI's fuse check (1,680 scalars
+    # in blocks of 319) and the attention check at d_seq = 90 (270 in blocks of 125) take several
+    @pytest.mark.parametrize("op, sizes, blocks", [
+        ("fuse", {}, 1), ("sem_attention", {}, 1), ("dep_attention", {}, 1),
+        ("dep_attention", dict(d_seq=24, d_k=8, d_v=8), 1),
+        ("fuse", dict(d_seq=40, d_v=8, d_hid=8), 6),
+        ("sem_attention", dict(d_seq=90, d_k=1, d_v=1), 3),
+    ])
+    def test_work_estimate_is_the_cells_fd_gradient_stacks(self, op, sizes, blocks):
+        """`_fd_cells` is exactly the sum of rows times (scalars + row_cells) over `check`'s
+        loss calls."""
+        calls = []
+
+        def counting_fd_gradient(f, params, eps, row_cells):
+            def counting(values):
+                rows = len(next(iter(values.values())))
+                scalars = sum(np.size(value) for value in values.values()) // rows
+                calls.append(rows * (scalars + row_cells))
+                return f(values)
+            return fd_gradient(counting, params, eps, row_cells)
+
+        config = GradCheckConfig(**sizes)
+        with mock.patch.object(gradcheck, "fd_gradient", counting_fd_gradient):
+            check(op, config, seed=3)
+        assert len(calls) == blocks
+        assert sum(calls) == gradcheck._fd_cells(op, config)
+
 
 def naive_compare_gradients(analytic: dict, fd: dict, tol: float):
     """Per-name errors and pass flag, one numpy pass per name (reference)."""

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,15 +18,17 @@ from conftest import (
     random_sentence,
     read_heatmap_csv,
 )
-from dafa import pipeline
+from dafa import cli, pipeline
 from dafa.attention import AttnConfig, AttnParams, multi_head_dafa
+from dafa.conllu import SentencePair
 from dafa.depmatrix import DepMatrixConfig
 from dafa.fusion import FusionParams, fuse
 from dafa.pipeline import (
     CLS_TOKEN,
     SEP_TOKEN,
     EmbeddingTable,
-    _check_layer_budget,
+    _check_budget,
+    _layer_estimate,
     build_layout,
     dafa_layer,
     write_heatmap_csv,
@@ -98,19 +102,19 @@ class TestLayerBudget:
         # the budget admits the pair at 2 heads, to the byte, and not at 4
         monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", layer_estimate(11, 2))
         assert pipeline.MAX_LAYER_BYTES == 6_292
-        _check_layer_budget(layout, 2)
+        _check_budget(*_layer_estimate(layout, 2))
         monkeypatch.setattr(pipeline, "final_matrix", lambda *args: pytest.fail("scored"))
         config = AttnConfig(d_model=16, heads=4, d_k=6, d_v=5, d_seq=11)
         # dafa_layer checks the pair before it reads any argument but the config
-        for call in (lambda: _check_layer_budget(layout, 4),
+        for call in (lambda: _check_budget(*_layer_estimate(layout, 4)),
                      lambda: dafa_layer(a, a, *[None] * 4, config)):
             with pytest.raises(ValueError, match=r"^packed length L = 11 \(n = 4, m = 4\) with "
                                                  r"heads = 4 needs about 10,164 bytes, over the "
-                                                 r"layer budget of 6,292 bytes$"):
+                                                 r"budget of 6,292 bytes$"):
                 call()
         monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", layer_estimate(11, 2) - 1)
         with pytest.raises(ValueError, match=r"with heads = 2 needs about 6,292 bytes"):
-            _check_layer_budget(layout, 2)
+            _check_budget(*_layer_estimate(layout, 2))
 
     def test_estimate_matches_a_measured_layer(self):
         # numpy reports its array memory to tracemalloc
@@ -125,6 +129,27 @@ class TestLayerBudget:
             finally:
                 tracemalloc.stop()
             assert 0.9 < peak / layer_estimate(203, heads) < 1.1, heads
+
+    def test_estimate_with_flag_sized_draws_matches_measured_draws_and_layer(self, monkeypatch):
+        # at L = 11 the (L, L) arrays are a few KB: the draws the size flags set dominate
+        a = star(["r", "x", "y", "z"], ["dep"] * 3)
+        layout = build_layout(a, a)
+        flags = SimpleNamespace(d_model=2000, heads=2, d_k=2000, d_v=8)
+        estimates = []
+        monkeypatch.setattr(cli, "_check_budget", lambda source, needs: estimates.append(needs))
+        config = cli._attn_config(flags, SentencePair("star", a, a), layout, d_hid=8)
+        tracemalloc.start()
+        try:
+            embeddings = EmbeddingTable.build(a.forms() * 2, config.d_model, seed=1)
+            attn_params = AttnParams.init(config, seed=1)
+            fusion_params = FusionParams.init(layout.d_seq, config.d_v, 8, seed=1)
+            dafa_layer(a, a, TfIdfModel.fit([a]), embeddings, attn_params, fusion_params, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (estimate,) = estimates
+        assert estimate > 100 * layer_estimate(11, 2)
+        assert 0.9 < peak / estimate < 1.1
 
     @pytest.mark.parametrize("shape", [(1, 300, 8), (2, 300, 8), (4, 150, 5), (8, 100, 3)])
     def test_fuse_estimate_matches_a_measured_fuse(self, shape):
@@ -401,6 +426,17 @@ class TestHeatmapCsv:
         write_heatmap_csv(out_dir / "new.csv", row_labels, col_labels, matrix)
         naive_write_heatmap_csv(out_dir / "old.csv", row_labels, col_labels, matrix)
         assert (out_dir / "new.csv").read_bytes() == (out_dir / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows, cols, shape", [(["a"], ["x", "y", "z"], (2, 2)),
+                                                   (["a", "b"], ["x", "y"], (2, 3)),
+                                                   (["a", "b"], ["x", "y"], (4,))])
+    def test_matrix_that_does_not_fit_the_labels_rejected(self, tmp_path, rows, cols, shape):
+        path = tmp_path / "heat.csv"
+        with pytest.raises(ValueError, match=re.escape(f"matrix of shape {shape} does not "
+                                                       f"match the labels' ({len(rows)}, "
+                                                       f"{len(cols)})")):
+            write_heatmap_csv(path, rows, cols, np.ones(shape))
+        assert not path.exists()
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -14,7 +14,7 @@ head and returns their weights and signals as stacks, head first; it
 copies each head's result into a preallocated stack, so at most one
 head's fresh weights are alive beside the stacks.
 Each op allocates its logits once, as `q @ k^T`; the calibration multiply
-(unless the calibration's broadcast widens the logits), the 1/sqrt(d_k)
+(a calibration that would widen the logits is rejected), the 1/sqrt(d_k)
 scale and the softmax run in place on them, with the formula's bits.
 """
 
@@ -103,7 +103,7 @@ def dep_attention(q, k, v, calibration) -> tuple[np.ndarray, np.ndarray]:
     With an all-ones calibration this reproduces sem_attention bit for bit.
     Negative logits are amplified negatively by calibration > 1; that
     asymmetry is intentional and not clamped. The calibration's last two
-    axes are (q rows, k rows); its leading axes broadcast with the logits'.
+    axes are (q rows, k rows); its leading axes broadcast into the logits'.
     """
     q, k, v = _as_qkv(q, k, v)
     calibration = np.asarray(calibration, dtype=np.float64)
@@ -114,10 +114,9 @@ def dep_attention(q, k, v, calibration) -> tuple[np.ndarray, np.ndarray]:
             f"(q rows, k rows) {logit_shape}"
         )
     logits = q @ k.swapaxes(-1, -2)
-    if np.broadcast_shapes(logits.shape, calibration.shape) == logits.shape:
-        logits *= calibration
-    else:  # the calibration's leading axes widen the logits: the product is a new array
-        logits = logits * calibration
+    if np.broadcast_shapes(logits.shape, calibration.shape) != logits.shape:
+        raise ValueError(f"calibration shape {calibration.shape} widens the logits' {logits.shape}")
+    logits *= calibration
     logits /= math.sqrt(q.shape[-1])
     weights = softmax_in_place(logits)
     return weights, weights @ v

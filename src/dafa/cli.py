@@ -6,7 +6,6 @@ import argparse
 import json
 import math
 import os
-import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -109,8 +108,8 @@ def _staged_dir(out_dir: Path):
     An existing `out_dir` stages its files in a hidden temporary directory inside itself (no
     output stem starts with '.'), so only `out_dir` itself must be writable and each file is
     moved up on one file system; a file there is replaced, not written through a link. A new
-    `out_dir` is staged beside itself and renamed into place. On any failure the staging
-    directory is removed, so `out_dir` is never left partial.
+    `out_dir` is staged beside itself and renamed into place. The staging directory is removed
+    when the block ends, so on any failure `out_dir` is never left partial.
     """
     if out_dir.exists() and not out_dir.is_dir():
         raise _InputError(f"--out {out_dir}: exists and is not a directory")
@@ -118,11 +117,10 @@ def _staged_dir(out_dir: Path):
     existing = out_dir.is_dir()
     if not existing:
         out_dir.parent.mkdir(parents=True, exist_ok=True)
-    # mkdtemp's directory is private (mode 0700); a new out_dir is made inside it, usual mode
-    staging = Path(tempfile.mkdtemp(prefix=".dafa-partial-",
-                                    dir=out_dir if existing else out_dir.parent))
-    try:
-        work = staging if existing else staging / "out"
+    # the staging directory is private (mode 0700); a new out_dir is made inside it, usual mode
+    with tempfile.TemporaryDirectory(prefix=".dafa-partial-", ignore_cleanup_errors=True,
+                                     dir=out_dir if existing else out_dir.parent) as staging:
+        work = Path(staging) if existing else Path(staging) / "out"
         work.mkdir(exist_ok=True)
         yield work
         if existing:
@@ -130,8 +128,6 @@ def _staged_dir(out_dir: Path):
                 os.replace(path, out_dir / path.name)
         else:
             work.rename(out_dir)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _cmd_tfidf_fit(args) -> int:
@@ -253,8 +249,7 @@ def _cmd_gradcheck(args) -> int:
                   + ", ".join(f"{name} = {value}" for name, value in vars(config).items()),
                   sum(_fd_cells(op, config) for op in ops), "cells")
     reports = [check(op, config, seed=seed, tol=args.tol, eps=args.eps) for op in ops]
-    payload = json.dumps([json.loads(r.to_json()) for r in reports], sort_keys=True, indent=2,
-                         allow_nan=False)
+    payload = json.dumps([vars(r) for r in reports], sort_keys=True, indent=2, allow_nan=False)
     print(payload)
     if args.out:
         _write_text(args.out, payload + "\n")

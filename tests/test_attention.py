@@ -1,6 +1,7 @@
 """Attention tests against naive loop evaluations and exact-neutrality checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,8 +184,8 @@ class TestInPlaceSteps:
         ((), ()),            # 2-D: the multiply runs in place
         ((3,), (3,)),        # stacked calibration as wide as the logits: in place
         ((3,), ()),          # a 2-D calibration shared by every slice: in place
-        ((), (3,)),          # stacked wider than 2-D logits: a fresh product
-        ((1,), (3,)),        # widening a length-1 axis: a fresh product
+        ((2, 3), (3,)),      # a stack shared along the logits' outer axis: in place
+        ((3,), (1,)),        # a length-1 calibration axis against a wider one: in place
     ])
     def test_arguments_unchanged_and_bits_of_the_formula(self, qk_lead, c_lead):
         rng = np.random.default_rng(17)
@@ -199,6 +200,15 @@ class TestInPlaceSteps:
             assert got[1].tobytes() == expected[1].tobytes()
         for x, copy in zip((q, k, v, c), before):
             assert x.tobytes() == copy.tobytes()
+
+    @pytest.mark.parametrize("qk_lead, c_lead", [((), (3,)), ((1,), (3,)), ((3,), (2, 3))])
+    def test_calibration_that_widens_the_logits_rejected(self, qk_lead, c_lead):
+        # the multiply runs in place on the logits, so a calibration stack wider than them
+        # has no array to land in
+        q, k, v = np.ones((*qk_lead, 4, 3)), np.ones((*qk_lead, 6, 3)), np.ones((*qk_lead, 6, 2))
+        with pytest.raises(ValueError, match=rf"calibration shape {re.escape(str((*c_lead, 4, 6)))}"
+                                             " widens the logits'"):
+            dep_attention(q, k, v, np.ones((*c_lead, 4, 6)))
 
 
 class TestSoftmaxProperties:

@@ -554,9 +554,9 @@ class TestDemoCommand:
         staged_in = []
         real_mkdtemp = tempfile.mkdtemp
 
-        def mkdtemp(**kwargs):
-            staged_in.append(Path(kwargs["dir"]))
-            return real_mkdtemp(**kwargs)
+        def mkdtemp(suffix=None, prefix=None, dir=None):
+            staged_in.append(Path(dir))
+            return real_mkdtemp(suffix, prefix, dir)
 
         monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
         parent.chmod(0o555)

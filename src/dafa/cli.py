@@ -137,26 +137,40 @@ def _cmd_tfidf_fit(args) -> int:
     return 0
 
 
+# `matrix`'s peak per n·m cell: the record being built holds its three float64 arrays, their
+# tolist() floats and its JSON text, about _MATRIX_CELL_BYTES a cell, beside the text of every
+# record before it, _MATRIX_TEXT_BYTES a cell, kept so that a failing pair writes nothing. Fitted
+# with tracemalloc on chains of one repeated form (every MF cell a full-precision float) from
+# 300 x 300 to 600 x 600 cells, one to eight pairs: within 7% of the measured peak. Records of
+# fewer cells carry a few MB of fixed cost beside it, and records of zeros hold less text.
+_MATRIX_CELL_BYTES = 150
+_MATRIX_TEXT_BYTES = 38
+
+
+def _matrix_line(pair: SentencePair, model: TfIdfModel, config: DepMatrixConfig) -> str:
+    """One pair's JSON record of M, S and MF; its arrays and lists are freed when it returns."""
+    with _naming(pair):
+        m = base_matrix(pair.a, pair.b, config)
+        s = subgraph_matrix(pair.a, pair.b, config)
+        mf = _combine_matrices(m, s, model.weights(pair.a), model.weights(pair.b))
+    record = {"id": pair.pair_id, "n": pair.a.n, "m": pair.b.n,
+              "M": m.tolist(), "S": s.tolist(), "MF": mf.tolist()}
+    return json.dumps(record, sort_keys=True, allow_nan=False)
+
+
 def _cmd_matrix(args) -> int:
     pairs = _load(args.pairs, read_pairs, "pair records")
     model = _load(args.tfidf, TfIdfModel.from_json)
     config = _dep_config(args)
-    lines = []
-    for pair in pairs:
-        m = base_matrix(pair.a, pair.b, config)
-        s = subgraph_matrix(pair.a, pair.b, config)
-        with _naming(pair):
-            mf = _combine_matrices(m, s, model.weights(pair.a), model.weights(pair.b))
-        record = {
-            "id": pair.pair_id,
-            "n": pair.a.n,
-            "m": pair.b.n,
-            "M": m.tolist(),
-            "S": s.tolist(),
-            "MF": mf.tolist(),
-        }
-        lines.append(json.dumps(record, sort_keys=True, allow_nan=False))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    cells = [pair.a.n * pair.b.n for pair in pairs]
+    largest = pairs[cells.index(max(cells))]
+    with _naming(largest):
+        _check_budget(f"matrix record of n = {largest.a.n} by m = {largest.b.n} cells, the largest "
+                      f"of {len(pairs)} ({sum(cells):,} cells in all),",
+                      _MATRIX_CELL_BYTES * max(cells) + _MATRIX_TEXT_BYTES * sum(cells))
+    lines = [_matrix_line(pair, model, config) for pair in pairs]
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)  # one line's copy at a time
     print(f"wrote {len(lines)} matrix records -> {args.out}")
     return 0
 
@@ -166,21 +180,36 @@ def _fusion_cells(d_seq: int, d_v: int, d_hid: int) -> int:
     return sum(math.prod(shape) for _, shape, _ in _draws(d_seq, d_v, d_hid))
 
 
+def _draw_cells(config: AttnConfig, d_seq: int, d_hid: int) -> int:
+    """Cells the size flags draw beside a layer of packed length `d_seq`: each AttnParams weight
+    (heads, d_model, d) and its product with x, (heads, d_seq, d); the embedding table (at most
+    d_seq rows) and x; and, given `d_hid`, the FusionParams. At d_seq = 0, the draws no pair
+    sizes."""
+    cells = sum(heads * (d_model + d_seq) * d for heads, d_model, d in _shapes(config).values())
+    cells += 2 * d_seq * config.d_model
+    return cells + (_fusion_cells(d_seq, config.d_v, d_hid) if d_hid else 0)
+
+
+def _check_size_flags(args, d_hid: int = 0) -> None:
+    """Refuse size flags whose draws alone are over the memory budget before any pair is sized,
+    in a message that names the flags: every pair would be refused, and none is the cause."""
+    config = AttnConfig(d_model=args.d_model, heads=args.heads, d_k=args.d_k, d_v=args.d_v,
+                        d_seq=1)  # checks each size; the draws at d_seq = 0 do not read it
+    flags = (f"--heads {config.heads}, --d-model {config.d_model}, --d-k {config.d_k}, "
+             f"--d-v {config.d_v}" + (f", --d-hid {d_hid}" if d_hid else ""))
+    _check_budget(f"drawing the weights for {flags}", 8 * _draw_cells(config, 0, d_hid))
+
+
 def _attn_config(args, pair: SentencePair, layout: PairLayout, d_hid: int = 0) -> AttnConfig:
     """The attention config for the pair's layout, once the pair's layer and what the size flags
-    draw beside it fit the memory budget: each AttnParams weight (heads, d_model, d) and its
-    product with x, (heads, L, d); the embedding table (at most L rows) and x; and, given
-    `d_hid`, the pair's FusionParams."""
+    draw beside it (`_draw_cells`) fit the memory budget."""
     config = AttnConfig(d_model=args.d_model, heads=args.heads, d_k=args.d_k, d_v=args.d_v,
                         d_seq=layout.d_seq)
     source, needs = _layer_estimate(layout, config.heads)
-    cells = sum(heads * (d_model + layout.d_seq) * d
-                for heads, d_model, d in _shapes(config).values())
-    cells += 2 * layout.d_seq * config.d_model
-    cells += _fusion_cells(layout.d_seq, config.d_v, d_hid) if d_hid else 0
     sizes = f", d_model = {config.d_model}, d_k = {config.d_k}, d_v = {config.d_v}"
     with _naming(pair):
-        _check_budget(source + sizes + (f", d_hid = {d_hid}" if d_hid else ""), needs + 8 * cells)
+        _check_budget(source + sizes + (f", d_hid = {d_hid}" if d_hid else ""),
+                      needs + 8 * _draw_cells(config, layout.d_seq, d_hid))
     return config
 
 
@@ -191,6 +220,7 @@ def _cmd_attend(args) -> int:
         print(f"note: {args.pair} has {len(pairs)} pair records; using the first, "
               f"{pair.pair_id!r}", file=sys.stderr)
     seed = _seed(args)
+    _check_size_flags(args)
     layout = build_layout(pair.a, pair.b)
     config = _attn_config(args, pair, layout)
     model = _pair_tfidf(_load(args.tfidf, TfIdfModel.from_json) if args.tfidf else None, pair)
@@ -243,6 +273,9 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     config = GradCheckConfig(d_seq=args.d_seq, d_k=args.d_k, d_v=args.d_v, d_hid=args.d_hid)
+    unread = "d_k" if args.op == "fuse" else "d_hid"  # fuse has no keys, attention no hidden layer
+    if unread in args.given_flags:
+        raise _InputError(f"--{unread.replace('_', '-')} does not apply to --op {args.op}")
     ops = ["fuse"] if args.op == "fuse" else ["sem_attention", "dep_attention"]
     seed = _seed(args)
     _check_budget(f"gradcheck --op {args.op} with "
@@ -280,6 +313,7 @@ def _cmd_demo(args) -> int:
     dep_config = _dep_config(args)
     if args.d_hid < 1:
         raise ValueError(f"d_hid must be >= 1, got {args.d_hid}")
+    _check_size_flags(args, args.d_hid)
     configs = [_attn_config(args, pair, build_layout(pair.a, pair.b), args.d_hid)
                for pair in pairs]
     # the attention weights do not depend on d_seq, so one seeded set serves every pair

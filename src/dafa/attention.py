@@ -10,9 +10,8 @@ elementwise by a calibration matrix (>= 1 cross-sentence, exactly 1
 elsewhere) before scaling and softmax, so calibrated cells gain or keep
 attention mass while neutral cells are untouched; `attention_backward`
 differentiates either path. `multi_head_dafa` runs both paths for every
-head and returns their weights and signals as stacks, head first; it
-copies each head's result into a preallocated stack, so at most one
-head's fresh weights are alive beside the stacks.
+head and returns their weights and signals as stacks, head first: views of
+one (2, heads, L, L) weight block and one signal block, filled head by head.
 Each op allocates its logits once, as `q @ k^T`; the calibration multiply
 (a calibration that would widen the logits is rejected), the 1/sqrt(d_k)
 scale and the softmax run in place on them, with the formula's bits.
@@ -145,13 +144,14 @@ def multi_head_dafa(x, params: AttnParams, calibration) -> tuple[np.ndarray, ...
         raise ValueError(f"input shape {x.shape} does not match d_model {params.w_q.shape[1]}")
     q, k, v = x @ params.w_q, x @ params.w_k, x @ params.w_v   # (heads, d_seq, .)
     heads, d_seq, d_v = v.shape
-    # one call per head slice, although both ops take the stack: the benchmark's logit
-    # counter (bench/workloads.py::_count_logits) reads len(q) * len(k), right for 2-D only;
-    # each result is copied into a preallocated stack, so one head's fresh weights are alive
-    stacks = []
-    for op, extra in ((sem_attention, ()), (dep_attention, (calibration,))):
-        weights, signal = np.empty((heads, d_seq, d_seq)), np.empty((heads, d_seq, d_v))
+    # one op call per 2-D head slice, as bench/workloads.py::_count_logits counts len(q) * len(k).
+    # Both paths fill one (2, heads, L, L) block: glibc raises its trim threshold to twice the
+    # largest mmapped block freed (its mmap threshold caps at 32 MiB), so the next pair reuses
+    # this pair's heap pages, with numpy's hugepage madvise on or off. Minor faults per pair (in
+    # process, L ~ 383-488) went 2,045 -> 155 at 2 heads, 1,574 -> 183 at 4, 1,221 -> 196 at 8,
+    # 1,742 -> 1,515 at 1; a block over 32 MiB (L > 1,024 at 2 heads) still faults every call.
+    weights, signals = np.empty((2, heads, d_seq, d_seq)), np.empty((2, heads, d_seq, d_v))
+    for path, (op, extra) in enumerate(((sem_attention, ()), (dep_attention, (calibration,)))):
         for h in range(heads):
-            weights[h], signal[h] = op(q[h], k[h], v[h], *extra)
-        stacks += (weights, signal)
-    return tuple(stacks)
+            weights[path, h], signals[path, h] = op(q[h], k[h], v[h], *extra)
+    return weights[0], signals[0], weights[1], signals[1]

@@ -137,14 +137,12 @@ def _cmd_tfidf_fit(args) -> int:
     return 0
 
 
-# `matrix`'s peak per n·m cell: the record being built holds its three float64 arrays, their
-# tolist() floats and its JSON text, about _MATRIX_CELL_BYTES a cell, beside the text of every
-# record before it, _MATRIX_TEXT_BYTES a cell, kept so that a failing pair writes nothing. Fitted
-# with tracemalloc on chains of one repeated form (every MF cell a full-precision float) from
-# 300 x 300 to 600 x 600 cells, one to eight pairs: within 7% of the measured peak. Records of
-# fewer cells carry a few MB of fixed cost beside it, and records of zeros hold less text.
-_MATRIX_CELL_BYTES = 150
-_MATRIX_TEXT_BYTES = 38
+# `matrix`'s peak per n·m cell of the record being built: its three float64 arrays, their
+# tolist() floats and its JSON text. Records are written one at a time, so the largest sets the
+# peak. Fitted with tracemalloc on chains of one repeated form (every MF cell a full-precision
+# float) from 300 x 300 to 600 x 600 cells, one to eight pairs: within 6% of the measured peak.
+# Smaller records carry a few MB of fixed cost beside it; records of zeros hold less text.
+_MATRIX_CELL_BYTES = 190
 
 
 def _matrix_line(pair: SentencePair, model: TfIdfModel, config: DepMatrixConfig) -> str:
@@ -166,12 +164,20 @@ def _cmd_matrix(args) -> int:
     largest = pairs[cells.index(max(cells))]
     with _naming(largest):
         _check_budget(f"matrix record of n = {largest.a.n} by m = {largest.b.n} cells, the largest "
-                      f"of {len(pairs)} ({sum(cells):,} cells in all),",
-                      _MATRIX_CELL_BYTES * max(cells) + _MATRIX_TEXT_BYTES * sum(cells))
-    lines = [_matrix_line(pair, model, config) for pair in pairs]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)  # one line's copy at a time
-    print(f"wrote {len(lines)} matrix records -> {args.out}")
+                      f"of {len(pairs)},", _MATRIX_CELL_BYTES * max(cells))
+    out = Path(args.out)
+    # each record is written as it is made, to a file in a private directory beside --out that
+    # replaces --out once the last is written; the directory goes on any failure. The rename
+    # would replace a device or FIFO rather than write to it, so an existing --out is a file
+    if (out.exists() and not out.is_file()) or not out.parent.is_dir():
+        raise _InputError(f"--out {out}: exists and is not a regular file, or is in no directory")
+    with tempfile.TemporaryDirectory(prefix=".dafa-partial-", ignore_cleanup_errors=True,
+                                     dir=out.parent) as staging:
+        with open(Path(staging) / "out", "w", encoding="utf-8") as fh:
+            for pair in pairs:
+                fh.write(_matrix_line(pair, model, config) + "\n")
+        os.replace(Path(staging) / "out", out)
+    print(f"wrote {len(pairs)} matrix records -> {args.out}")
     return 0
 
 

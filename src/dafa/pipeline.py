@@ -77,10 +77,10 @@ def _layer_estimate(layout: PairLayout, heads: int) -> tuple[str, int]:
     """The pair named by its sizes, and its estimated `dafa_layer` peak in bytes at `heads` heads.
 
     The traced peak holds about 2 (L, L) float64 arrays per head plus 2.5. The 2 per head are
-    the sem and dep weight stacks; the 2.5 are the calibration, one fresh array beside the
-    stacks (a head's logits in attention, then its tanh block in fuse) and about half an array
-    of scoring and vectors. At L = n + m + 3 (traced at 1, 2, 4 and 8 heads, 1.02-1.06 times
-    this) the estimate is thus (2·heads + 2.5)·8·L² = 4·(4·heads + 5)·L² bytes.
+    the sem and dep weights, one (2, heads, L, L) block (the peak two stacks had); the 2.5 are
+    the calibration, one fresh array beside it (a head's logits in attention, then its tanh
+    block in fuse) and about half an array of scoring and vectors. At L = n + m + 3 (traced at
+    1, 2, 4 and 8 heads, 1.02-1.06 times this) it is (2·heads + 2.5)·8·L² = 4·(4·heads + 5)·L² bytes.
     """
     return (f"packed length L = {layout.d_seq} (n = {layout.n}, m = {len(layout.b_span)}) "
             f"with heads = {heads}", 4 * (4 * heads + 5) * layout.d_seq ** 2)

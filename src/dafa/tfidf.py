@@ -55,9 +55,10 @@ class TfIdfModel:
     def weights(self, sentence: DepSentence) -> np.ndarray:
         """Per-token tf-idf weights, aligned with token order (length n)."""
         forms = [form.lower() for form in sentence.forms()]
-        counts = Counter(forms)
         n = sentence.n
-        return np.array([counts[form] / n * self.idf(form) for form in forms], dtype=np.float64)
+        # one weight per distinct form, the per-token formula's float
+        weight = {form: count / n * self.idf(form) for form, count in Counter(forms).items()}
+        return np.array([weight[form] for form in forms], dtype=np.float64)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -353,6 +353,26 @@ class TestMultiHead:
                          + [("dep_attention", *slices)] * heads)
         assert sum(cells) == 2 * heads * d_seq ** 2
 
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_both_paths_are_views_of_one_block(self, heads):
+        # one freed block per pair is what lets glibc keep its pages for the next pair
+        # (tests/test_pipeline.py counts the faults); two blocks would pass every other test
+        d_seq = 6
+        params = AttnParams.init(self.config(heads, d_seq), seed=27)
+        rng = np.random.default_rng(28)
+        x = rng.normal(size=(d_seq, 6))
+        c = 1.0 + rng.uniform(0, 1, (d_seq, d_seq))
+        sem_w, sem, dep_w, dep = multi_head_dafa(x, params, c)
+        for first, second in ((sem_w, dep_w), (sem, dep)):
+            assert first.base is not None and first.base is second.base
+            assert first.flags.c_contiguous and second.flags.c_contiguous
+        assert sem_w.base.shape == (2, heads, d_seq, d_seq)
+        for h in range(heads):
+            q, k, v = x @ params.w_q[h], x @ params.w_k[h], x @ params.w_v[h]
+            direct = (*sem_attention(q, k, v), *dep_attention(q, k, v, c))
+            for stack, single in zip((sem_w, sem, dep_w, dep), direct, strict=True):
+                assert stack[h].tobytes() == single.tobytes()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AttnConfig(d_model=0, heads=1, d_k=1, d_v=1, d_seq=1)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import tempfile
 import tracemalloc
@@ -774,6 +775,40 @@ def test_failing_later_pair_leaves_no_output(tmp_path, capsys, tfidf_file):
     assert staging_leftovers(out.parent) == []
 
 
+def test_matrix_failing_later_pair_leaves_out_as_it_was(tmp_path, capsys, monkeypatch,
+                                                          tfidf_file):
+    # records are streamed to a staged file that replaces --out only when the last is written
+    records = [{"id": "fine", "a": conllu_block([("one", 0, "root")]),
+                "b": conllu_block([("two", 0, "root")])},
+               {"id": "star", "a": conllu_block(STAR), "b": conllu_block(STAR)}]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    argv = ["matrix", "--pairs", str(pairs), "--tfidf", str(tfidf_file), "--out"]
+    out = tmp_path / "matrices.jsonl"
+    for existing in (False, True):
+        if existing:
+            out.write_text("old", encoding="utf-8")
+        assert run(argv + [str(out), "--alpha", "1e308"]) == 1
+        assert "pair 'star'" in capsys.readouterr().err
+        assert (out.read_text(encoding="utf-8") == "old") if existing else not out.exists()
+        assert staging_leftovers(tmp_path) == []
+    # a run that completes replaces --out
+    assert run(argv + [str(out)]) == 0
+    assert [json.loads(line)["id"] for line in out.read_text(encoding="utf-8").splitlines()] == [
+        "fine", "star"]
+    assert staging_leftovers(tmp_path) == []
+    # an --out that is a directory or a FIFO (which a rename would replace), or that is in no
+    # directory, exits 2 naming it, before any scoring
+    monkeypatch.setattr(cli, "base_matrix", lambda *a: pytest.fail("scored"))
+    os.mkfifo(tmp_path / "fifo")
+    for bad in (tmp_path, tmp_path / "fifo", tmp_path / "absent" / "m.jsonl"):
+        assert run(argv + [str(bad)]) == 2
+        assert capsys.readouterr().err == (f"error: --out {bad}: exists and is not a regular "
+                                           "file, or is in no directory\n")
+    assert (tmp_path / "fifo").exists() and not (tmp_path / "absent").exists()
+    assert staging_leftovers(tmp_path) == []
+
+
 def fail_on_draws(monkeypatch):
     """Make every seeded parameter draw and gradient check fail the test."""
     for owner, name in ((AttnParams, "init"), (EmbeddingTable, "build"), (FusionParams, "init"),
@@ -837,22 +872,22 @@ def chain_pairs(path, sizes):
 
 def test_matrix_over_the_budget_rejected_before_any_scoring(tmp_path, capsys, monkeypatch,
                                                             tfidf_file):
-    # 150 bytes a cell of the largest record (6·5 = 30) and 38 a cell of all records' text
-    # (30 + 2·3 = 36): 4,500 + 1,368 = 5,868 bytes, named after the largest pair
+    # 190 bytes a cell of the largest record (6·5 = 30): 5,700 bytes, named after that pair;
+    # records are written one at a time, so the smaller one adds nothing
     pairs = chain_pairs(tmp_path / "pairs.jsonl", [(2, 3), (6, 5)])
     for name in ("base_matrix", "subgraph_matrix"):
         monkeypatch.setattr(cli, name, lambda *a, _name=name: pytest.fail(f"{_name} ran"))
-    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", 5_867)
+    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", 5_699)
     out = tmp_path / "matrices.jsonl"
     assert run(["matrix", "--pairs", str(pairs), "--tfidf", str(tfidf_file),
                 "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: pair 'c1': matrix record of n = 6 by m = 5 cells, the largest of 2 (36 cells in "
-        "all), needs about 5,868 bytes, over the budget of 5,867 bytes\n")
+        "error: pair 'c1': matrix record of n = 6 by m = 5 cells, the largest of 2, needs about "
+        "5,700 bytes, over the budget of 5,699 bytes\n")
     assert not out.exists()
-    # a budget of 5,868 bytes admits them, to the byte
+    # a budget of 5,700 bytes admits them, to the byte
     monkeypatch.undo()
-    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", 5_868)
+    monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", 5_700)
     assert run(["matrix", "--pairs", str(pairs), "--tfidf", str(tfidf_file),
                 "--out", str(out)]) == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == 2

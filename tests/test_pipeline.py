@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +23,7 @@ from conftest import (
     random_sentence,
     read_heatmap_csv,
 )
+import dafa
 from dafa import cli, pipeline
 from dafa.attention import AttnConfig, AttnParams, multi_head_dafa
 from dafa.conllu import SentencePair
@@ -361,6 +367,57 @@ class TestDafaLayer:
         fusion_params = FusionParams.init(99, 3, 3, 0)
         with pytest.raises(ValueError, match="d_seq"):
             dafa_layer(a, b, tfidf, embeddings, attn_params, fusion_params, config)
+
+
+# a fresh process scores 4 chain pairs (L = 383-488) once to warm up, then 3 rounds back to
+# back, and prints the minor faults per pair of those rounds and the smallest L
+_FAULT_PROBE = """
+import resource, sys
+from dafa.attention import AttnConfig, AttnParams
+from dafa.conllu import DepSentence, Token
+from dafa.fusion import FusionParams
+from dafa.pipeline import EmbeddingTable, build_layout, dafa_layer
+from dafa.tfidf import TfIdfModel
+
+heads = int(sys.argv[1])
+def chain(n):
+    return DepSentence(tuple(Token(index=i, form=f"w{i % 7}", head=i - 1,
+                                   deprel="dep" if i > 1 else "root") for i in range(1, n + 1)))
+pairs = [(chain(n), chain(m)) for n, m in ((190, 190), (210, 230), (240, 240), (220, 265))]
+tfidf = TfIdfModel.fit([s for pair in pairs for s in pair])
+def layer(a, b):
+    layout = build_layout(a, b)
+    config = AttnConfig(d_model=16, heads=heads, d_k=8, d_v=8, d_seq=layout.d_seq)
+    dafa_layer(a, b, tfidf, EmbeddingTable.build(a.forms() + b.forms(), 16, 42),
+               AttnParams.init(config, 42), FusionParams.init(layout.d_seq, 8, 8, 42), config)
+for a, b in pairs:
+    layer(a, b)
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    for a, b in pairs:
+        layer(a, b)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+print(faults / (3 * len(pairs)), min(build_layout(a, b).d_seq for a, b in pairs))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the fault count rests on glibc's malloc thresholds")
+@pytest.mark.parametrize("heads", [2, 4])
+def test_back_to_back_pairs_reuse_the_attention_block_pages(heads):
+    # glibc keeps the freed (2, heads, L, L) weight block's pages for the next pair, so a pair
+    # faults in far fewer pages than that block (about 1,150 pages at L = 383 and 2 heads;
+    # per-path stacks gave about 2,050 faults a pair at 2 heads and 1,600 at 4), under glibc's
+    # default thresholds, so no malloc setting is passed on
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("MALLOC_") and name != "GLIBC_TUNABLES"}
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(Path(dafa.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(heads)], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    faults, d_seq = map(float, done.stdout.split())
+    block_pages = 2 * heads * d_seq ** 2 * 8 / os.sysconf("SC_PAGE_SIZE")
+    assert faults < block_pages / 4, (faults, block_pages)
 
 
 class TestLayerOutputJson:

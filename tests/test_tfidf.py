@@ -2,13 +2,18 @@
 
 import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_sentence, random_sentence
+from dafa.conllu import parse_conllu, read_pairs
 from dafa.tfidf import TfIdfModel
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
 
 def chain(forms):
@@ -91,6 +96,20 @@ class TestWeights:
             w = model.weights(s)
             assert np.all(w >= 0)
             assert np.all(np.isfinite(w))
+
+    def test_bits_of_the_per_token_formula(self):
+        # each distinct form's weight is computed once; every token gets the formula's float
+        def per_token(model, sentence):
+            forms = [form.lower() for form in sentence.forms()]
+            counts = Counter(forms)
+            return np.array([counts[f] / sentence.n * model.idf(f) for f in forms])
+        corpus = parse_conllu((SAMPLE / "corpus.conllu").read_text(encoding="utf-8"))
+        pairs = read_pairs((SAMPLE / "pairs.jsonl").read_text(encoding="utf-8"))
+        mixed = chain(["The", "cat", "THE", "Cat", "the", "dog", "cAt", "Ünd", "ünd"])
+        sentences = [*corpus, *(s for pair in pairs for s in (pair.a, pair.b)), mixed]
+        for model in (TfIdfModel.fit(corpus), TfIdfModel.fit([mixed, chain(["the"])])):
+            for s in sentences:
+                assert model.weights(s).tobytes() == per_token(model, s).tobytes(), s.forms()
 
     @given(
         df_small=st.integers(min_value=0, max_value=50),

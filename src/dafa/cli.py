@@ -97,42 +97,37 @@ def _dep_config(args) -> DepMatrixConfig:
     return DepMatrixConfig(theta=args.theta, alpha=args.alpha, nu=args.nu)
 
 
-def _write_text(path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
-
-
 @contextmanager
-def _staged_dir(out_dir: Path):
-    """A directory to write into that becomes `out_dir` only when the block completes.
+def _staged_into(directory: Path):
+    """A private directory to write into whose entries, when the block completes, replace those
+    of the same names in `directory` (a rename: a link there is replaced, not written through).
+    It is removed when the block ends, so on any failure `directory` is as it was."""
+    with tempfile.TemporaryDirectory(prefix=".dafa-partial-", dir=directory,
+                                     ignore_cleanup_errors=True) as staging:
+        yield Path(staging)
+        for path in Path(staging).iterdir():
+            os.replace(path, directory / path.name)
 
-    An existing `out_dir` stages its files in a hidden temporary directory inside itself (no
-    output stem starts with '.'), so only `out_dir` itself must be writable and each file is
-    moved up on one file system; a file there is replaced, not written through a link. A new
-    `out_dir` is staged beside itself and renamed into place. The staging directory is removed
-    when the block ends, so on any failure `out_dir` is never left partial.
-    """
-    if out_dir.exists() and not out_dir.is_dir():
-        raise _InputError(f"--out {out_dir}: exists and is not a directory")
-    out_dir = out_dir.resolve()
-    existing = out_dir.is_dir()
-    if not existing:
-        out_dir.parent.mkdir(parents=True, exist_ok=True)
-    # the staging directory is private (mode 0700); a new out_dir is made inside it, usual mode
-    with tempfile.TemporaryDirectory(prefix=".dafa-partial-", ignore_cleanup_errors=True,
-                                     dir=out_dir if existing else out_dir.parent) as staging:
-        work = Path(staging) if existing else Path(staging) / "out"
-        work.mkdir(exist_ok=True)
-        yield work
-        if existing:
-            for path in work.iterdir():
-                os.replace(path, out_dir / path.name)
-        else:
-            work.rename(out_dir)
+
+def _out_file(path) -> Path:
+    """--out as one file, checked before any work: a regular file or absent, in an existing
+    directory. The rename would replace a directory, device or FIFO rather than write to it."""
+    out = Path(path)
+    if (out.exists() and not out.is_file()) or not out.parent.is_dir():
+        raise _InputError(f"--out {out}: exists and is not a regular file, or is in no directory")
+    return out
+
+
+def _write_out(out: Path, text: str) -> None:
+    with _staged_into(out.parent) as staging:
+        (staging / out.name).write_text(text, encoding="utf-8")
 
 
 def _cmd_tfidf_fit(args) -> int:
-    model = TfIdfModel.fit(_load(args.corpus, parse_conllu, "sentences"))
-    _write_text(args.out, model.to_json() + "\n")
+    corpus = _load(args.corpus, parse_conllu, "sentences")
+    out = _out_file(args.out)
+    model = TfIdfModel.fit(corpus)
+    _write_out(out, model.to_json() + "\n")
     print(f"fitted tf-idf on {model.doc_count} sentences -> {args.out}")
     return 0
 
@@ -165,18 +160,10 @@ def _cmd_matrix(args) -> int:
     with _naming(largest):
         _check_budget(f"matrix record of n = {largest.a.n} by m = {largest.b.n} cells, the largest "
                       f"of {len(pairs)},", _MATRIX_CELL_BYTES * max(cells))
-    out = Path(args.out)
-    # each record is written as it is made, to a file in a private directory beside --out that
-    # replaces --out once the last is written; the directory goes on any failure. The rename
-    # would replace a device or FIFO rather than write to it, so an existing --out is a file
-    if (out.exists() and not out.is_file()) or not out.parent.is_dir():
-        raise _InputError(f"--out {out}: exists and is not a regular file, or is in no directory")
-    with tempfile.TemporaryDirectory(prefix=".dafa-partial-", ignore_cleanup_errors=True,
-                                     dir=out.parent) as staging:
-        with open(Path(staging) / "out", "w", encoding="utf-8") as fh:
-            for pair in pairs:
-                fh.write(_matrix_line(pair, model, config) + "\n")
-        os.replace(Path(staging) / "out", out)
+    out = _out_file(args.out)
+    with _staged_into(out.parent) as staging, open(staging / out.name, "w", encoding="utf-8") as fh:
+        for pair in pairs:  # each record is written as it is made
+            fh.write(_matrix_line(pair, model, config) + "\n")
     print(f"wrote {len(pairs)} matrix records -> {args.out}")
     return 0
 
@@ -225,12 +212,13 @@ def _cmd_attend(args) -> int:
     if len(pairs) > 1:
         print(f"note: {args.pair} has {len(pairs)} pair records; using the first, "
               f"{pair.pair_id!r}", file=sys.stderr)
+    model = _pair_tfidf(_load(args.tfidf, TfIdfModel.from_json) if args.tfidf else None, pair)
     seed = _seed(args)
+    dep_config = _dep_config(args)
     _check_size_flags(args)
     layout = build_layout(pair.a, pair.b)
     config = _attn_config(args, pair, layout)
-    model = _pair_tfidf(_load(args.tfidf, TfIdfModel.from_json) if args.tfidf else None, pair)
-    dep_config = _dep_config(args)
+    out = _out_file(args.out)
     embeddings = EmbeddingTable.build(pair.a.forms() + pair.b.forms(), config.d_model, seed)
     params = AttnParams.init(config, seed)
     with _naming(pair):
@@ -244,7 +232,7 @@ def _cmd_attend(args) -> int:
         "sem_weights": sem_w.tolist(),
         "dep_weights": dep_w.tolist(),
     }
-    _write_text(args.out, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+    _write_out(out, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
     print(f"wrote attention signals for {pair.pair_id!r} -> {args.out}")
     return 0
 
@@ -256,6 +244,7 @@ def _cmd_fuse(args) -> int:
                 raise _InputError(f"{flag} and --params exclude each other: "
                                   "the params file fixes every weight and d_hid")
     sem, dep = _load(args.signals, _parse_signals)
+    out_file = _out_file(args.out)
     # the forward holds 1 (L, L) float64 array per (L, d_v) slice; seeded params are drawn beside
     *slices, d_seq, d_v = sem.shape
     seeded = args.params is None
@@ -272,7 +261,7 @@ def _cmd_fuse(args) -> int:
     out = fuse(sem, dep, params)
     payload = {name: getattr(out, name).tolist()
                for name in ("fused", "fusion_gate", "filter_gate", "dep_refined", "sem_refined")}
-    _write_text(args.out, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+    _write_out(out_file, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
     print(f"fused {'x'.join(map(str, sem.shape))} signals -> {args.out}")
     return 0
 
@@ -287,11 +276,12 @@ def _cmd_gradcheck(args) -> int:
     _check_budget(f"gradcheck --op {args.op} with "
                   + ", ".join(f"{name} = {value}" for name, value in vars(config).items()),
                   sum(_fd_cells(op, config) for op in ops), "cells")
+    out = _out_file(args.out) if args.out else None
     reports = [check(op, config, seed=seed, tol=args.tol, eps=args.eps) for op in ops]
     payload = json.dumps([vars(r) for r in reports], sort_keys=True, indent=2, allow_nan=False)
+    if out:
+        _write_out(out, payload + "\n")
     print(payload)
-    if args.out:
-        _write_text(args.out, payload + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -322,9 +312,19 @@ def _cmd_demo(args) -> int:
     _check_size_flags(args, args.d_hid)
     configs = [_attn_config(args, pair, build_layout(pair.a, pair.b), args.d_hid)
                for pair in pairs]
+    out_dir = Path(args.out)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise _InputError(f"--out {out_dir}: exists and is not a directory")
     # the attention weights do not depend on d_seq, so one seeded set serves every pair
     attn_params = AttnParams.init(configs[0], seed)
-    with _staged_dir(Path(args.out)) as out_dir:
+    # an existing --out stages inside itself, so only it must be writable; a new one, beside it
+    out_dir = out_dir.resolve()
+    existing = out_dir.is_dir()
+    if not existing:
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+    with _staged_into(out_dir if existing else out_dir.parent) as staging:
+        work = staging if existing else staging / out_dir.name
+        work.mkdir(exist_ok=True)
         for pair, stem, config in zip(pairs, stems, configs):
             model = _pair_tfidf(tfidf, pair)
             forms = pair.a.forms() + pair.b.forms()
@@ -336,12 +336,12 @@ def _cmd_demo(args) -> int:
                     pair.a, pair.b, model, embeddings, attn_params, fusion_params,
                     config, dep_config, pair_id=pair.pair_id,
                 )
-            _write_text(out_dir / f"{stem}.json", output.to_json() + "\n")
+            (work / f"{stem}.json").write_text(output.to_json() + "\n", encoding="utf-8")
             tokens = output.tokens
             for head in range(config.heads):
-                write_heatmap_csv(out_dir / f"{stem}.sem.h{head}.csv", tokens, tokens,
+                write_heatmap_csv(work / f"{stem}.sem.h{head}.csv", tokens, tokens,
                                   output.sem_weights[head])
-                write_heatmap_csv(out_dir / f"{stem}.dep.h{head}.csv", tokens, tokens,
+                write_heatmap_csv(work / f"{stem}.dep.h{head}.csv", tokens, tokens,
                                   output.dep_weights[head])
     print(f"wrote {len(pairs)} pair outputs -> {Path(args.out)}")
     return 0

@@ -775,8 +775,7 @@ def test_failing_later_pair_leaves_no_output(tmp_path, capsys, tfidf_file):
     assert staging_leftovers(out.parent) == []
 
 
-def test_matrix_failing_later_pair_leaves_out_as_it_was(tmp_path, capsys, monkeypatch,
-                                                          tfidf_file):
+def test_matrix_failing_later_pair_leaves_out_as_it_was(tmp_path, capsys, tfidf_file):
     # records are streamed to a staged file that replaces --out only when the last is written
     records = [{"id": "fine", "a": conllu_block([("one", 0, "root")]),
                 "b": conllu_block([("two", 0, "root")])},
@@ -797,16 +796,6 @@ def test_matrix_failing_later_pair_leaves_out_as_it_was(tmp_path, capsys, monkey
     assert [json.loads(line)["id"] for line in out.read_text(encoding="utf-8").splitlines()] == [
         "fine", "star"]
     assert staging_leftovers(tmp_path) == []
-    # an --out that is a directory or a FIFO (which a rename would replace), or that is in no
-    # directory, exits 2 naming it, before any scoring
-    monkeypatch.setattr(cli, "base_matrix", lambda *a: pytest.fail("scored"))
-    os.mkfifo(tmp_path / "fifo")
-    for bad in (tmp_path, tmp_path / "fifo", tmp_path / "absent" / "m.jsonl"):
-        assert run(argv + [str(bad)]) == 2
-        assert capsys.readouterr().err == (f"error: --out {bad}: exists and is not a regular "
-                                           "file, or is in no directory\n")
-    assert (tmp_path / "fifo").exists() and not (tmp_path / "absent").exists()
-    assert staging_leftovers(tmp_path) == []
 
 
 def fail_on_draws(monkeypatch):
@@ -814,6 +803,94 @@ def fail_on_draws(monkeypatch):
     for owner, name in ((AttnParams, "init"), (EmbeddingTable, "build"), (FusionParams, "init"),
                         (cli, "check")):
         monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: pytest.fail(f"{_name} ran"))
+
+
+OUT_COMMANDS = ["tfidf-fit", "matrix", "attend", "fuse", "gradcheck", "demo"]
+
+
+@pytest.fixture
+def out_commands(tmp_path, corpus_file, pairs_file, tfidf_file):
+    """Each command that writes --out: its argv up to --out, and the (owner, name) of its work."""
+    signals = tmp_path / "signals.json"
+    signals.write_text(json.dumps({"sem": [[0.5, -1.0], [2.0, 0.25]],
+                                   "dep": [[1.0, 0.0], [-0.5, 3.0]]}), encoding="utf-8")
+    pairs, tfidf = ["--pairs", str(pairs_file)], ["--tfidf", str(tfidf_file)]
+    return {
+        "tfidf-fit": (["tfidf", "fit", "--corpus", str(corpus_file)], (TfIdfModel, "fit")),
+        "matrix": (["matrix", *pairs, *tfidf], (cli, "base_matrix")),
+        "attend": (["attend", "--pair", str(pairs_file), *tfidf], (cli, "pair_attention")),
+        "fuse": (["fuse", "--signals", str(signals)], (cli, "fuse")),
+        "gradcheck": (["gradcheck", "--op", "fuse", "--seed", "2"], (cli, "check")),
+        "demo": (["demo", *pairs, *tfidf], (cli, "dafa_layer")),
+    }
+
+
+def out_entry(directory, command):
+    """The --out to give `command` in `directory`, and the file it writes there: demo's --out is
+    a directory, which gains p0.json among its files; every other --out is that file."""
+    if command != "demo":
+        return directory / "out.json", directory / "out.json"
+    (directory / "demo").mkdir()
+    return directory / "demo", directory / "demo" / "p0.json"
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_failing_after_the_text_is_built_leaves_out_as_it_was(tmp_path, capsys, monkeypatch,
+                                                                  out_commands, command):
+    # every output is staged and renamed onto --out; a failing rename leaves --out's old bytes,
+    # no staging directory and nothing on stdout
+    argv, _ = out_commands[command]
+    out, entry = out_entry(tmp_path, command)
+    entry.write_bytes(b"old")
+
+    def fail(*args):
+        raise OSError("injected")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    capsys.readouterr()
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: injected\n")
+    assert entry.read_bytes() == b"old"
+    assert staging_leftovers(tmp_path) == [] and staging_leftovers(entry.parent) == []
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_that_is_no_file_refused_before_any_work(tmp_path, capsys, monkeypatch, out_commands,
+                                                     command):
+    # an --out that is a directory or a FIFO (which a rename would replace), or that is in no
+    # directory, exits 2 naming it, before any work; demo's --out is a directory, made if absent
+    argv, (owner, name) = out_commands[command]
+    monkeypatch.setattr(owner, name, lambda *a, **k: pytest.fail("computed"))
+    fail_on_draws(monkeypatch)
+    os.mkfifo(tmp_path / "fifo")
+    if command == "demo":
+        (tmp_path / "file").write_bytes(b"old")
+        bad_outs, what = (tmp_path / "fifo", tmp_path / "file"), "exists and is not a directory"
+    else:
+        bad_outs = (tmp_path, tmp_path / "fifo", tmp_path / "absent" / "out.json")
+        what = "exists and is not a regular file, or is in no directory"
+    capsys.readouterr()
+    for bad in bad_outs:
+        assert run(argv + ["--out", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: --out {bad}: {what}\n")
+    assert (tmp_path / "fifo").exists() and not (tmp_path / "absent").exists()
+    assert staging_leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_symlink_is_replaced_not_written_through(tmp_path, out_commands, command):
+    argv, _ = out_commands[command]
+    out, entry = out_entry(tmp_path, command)
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"target")
+    entry.symlink_to(target)
+    fresh_dir = tmp_path / "fresh"
+    fresh_dir.mkdir()
+    fresh_out, fresh_entry = out_entry(fresh_dir, command)
+    for path in (out, fresh_out):
+        assert run(argv + ["--out", str(path)]) == 0
+    assert not entry.is_symlink() and entry.read_bytes() == fresh_entry.read_bytes()
+    assert target.read_bytes() == b"target"
 
 
 @pytest.mark.parametrize("command", ["attend", "demo"])
@@ -1119,3 +1196,20 @@ class TestArgumentErrors:
         assert f"argument {flag}: given more than once" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["attend", "demo"])
+def test_attend_and_demo_check_their_inputs_in_one_order(tmp_path, capsys, pairs_file, command):
+    # the input files, then the settings, then the size flags' budget: under weights far over
+    # the budget, a missing --tfidf and a bad --theta get one answer from both commands
+    missing = tmp_path / "missing.json"
+    flag = "--pair" if command == "attend" else "--pairs"
+    argv = [command, flag, str(pairs_file), "--d-model", "1000000", "--d-k", "1000000",
+            "--theta", "-1", "--out", str(tmp_path / "out")]
+    for extra, code, first in (
+            (["--tfidf", str(missing)], 2,
+             f"error: {missing}: [Errno 2] No such file or directory: '{missing}'"),
+            ([], 1, "error: theta must be > 0 with 2 * theta finite, got -1.0")):
+        assert run(argv + extra) == code
+        assert capsys.readouterr().err.splitlines()[0] == first
+    assert not (tmp_path / "out").exists()

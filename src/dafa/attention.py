@@ -20,6 +20,8 @@ scale and the softmax run in place on them, with the formula's bits.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,12 +134,57 @@ def attention_backward(q, k, v, weights, g_out, calibration=None) -> dict:
     return {"q": g_raw @ k, "k": g_raw.swapaxes(-1, -2) @ q, "v": weights.swapaxes(-1, -2) @ g_out}
 
 
+# From this packed length L on, `multi_head_dafa` runs the sem path, and `dafa_layer` the even
+# heads' fusion, on one helper thread beside the caller's dep path and odd heads: numpy releases
+# the GIL in the matmuls and ufunc loops that hold their time. `dafa_layer` per pair at 2 heads,
+# two lanes against one, alternated in one process on a 2-vCPU VM with one BLAS thread, median
+# of 3-8 sweeps: L = 83 +11%, 120 +4%, 140 +6%, 160 -8%, 200 -14%, 240 -19%, 320 -22%. A short
+# pair gains less than its two hand-offs cost (about 0.05 ms at L = 83), so it stays on one lane.
+TWO_LANE_MIN_LEN = 160
+_helper = None   # the process's one helper thread, a ThreadPoolExecutor made on first use
+_helper_lock = threading.Lock()
+
+
+def _forget_helper() -> None:
+    # a forked child has no helper thread, and a job handed to the parent's executor never runs
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _two_lanes(length: int, helper_lane, caller_lane) -> tuple:
+    """(helper_lane(), caller_lane()): with `length` >= TWO_LANE_MIN_LEN, helper_lane runs on the
+    helper thread while this thread runs caller_lane, else both run here in that order.
+
+    Both lanes have ended when this returns or raises. An error of helper_lane is raised in
+    preference to caller_lane's, as the one-lane order raises it.
+    """
+    if length < TWO_LANE_MIN_LEN:
+        return helper_lane(), caller_lane()
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            # imported here, so a process of short pairs never loads it
+            from concurrent.futures import ThreadPoolExecutor
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dafa-lane")
+        future = _helper.submit(helper_lane)
+    try:
+        mine = caller_lane()
+    finally:
+        theirs = future.result()
+    return theirs, mine
+
+
 def multi_head_dafa(x, params: AttnParams, calibration) -> tuple[np.ndarray, ...]:
     """Run both attention paths for every head, sharing one calibration matrix.
 
     Returns (sem_weights, sem, dep_weights, dep), each stacked over heads:
     the weights are (heads, d_seq, d_seq) and row-stochastic, the signals
-    (heads, d_seq, d_v).
+    (heads, d_seq, d_v). From TWO_LANE_MIN_LEN positions on, the sem path
+    runs on the helper thread while this one runs the dep path.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.w_q.shape[1]:
@@ -151,7 +198,10 @@ def multi_head_dafa(x, params: AttnParams, calibration) -> tuple[np.ndarray, ...
     # process, L ~ 383-488) went 2,045 -> 155 at 2 heads, 1,574 -> 183 at 4, 1,221 -> 196 at 8,
     # 1,742 -> 1,515 at 1; a block over 32 MiB (L > 1,024 at 2 heads) still faults every call.
     weights, signals = np.empty((2, heads, d_seq, d_seq)), np.empty((2, heads, d_seq, d_v))
-    for path, (op, extra) in enumerate(((sem_attention, ()), (dep_attention, (calibration,)))):
+
+    def path(index, op, *extra):   # the two lanes write disjoint slices of the blocks
         for h in range(heads):
-            weights[path, h], signals[path, h] = op(q[h], k[h], v[h], *extra)
+            weights[index, h], signals[index, h] = op(q[h], k[h], v[h], *extra)
+
+    _two_lanes(d_seq, lambda: path(0, sem_attention), lambda: path(1, dep_attention, calibration))
     return weights[0], signals[0], weights[1], signals[1]

@@ -312,19 +312,18 @@ def _cmd_demo(args) -> int:
     _check_size_flags(args, args.d_hid)
     configs = [_attn_config(args, pair, build_layout(pair.a, pair.b), args.d_hid)
                for pair in pairs]
-    out_dir = Path(args.out)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise _InputError(f"--out {out_dir}: exists and is not a directory")
+    # --out and its missing parents are built inside a staging directory in the nearest existing
+    # one (--out itself if it exists), so only that must be writable, and a failed run makes none
+    out_dir = Path(args.out).resolve()
+    anchor = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not anchor.is_dir():
+        where = "" if anchor == out_dir else f"{anchor} "
+        raise _InputError(f"--out {args.out}: {where}exists and is not a directory")
     # the attention weights do not depend on d_seq, so one seeded set serves every pair
     attn_params = AttnParams.init(configs[0], seed)
-    # an existing --out stages inside itself, so only it must be writable; a new one, beside it
-    out_dir = out_dir.resolve()
-    existing = out_dir.is_dir()
-    if not existing:
-        out_dir.parent.mkdir(parents=True, exist_ok=True)
-    with _staged_into(out_dir if existing else out_dir.parent) as staging:
-        work = staging if existing else staging / out_dir.name
-        work.mkdir(exist_ok=True)
+    with _staged_into(anchor) as staging:
+        work = staging / out_dir.relative_to(anchor)
+        work.mkdir(parents=True, exist_ok=True)
         for pair, stem, config in zip(pairs, stems, configs):
             model = _pair_tfidf(tfidf, pair)
             forms = pair.a.forms() + pair.b.forms()

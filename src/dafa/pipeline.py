@@ -3,8 +3,9 @@
 Packs the pair as <CLS> a-tokens <SEP> b-tokens <SEP>, embeds the tokens
 with a seeded table, builds the calibration matrix from the dependency
 trees, runs both attention paths for every head, fuses each head's signals
-in its own call, so one head's (L, L) tanh block is alive at a time, and
-averages the fused features across heads.
+in its own call, so one head's (L, L) tanh block is alive at a time on
+each lane, and averages the fused features across heads. Long pairs run
+on two lanes: the sem path and the even heads' fusion on a helper thread.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .attention import AttnConfig, AttnParams, multi_head_dafa
+from .attention import TWO_LANE_MIN_LEN, AttnConfig, AttnParams, _two_lanes, multi_head_dafa
 from .conllu import DepSentence
 from .depmatrix import DepMatrixConfig, embed_calibration, final_matrix
 from .fusion import FusionParams, fuse
@@ -76,14 +77,19 @@ def _check_budget(source: str, needs: int, unit: str = "bytes") -> None:
 def _layer_estimate(layout: PairLayout, heads: int) -> tuple[str, int]:
     """The pair named by its sizes, and its estimated `dafa_layer` peak in bytes at `heads` heads.
 
-    The traced peak holds about 2 (L, L) float64 arrays per head plus 2.5. The 2 per head are
-    the sem and dep weights, one (2, heads, L, L) block (the peak two stacks had); the 2.5 are
-    the calibration, one fresh array beside it (a head's logits in attention, then its tanh
-    block in fuse) and about half an array of scoring and vectors. At L = n + m + 3 (traced at
-    1, 2, 4 and 8 heads, 1.02-1.06 times this) it is (2·heads + 2.5)·8·L² = 4·(4·heads + 5)·L² bytes.
+    The traced peak holds about 2 (L, L) float64 arrays per head plus 2.5 on one lane. The 2 per
+    head are the sem and dep weights, one (2, heads, L, L) block (the peak two stacks had); the
+    2.5 are the calibration, one fresh array beside it (a head's logits in attention, then its
+    tanh block in fuse) and about half an array of scoring and vectors. From TWO_LANE_MIN_LEN on,
+    each of the two lanes holds its own fresh array, so 3.5. At L = n + m + 3 it is
+    (2·heads + 2.5)·8·L² = 4·(4·heads + 5)·L² bytes on one lane and (2·heads + 3.5)·8·L² =
+    4·(4·heads + 7)·L² bytes on two; traced at L = 203 and 1, 2, 4 and 8 heads, the peak was
+    1.02-1.06 times the first on one lane and 1.02-1.08 times the second on two.
     """
-    return (f"packed length L = {layout.d_seq} (n = {layout.n}, m = {len(layout.b_span)}) "
-            f"with heads = {heads}", 4 * (4 * heads + 5) * layout.d_seq ** 2)
+    d_seq = layout.d_seq
+    fresh = 7 if d_seq >= TWO_LANE_MIN_LEN else 5
+    return (f"packed length L = {d_seq} (n = {layout.n}, m = {len(layout.b_span)}) "
+            f"with heads = {heads}", 4 * (4 * heads + fresh) * d_seq ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +171,14 @@ def dafa_layer(
     attn_params.check_config(attn_config)
     calibration, sem_weights, sem, dep_weights, dep = pair_attention(
         a, b, layout, tfidf, embeddings, attn_params, dep_config)
-    # one head per call, so one (L, L) tanh block is alive; rejects fusion params of another size
-    fusions = [fuse(*signals, fusion_params) for signals in zip(sem, dep)]
+    # one head per call, so one (L, L) tanh block is alive per lane; even heads on the helper
+    # lane, odd ones here. Rejects fusion params of another size.
+    def heads_from(first):
+        return [fuse(sem[h], dep[h], fusion_params) for h in range(first, len(sem), 2)]
+
+    fusions = [None] * len(sem)
+    fusions[0::2], fusions[1::2] = _two_lanes(layout.d_seq, lambda: heads_from(0),
+                                              lambda: heads_from(1))
     fused, fusion_gates, filter_gates = (np.stack([getattr(f, name) for f in fusions])
                                          for name in ("fused", "fusion_gate", "filter_gate"))
     return LayerOutput(

@@ -2,6 +2,8 @@
 
 import math
 import re
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from conftest import per_head_attention
 from dafa import attention
 from dafa.attention import (
+    TWO_LANE_MIN_LEN,
     AttnConfig,
     AttnParams,
     dep_attention,
@@ -337,11 +340,12 @@ class TestMultiHead:
     def test_each_op_called_once_per_head_on_2d_slices(self, monkeypatch, heads):
         # bench/workloads.py::_count_logits adds len(q) * len(k) per op call, which counts the
         # logits only if every call gets one head's 2-D q and k: 2·heads·L² cells in all
-        calls, cells = [], []
+        calls, cells, lanes = [], [], []
         for name in ("sem_attention", "dep_attention"):
             def counted(q, k, *rest, op=getattr(attention, name), name=name):
                 calls.append((name, np.shape(q), np.shape(k)))
                 cells.append(len(q) * len(k))
+                lanes.append((name, threading.current_thread() is threading.main_thread()))
                 return op(q, k, *rest)
             monkeypatch.setattr(attention, name, counted)
         d_seq = 5
@@ -352,6 +356,17 @@ class TestMultiHead:
         assert calls == ([("sem_attention", *slices)] * heads
                          + [("dep_attention", *slices)] * heads)
         assert sum(cells) == 2 * heads * d_seq ** 2
+        # a long pair runs the sem path on the helper lane, so the calls interleave
+        for log in (calls, cells, lanes):
+            log.clear()
+        d_seq = TWO_LANE_MIN_LEN
+        x = np.random.default_rng(26).normal(size=(d_seq, 6))
+        multi_head_dafa(x, params, np.ones((d_seq, d_seq)))
+        slices = [(d_seq, 3), (d_seq, 3)]
+        assert Counter(calls) == {("sem_attention", *slices): heads,
+                                  ("dep_attention", *slices): heads}
+        assert sum(cells) == 2 * heads * d_seq ** 2
+        assert Counter(lanes) == {("sem_attention", False): heads, ("dep_attention", True): heads}
 
     @pytest.mark.parametrize("heads", [1, 3])
     def test_both_paths_are_views_of_one_block(self, heads):

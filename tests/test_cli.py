@@ -4,7 +4,9 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -12,8 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import conllu_block, naive_write_heatmap_csv, random_sentence, read_heatmap_csv
-from dafa import cli, pipeline
-from dafa.attention import AttnConfig, AttnParams
+from dafa import attention, cli, pipeline
+from dafa.attention import TWO_LANE_MIN_LEN, AttnConfig, AttnParams
 from dafa.cli import DEFAULT_D_HID, _build_parser, run
 from dafa.conllu import read_pairs
 from dafa.depmatrix import DepMatrixConfig, base_matrix, final_matrix, subgraph_matrix
@@ -762,10 +764,16 @@ def test_failing_later_pair_leaves_no_output(tmp_path, capsys, tfidf_file):
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     argv = ["demo", "--pairs", str(pairs), "--tfidf", str(tfidf_file), "--alpha", "1e308"]
-    out = tmp_path / "nested" / "out"
+    # a new --out's missing parents are staged with it, so a failing run makes none of them
+    out = tmp_path / "nested" / "a" / "out"
     assert run(argv + ["--out", str(out)]) == 1
     assert "pair 'star'" in capsys.readouterr().err
-    assert not out.exists() and staging_leftovers(out.parent) == []
+    assert not (tmp_path / "nested").exists() and staging_leftovers(tmp_path) == []
+    # a passing run makes them all
+    assert run(argv[:-2] + ["--out", str(out)]) == 0
+    assert (out / "fine.json").is_file() and (out / "star.json").is_file()
+    assert staging_leftovers(tmp_path) == []
+    shutil.rmtree(out)
     # a failing run leaves an existing --out as it was
     out.mkdir()
     (out / "fine.json").write_text("old", encoding="utf-8")
@@ -1117,6 +1125,41 @@ def test_out_of_memory_inside_a_pair_names_the_pair(tmp_path, capsys, monkeypatc
                                  f"pair 'p0': {message or 'out of memory'}")
 
 
+def test_out_of_memory_on_the_helper_lane_names_the_pair(tmp_path, capsys, monkeypatch):
+    # a long pair runs its sem path on the helper thread; an error there reaches the caller as
+    # it was raised, and the helper serves the next pair
+    chain = [("w", 0, "root")] + [("w", i - 1, "dep") for i in range(2, 101)]
+    pairs = tmp_path / "long.jsonl"
+    pairs.write_text(json.dumps({"id": "long", "a": conllu_block(chain),
+                                 "b": conllu_block(chain)}) + "\n", encoding="utf-8")
+    (pair,) = read_pairs(pairs.read_text(encoding="utf-8"))
+    assert build_layout(pair.a, pair.b).d_seq >= TWO_LANE_MIN_LEN
+    sem_attention = attention.sem_attention
+
+    def out_of_memory_on_the_helper(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("Unable to allocate 1.2 TiB for an array")
+        return sem_attention(*args)
+
+    monkeypatch.setattr(attention, "sem_attention", out_of_memory_on_the_helper)
+    config = AttnConfig(d_model=16, heads=2, d_k=8, d_v=8, d_seq=203)
+    layer_args = (pair.a, pair.b, TfIdfModel.fit([pair.a, pair.b]),
+                  EmbeddingTable.build(pair.a.forms(), 16, 42), AttnParams.init(config, 42),
+                  FusionParams.init(203, 8, 8, 42), config)
+    with pytest.raises(MemoryError, match="^Unable to allocate 1.2 TiB for an array$"):
+        dafa_layer(*layer_args)
+    out = tmp_path / "demo"
+    assert run(["demo", "--pairs", str(pairs), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: pair 'long': Unable to allocate 1.2 TiB for an "
+                                       "array\n")
+    assert not out.exists() and staging_leftovers(tmp_path) == []
+    monkeypatch.setattr(attention, "sem_attention", sem_attention)
+    assert dafa_layer(*layer_args).sem_weights.shape == (2, 203, 203)
+    assert run(["demo", "--pairs", str(pairs), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["long.json"] + [f"long.{path}.h{h}.csv" for path in ("sem", "dep") for h in (0, 1)])
+
+
 def test_out_naming_a_file_rejected_before_any_pair(tmp_path, capsys, monkeypatch, pairs_file,
                                                     tfidf_file):
     out = tmp_path / "out"
@@ -1126,6 +1169,11 @@ def test_out_naming_a_file_rejected_before_any_pair(tmp_path, capsys, monkeypatc
     assert run(["demo", "--pairs", str(pairs_file), "--tfidf", str(tfidf_file),
                 "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: --out {out}: exists and is not a directory\n"
+    # a file among the missing --out's parents is named
+    assert run(["demo", "--pairs", str(pairs_file), "--tfidf", str(tfidf_file),
+                "--out", str(out / "a" / "demo")]) == 2
+    assert capsys.readouterr().err == (f"error: --out {out / 'a' / 'demo'}: {out} exists and is "
+                                       "not a directory\n")
     assert computed == [] and out.read_text(encoding="utf-8") == "a file"
     assert staging_leftovers(tmp_path) == []
 

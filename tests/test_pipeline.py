@@ -7,6 +7,8 @@ import platform
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,8 +26,8 @@ from conftest import (
     read_heatmap_csv,
 )
 import dafa
-from dafa import cli, pipeline
-from dafa.attention import AttnConfig, AttnParams, multi_head_dafa
+from dafa import attention, cli, pipeline
+from dafa.attention import TWO_LANE_MIN_LEN, AttnConfig, AttnParams, multi_head_dafa
 from dafa.conllu import SentencePair
 from dafa.depmatrix import DepMatrixConfig
 from dafa.fusion import FusionParams, fuse
@@ -96,8 +98,10 @@ class TestBuildLayout:
 def layer_estimate(d_seq, heads):
     """The layer budget's rule: 2 (L, L) float64 arrays per head plus 2.5 (the calibration, one
     fresh array beside the weight stacks and what does not scale with heads),
-    (2·heads + 2.5)·8·L² bytes."""
-    return 4 * (4 * heads + 5) * d_seq ** 2
+    (2·heads + 2.5)·8·L² bytes; plus one when the pair runs on two lanes, each with its own
+    fresh array, (2·heads + 3.5)·8·L² bytes."""
+    fresh = 7 if d_seq >= TWO_LANE_MIN_LEN else 5
+    return 4 * (4 * heads + fresh) * d_seq ** 2
 
 
 class TestLayerBudget:
@@ -123,11 +127,13 @@ class TestLayerBudget:
             _check_budget(*_layer_estimate(layout, 2))
 
     def test_estimate_matches_a_measured_layer(self):
-        # numpy reports its array memory to tracemalloc
+        # numpy reports its array memory to tracemalloc; L = 203 runs on two lanes
         rng = np.random.default_rng(5)
         vocab = [f"w{i}" for i in range(40)]
         a, b = random_sentence(rng, 100, vocab), random_sentence(rng, 100, vocab)
+        assert TWO_LANE_MIN_LEN <= 203
         for heads in (1, 2, 4, 8):
+            assert _layer_estimate(build_layout(a, b), heads)[1] == layer_estimate(203, heads)
             tracemalloc.start()
             try:
                 layer_fixture(a, b, heads=heads)
@@ -234,6 +240,24 @@ def layer_fixture(a, b, seed=42, heads=2, theta=2.0):
     return output, config, embeddings, attn_params, fusion_params, layout
 
 
+def assert_layer_matches_per_head_oracle(a, b, heads):
+    out, config, embeddings, attn_params, fusion_params, _ = layer_fixture(a, b, heads=heads)
+    x = embeddings.encode(build_layout(a, b).tokens)
+    # oracle: a per-head loop that attends, fuses and collects one head at a time
+    per_head = per_head_attention(x, attn_params, out.calibration)
+    fused = [fuse(sem, dep, fusion_params) for _, sem, _, dep in per_head]
+    expected = {
+        "fused": np.mean([f.fused for f in fused], axis=0),
+        "sem_weights": np.stack([sem_w for sem_w, _, _, _ in per_head]),
+        "dep_weights": np.stack([dep_w for _, _, dep_w, _ in per_head]),
+        "fusion_gates": np.stack([f.fusion_gate for f in fused]),
+        "filter_gates": np.stack([f.filter_gate for f in fused]),
+    }
+    for name, value in expected.items():
+        assert getattr(out, name).shape == value.shape, name
+        assert getattr(out, name).tobytes() == value.tobytes(), name
+
+
 def uniform_tree(n, fanout):
     """n tokens, one form and one relation; node i hangs under node (i - 2) // fanout + 1.
 
@@ -317,21 +341,72 @@ class TestDafaLayer:
     def test_fused_is_mean_over_heads(self):
         a = star(["red", "fox"], ["amod"])
         b = star(["red", "dog"], ["amod"])
-        out, config, embeddings, attn_params, fusion_params, _ = layer_fixture(a, b, heads=3)
-        x = embeddings.encode(build_layout(a, b).tokens)
-        # oracle: a per-head loop that attends, fuses and collects one head at a time
-        heads = per_head_attention(x, attn_params, out.calibration)
-        fused = [fuse(sem, dep, fusion_params) for _, sem, _, dep in heads]
-        expected = {
-            "fused": np.mean([f.fused for f in fused], axis=0),
-            "sem_weights": np.stack([sem_w for sem_w, _, _, _ in heads]),
-            "dep_weights": np.stack([dep_w for _, _, dep_w, _ in heads]),
-            "fusion_gates": np.stack([f.fusion_gate for f in fused]),
-            "filter_gates": np.stack([f.filter_gate for f in fused]),
-        }
-        for name, value in expected.items():
-            assert getattr(out, name).shape == value.shape, name
-            assert getattr(out, name).tobytes() == value.tobytes(), name
+        assert_layer_matches_per_head_oracle(a, b, heads=3)
+
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    def test_two_lane_layer_matches_the_serial_oracle(self, heads):
+        # three callers share the one helper thread, and a GIL switch every microsecond
+        # interleaves every lane at every step; each op and each fuse still gets one head's 2-D
+        # slices, so the bits are the serial loop's
+        rng = np.random.default_rng(40 + heads)
+        vocab = [f"w{i}" for i in range(30)]
+        a, b = random_sentence(rng, 80, vocab), random_sentence(rng, 90, vocab)
+        assert build_layout(a, b).d_seq >= TWO_LANE_MIN_LEN
+        errors = []
+
+        def caller():
+            try:
+                for _ in range(2):
+                    assert_layer_matches_per_head_oracle(a, b, heads)
+            except Exception as exc:   # reported by the test thread below
+                errors.append(exc)
+
+        callers = [threading.Thread(target=caller) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        if errors:
+            raise errors[0]
+
+    def test_a_failing_caller_lane_waits_for_the_helper_lane(self, monkeypatch):
+        # the dep path (this thread) fails at once; the sem path (the helper) is still running,
+        # and has finished every head by the time the error reaches the caller
+        finished = []
+
+        def slow_sem(*args, op=attention.sem_attention):
+            time.sleep(0.05)
+            finished.append(threading.current_thread() is threading.main_thread())
+            return op(*args)
+
+        def failing_dep(*args):
+            raise ValueError("dep lane failed")
+
+        monkeypatch.setattr(attention, "sem_attention", slow_sem)
+        monkeypatch.setattr(attention, "dep_attention", failing_dep)
+        a = uniform_tree(100, 3)
+        with pytest.raises(ValueError, match="^dep lane failed$"):
+            layer_fixture(a, a, heads=3)
+        assert finished == [False] * 3
+
+    def test_an_error_of_the_helper_lane_wins_as_in_the_serial_order(self, monkeypatch):
+        def failing(message):
+            def op(*args):
+                raise ValueError(message)
+            return op
+
+        monkeypatch.setattr(attention, "sem_attention", failing("sem lane failed"))
+        monkeypatch.setattr(attention, "dep_attention", failing("dep lane failed"))
+        for n in (3, 100):   # one lane, then two
+            a = uniform_tree(n, 3)
+            with pytest.raises(ValueError, match="^sem lane failed$"):
+                layer_fixture(a, a)
 
     def test_head_mean_commutes_with_position_permutation(self):
         rng = np.random.default_rng(13)
@@ -418,6 +493,44 @@ def test_back_to_back_pairs_reuse_the_attention_block_pages(heads):
     faults, d_seq = map(float, done.stdout.split())
     block_pages = 2 * heads * d_seq ** 2 * 8 / os.sysconf("SC_PAGE_SIZE")
     assert faults < block_pages / 4, (faults, block_pages)
+
+
+# a fresh process runs a two-lane layer, forks, and runs one in the child: the parent's helper
+# thread does not exist there, so the child must start its own. A child still running after
+# 60 s is ended by its alarm, and the parent exits with the child's status.
+_FORK_PROBE = """
+import os, signal, sys
+from dafa.attention import AttnConfig, AttnParams
+from dafa.conllu import DepSentence, Token
+from dafa.fusion import FusionParams
+from dafa.pipeline import EmbeddingTable, build_layout, dafa_layer
+from dafa.tfidf import TfIdfModel
+
+chain = DepSentence(tuple(Token(index=i, form=f"w{i % 7}", head=i - 1,
+                                deprel="dep" if i > 1 else "root") for i in range(1, 101)))
+layout = build_layout(chain, chain)
+config = AttnConfig(d_model=16, heads=2, d_k=8, d_v=8, d_seq=layout.d_seq)
+def layer():
+    return dafa_layer(chain, chain, TfIdfModel.fit([chain]),
+                      EmbeddingTable.build(chain.forms(), 16, 42), AttnParams.init(config, 42),
+                      FusionParams.init(layout.d_seq, 8, 8, 42), config).fused.tobytes()
+parent = layer()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)
+    sys.exit(0 if layer() == parent else 3)   # a normal exit, which joins the child's helper
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or sys.platform != "linux",
+                    reason="forks a process of the two-lane layer")
+def test_a_forked_child_runs_a_two_lane_layer():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(dafa.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-c",
+                           _FORK_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestLayerOutputJson:

@@ -19,7 +19,7 @@ from .depmatrix import DepMatrixConfig, _combine_matrices, base_matrix, subgraph
 from .fusion import FusionParams, _draws, _float_array, fuse
 from .gradcheck import DEFAULT_EPS, DEFAULT_TOL, GradCheckConfig, _fd_cells, check
 from .pipeline import (EmbeddingTable, PairLayout, _check_budget, _layer_estimate, build_layout,
-                       dafa_layer, pair_attention, write_heatmap_csv)
+                       dafa_layer, pair_attention, write_heatmap_csv, write_json)
 from .tfidf import TfIdfModel
 
 DEFAULT_SEED = 42
@@ -111,44 +111,44 @@ def _staged_into(directory: Path):
 
 def _out_file(path) -> Path:
     """--out as one file, checked before any work: a regular file or absent, in an existing
-    directory. The rename would replace a directory, device or FIFO rather than write to it."""
+    directory, and no link out of it. The rename would replace a directory, device, FIFO or such
+    a link (/dev/stdout) rather than write to it."""
     out = Path(path)
     if (out.exists() and not out.is_file()) or not out.parent.is_dir():
         raise _InputError(f"--out {out}: exists and is not a regular file, or is in no directory")
+    if out.is_symlink() and out.resolve().parent != out.parent.resolve():
+        raise _InputError(f"--out {out}: is a link that leads out of its directory")
     return out
 
 
-def _write_out(out: Path, text: str) -> None:
-    with _staged_into(out.parent) as staging:
-        (staging / out.name).write_text(text, encoding="utf-8")
+@contextmanager
+def _out_stream(out: Path):
+    """The open text file that, when the block completes, replaces --out (`_staged_into`)."""
+    with _staged_into(out.parent) as staging, open(staging / out.name, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _cmd_tfidf_fit(args) -> int:
     corpus = _load(args.corpus, parse_conllu, "sentences")
     out = _out_file(args.out)
     model = TfIdfModel.fit(corpus)
-    _write_out(out, model.to_json() + "\n")
+    with _out_stream(out) as fh:
+        fh.write(model.to_json() + "\n")
     print(f"fitted tf-idf on {model.doc_count} sentences -> {args.out}")
     return 0
 
 
-# `matrix`'s peak per n·m cell of the record being built: its three float64 arrays, their
-# tolist() floats and its JSON text. Records are written one at a time, so the largest sets the
-# peak. Fitted with tracemalloc on chains of one repeated form (every MF cell a full-precision
-# float) from 300 x 300 to 600 x 600 cells, one to eight pairs: within 6% of the measured peak.
-# Smaller records carry a few MB of fixed cost beside it; records of zeros hold less text.
-_MATRIX_CELL_BYTES = 190
+# `matrix`'s peak per n·m cell of the record being built: M, S and MF and the temporaries of
+# `_combine_matrices`; records are written one at a time, a row at a time. Fitted with
+# tracemalloc on one-form chains of 300 x 300 to 600 x 600 cells: within 10% of the peak.
+_MATRIX_CELL_BYTES = 36
 
 
-def _matrix_line(pair: SentencePair, model: TfIdfModel, config: DepMatrixConfig) -> str:
-    """One pair's JSON record of M, S and MF; its arrays and lists are freed when it returns."""
-    with _naming(pair):
-        m = base_matrix(pair.a, pair.b, config)
-        s = subgraph_matrix(pair.a, pair.b, config)
-        mf = _combine_matrices(m, s, model.weights(pair.a), model.weights(pair.b))
-    record = {"id": pair.pair_id, "n": pair.a.n, "m": pair.b.n,
-              "M": m.tolist(), "S": s.tolist(), "MF": mf.tolist()}
-    return json.dumps(record, sort_keys=True, allow_nan=False)
+def _matrix_record(pair: SentencePair, model: TfIdfModel, config: DepMatrixConfig) -> dict:
+    m = base_matrix(pair.a, pair.b, config)
+    s = subgraph_matrix(pair.a, pair.b, config)
+    mf = _combine_matrices(m, s, model.weights(pair.a), model.weights(pair.b))
+    return {"id": pair.pair_id, "n": pair.a.n, "m": pair.b.n, "M": m, "S": s, "MF": mf}
 
 
 def _cmd_matrix(args) -> int:
@@ -161,9 +161,10 @@ def _cmd_matrix(args) -> int:
         _check_budget(f"matrix record of n = {largest.a.n} by m = {largest.b.n} cells, the largest "
                       f"of {len(pairs)},", _MATRIX_CELL_BYTES * max(cells))
     out = _out_file(args.out)
-    with _staged_into(out.parent) as staging, open(staging / out.name, "w", encoding="utf-8") as fh:
+    with _out_stream(out) as fh:
         for pair in pairs:  # each record is written as it is made
-            fh.write(_matrix_line(pair, model, config) + "\n")
+            with _naming(pair):
+                write_json(fh, _matrix_record(pair, model, config), end="\n")
     print(f"wrote {len(pairs)} matrix records -> {args.out}")
     return 0
 
@@ -224,15 +225,9 @@ def _cmd_attend(args) -> int:
     with _naming(pair):
         _, sem_w, sem, dep_w, dep = pair_attention(pair.a, pair.b, layout, model, embeddings,
                                                    params, dep_config)
-    payload = {
-        "id": pair.pair_id,
-        "tokens": list(layout.tokens),
-        "sem": sem.tolist(),
-        "dep": dep.tolist(),
-        "sem_weights": sem_w.tolist(),
-        "dep_weights": dep_w.tolist(),
-    }
-    _write_out(out, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+    with _out_stream(out) as fh, _naming(pair):
+        write_json(fh, {"id": pair.pair_id, "tokens": list(layout.tokens), "sem": sem, "dep": dep,
+                        "sem_weights": sem_w, "dep_weights": dep_w}, end="\n")
     print(f"wrote attention signals for {pair.pair_id!r} -> {args.out}")
     return 0
 
@@ -259,9 +254,9 @@ def _cmd_fuse(args) -> int:
     else:
         params = _load(args.params, FusionParams.from_json)
     out = fuse(sem, dep, params)
-    payload = {name: getattr(out, name).tolist()
-               for name in ("fused", "fusion_gate", "filter_gate", "dep_refined", "sem_refined")}
-    _write_out(out_file, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+    with _out_stream(out_file) as fh:
+        write_json(fh, {name: getattr(out, name) for name in ("fused", "fusion_gate",
+                        "filter_gate", "dep_refined", "sem_refined")}, end="\n")
     print(f"fused {'x'.join(map(str, sem.shape))} signals -> {args.out}")
     return 0
 
@@ -280,7 +275,8 @@ def _cmd_gradcheck(args) -> int:
     reports = [check(op, config, seed=seed, tol=args.tol, eps=args.eps) for op in ops]
     payload = json.dumps([vars(r) for r in reports], sort_keys=True, indent=2, allow_nan=False)
     if out:
-        _write_out(out, payload + "\n")
+        with _out_stream(out) as fh:
+            fh.write(payload + "\n")
     print(payload)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -335,7 +331,7 @@ def _cmd_demo(args) -> int:
                     pair.a, pair.b, model, embeddings, attn_params, fusion_params,
                     config, dep_config, pair_id=pair.pair_id,
                 )
-            (work / f"{stem}.json").write_text(output.to_json() + "\n", encoding="utf-8")
+                (work / f"{stem}.json").write_text(output.to_json() + "\n", encoding="utf-8")
             tokens = output.tokens
             for head in range(config.heads):
                 write_heatmap_csv(work / f"{stem}.sem.h{head}.csv", tokens, tokens,

@@ -11,6 +11,7 @@ on two lanes: the sem path and the even heads' fusion on a helper thread.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -132,15 +133,9 @@ class LayerOutput:
     def to_json(self) -> str:
         """Ids, tokens, fused output, gates and calibration; the attention weights are not
         included, because `dafa demo` writes each head's weights once, as heatmap CSVs."""
-        payload = {
-            "pair_id": self.pair_id,
-            "tokens": list(self.tokens),
-            "fused": self.fused.tolist(),
-            "fusion_gates": self.fusion_gates.tolist(),
-            "filter_gates": self.filter_gates.tolist(),
-            "calibration": self.calibration.tolist(),
-        }
-        return json.dumps(payload, sort_keys=True, allow_nan=False)
+        text = io.StringIO()
+        write_json(text, {k: v for k, v in vars(self).items() if not k.endswith("_weights")})
+        return text.getvalue()
 
 
 def pair_attention(a: DepSentence, b: DepSentence, layout: PairLayout, tfidf: TfIdfModel,
@@ -172,13 +167,13 @@ def dafa_layer(
     calibration, sem_weights, sem, dep_weights, dep = pair_attention(
         a, b, layout, tfidf, embeddings, attn_params, dep_config)
     # one head per call, so one (L, L) tanh block is alive per lane; even heads on the helper
-    # lane, odd ones here. Rejects fusion params of another size.
+    # lane, odd ones here, and a lone head here. Rejects fusion params of another size.
     def heads_from(first):
         return [fuse(sem[h], dep[h], fusion_params) for h in range(first, len(sem), 2)]
 
     fusions = [None] * len(sem)
-    fusions[0::2], fusions[1::2] = _two_lanes(layout.d_seq, lambda: heads_from(0),
-                                              lambda: heads_from(1))
+    fusions[0::2], fusions[1::2] = _two_lanes(layout.d_seq if len(sem) > 1 else 0,
+                                              lambda: heads_from(0), lambda: heads_from(1))
     fused, fusion_gates, filter_gates = (np.stack([getattr(f, name) for f in fusions])
                                          for name in ("fused", "fusion_gate", "filter_gate"))
     return LayerOutput(
@@ -191,6 +186,28 @@ def dafa_layer(
         filter_gates=filter_gates,
         calibration=calibration,
     )
+
+
+def write_json(fh, payload: dict, end: str = "") -> None:
+    """Write `payload` to `fh` as json.dumps(payload, sort_keys=True, allow_nan=False) would, then
+    `end`, each array a last-axis row at a time; one with a NaN or inf is refused before a byte."""
+    for key, value in payload.items():
+        if isinstance(value, np.ndarray) and not np.isfinite(value).all():
+            raise ValueError(f"{key!r} holds a NaN or an infinity, which JSON cannot hold")
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+    def write(a, head):   # `head`, then `a`: an array of rows, a row, or any JSON value
+        if not isinstance(a, np.ndarray) or a.ndim < 2:   # a float's JSON text is its repr
+            return fh.write(head + encode(a.tolist() if isinstance(a, np.ndarray) else a))
+        fh.write(head + "[")
+        for i, row in enumerate(a):
+            write(row, ", " if i else "")
+        fh.write("]")
+
+    fh.write("{")
+    for i, key in enumerate(sorted(payload)):
+        write(payload[key], (", " if i else "") + encode(key) + ": ")
+    fh.write("}" + end)
 
 
 def write_heatmap_csv(path, row_labels, col_labels, matrix) -> None:
@@ -206,9 +223,8 @@ def write_heatmap_csv(path, row_labels, col_labels, matrix) -> None:
     if matrix.shape != (len(row_labels), len(col_labels)):
         raise ValueError(f"matrix of shape {matrix.shape} does not match the labels' "
                          f"({len(row_labels)}, {len(col_labels)})")
-    rows = matrix.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(line.writerow(["", *col_labels]))
-        for label, row in zip(row_labels, rows):
-            head = line.writerow([label, ""] if row else [label])[:-1]
-            fh.write(head + ",".join(map(repr, row)) + "\n")
+        for label, row in zip(row_labels, matrix):
+            head = line.writerow([label, ""] if row.size else [label])[:-1]
+            fh.write(head + ",".join(map(repr, row.tolist())) + "\n")

@@ -1,5 +1,6 @@
 """Pipeline tests: layout arithmetic, embeddings, the full layer, CSV/JSON round-trips."""
 
+import io
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     make_sentence,
@@ -40,6 +42,7 @@ from dafa.pipeline import (
     build_layout,
     dafa_layer,
     write_heatmap_csv,
+    write_json,
 )
 from dafa.tfidf import TfIdfModel
 
@@ -395,6 +398,22 @@ class TestDafaLayer:
             layer_fixture(a, a, heads=3)
         assert finished == [False] * 3
 
+    @pytest.mark.parametrize("heads, on_main", [(1, [True]), (2, [True, False])])
+    def test_a_lone_head_is_fused_on_the_calling_thread(self, monkeypatch, heads, on_main):
+        # a long pair fuses the even heads on the helper lane, but a lone head would leave this
+        # lane idle while it waits for the hand-off, so it is fused here
+        threads = []
+
+        def recording_fuse(*args, op=pipeline.fuse):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return op(*args)
+
+        monkeypatch.setattr(pipeline, "fuse", recording_fuse)
+        a = uniform_tree(100, 3)
+        assert build_layout(a, a).d_seq >= TWO_LANE_MIN_LEN
+        layer_fixture(a, a, heads=heads)
+        assert sorted(threads, reverse=True) == on_main
+
     def test_an_error_of_the_helper_lane_wins_as_in_the_serial_order(self, monkeypatch):
         def failing(message):
             def op(*args):
@@ -555,6 +574,48 @@ class TestLayerOutputJson:
         first, *_ = layer_fixture(a, b)
         second, *_ = layer_fixture(a, b)
         assert first.to_json() == second.to_json()
+
+    def test_text_is_the_tolist_payloads(self):
+        out, *_ = layer_fixture(star(["sun", "rises"], ["nsubj"]), star(["sun", "sets"], ["nsubj"]))
+        payload = {"pair_id": out.pair_id, "tokens": out.tokens, "fused": out.fused.tolist(),
+                   "fusion_gates": out.fusion_gates.tolist(),
+                   "filter_gates": out.filter_gates.tolist(),
+                   "calibration": out.calibration.tolist()}
+        assert out.to_json() == json.dumps(payload, sort_keys=True, allow_nan=False)
+
+
+json_floats = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, 1e-7, 0.1, -1e300])
+               | st.floats(allow_nan=False, allow_infinity=False))
+json_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                      max_side=4), elements=json_floats)
+json_texts = st.text(st.sampled_from('az"\\ é日<>\n\x00')
+                     | st.characters(exclude_categories=("Cs",)), max_size=5)
+json_payloads = st.dictionaries(
+    json_texts, json_arrays | json_texts | st.lists(json_texts, max_size=3) | st.integers(),
+    max_size=6)
+
+
+class TestWriteJson:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=json_payloads)
+    @example(payload={"tokens": ["<CLS>", "héllo", "日本", "<SEP>"], "ü": np.array(1e16),
+                      "empty": np.zeros((2, 0, 3)), "x": np.array([[-0.0, 5e-324], [1e22, 1e-7]])})
+    def test_text_matches_json_dumps_of_the_tolist_payload(self, payload):
+        text = io.StringIO()
+        write_json(text, payload, end="\n")
+        lists = {key: value.tolist() if isinstance(value, np.ndarray) else value
+                 for key, value in payload.items()}
+        assert text.getvalue() == json.dumps(lists, sort_keys=True, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_array_is_refused_before_any_byte(self, bad):
+        last = np.ones((2, 3))
+        last[1, 2] = bad
+        text = io.StringIO()
+        with pytest.raises(ValueError, match="^'z' holds a NaN or an infinity, which JSON "
+                                             "cannot hold$"):
+            write_json(text, {"a": np.ones(3), "tokens": ["x"], "z": last})
+        assert text.getvalue() == ""
 
 
 labels = st.text(st.sampled_from('ab,"\' \n<>|'), max_size=6) | st.text(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -386,6 +387,7 @@ def _add_attn_flags(parser) -> None:
                         help="value size per head (default %(default)s)")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every `run` in a process
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dafa", description="Dependency-calibrated attention toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

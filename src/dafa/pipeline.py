@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -188,35 +189,60 @@ def dafa_layer(
     )
 
 
+# cells `_row_texts` reads per block: its index temporaries stay a fixed few hundred KB
+_ROW_BLOCK_CELLS = 2 ** 14
+
+
+def _row_texts(a: np.ndarray, sep: str):
+    """Each last-axis row of the float64 array `a`, its values' reprs joined by `sep`.
+
+    Rows are read a block of about _ROW_BLOCK_CELLS cells at a time, and repr is called once per
+    distinct bit pattern in the block (unique floats would merge 0.0 and -0.0, whose reprs
+    differ). A float's repr is its JSON text and what csv.writer writes for it."""
+    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])   # (-1, 0) is ambiguous when empty
+    step = max(1, _ROW_BLOCK_CELLS // max(1, rows.shape[1]))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        bits, index = np.unique(block.view(np.int64), return_inverse=True)
+        texts = list(map(repr, bits.view(np.float64).tolist()))
+        for row in index.reshape(block.shape):   # numpy 1.x returns the index flat
+            yield sep.join(map(texts.__getitem__, row.tolist()))
+
+
 def write_json(fh, payload: dict, end: str = "") -> None:
     """Write `payload` to `fh` as json.dumps(payload, sort_keys=True, allow_nan=False) would, then
-    `end`, each array a last-axis row at a time; one with a NaN or inf is refused before a byte."""
+    `end`, each float64 array a last-axis row at a time; one with a NaN or inf is refused before a
+    byte."""
     for key, value in payload.items():
         if isinstance(value, np.ndarray) and not np.isfinite(value).all():
             raise ValueError(f"{key!r} holds a NaN or an infinity, which JSON cannot hold")
     encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
-    def write(a, head):   # `head`, then `a`: an array of rows, a row, or any JSON value
-        if not isinstance(a, np.ndarray) or a.ndim < 2:   # a float's JSON text is its repr
-            return fh.write(head + encode(a.tolist() if isinstance(a, np.ndarray) else a))
+    def nest(shape, rows, head):   # `head`, then the next shape[0] rows in brackets
+        if len(shape) == 1:
+            return fh.write(head + "[" + next(rows) + "]")
         fh.write(head + "[")
-        for i, row in enumerate(a):
-            write(row, ", " if i else "")
+        for i in range(shape[0]):
+            nest(shape[1:], rows, ", " if i else "")
         fh.write("]")
 
     fh.write("{")
     for i, key in enumerate(sorted(payload)):
-        write(payload[key], (", " if i else "") + encode(key) + ": ")
+        value, head = payload[key], (", " if i else "") + encode(key) + ": "
+        if isinstance(value, np.ndarray) and value.ndim and value.dtype == np.float64:
+            nest(value.shape, _row_texts(value, ", "), head)
+        else:
+            fh.write(head + encode(value.tolist() if isinstance(value, np.ndarray) else value))
     fh.write("}" + end)
 
 
 def write_heatmap_csv(path, row_labels, col_labels, matrix) -> None:
     """Labelled CSV heatmap; values keep full float round-trip precision."""
     # Each value is its repr, the shortest text that parses back to it: what csv.writer writes
-    # for a float. A repr holds no character csv quotes, so the floats are joined directly,
-    # saving csv's per-field work, about a third of its time. Labels are arbitrary text and go
-    # through csv.writer, rendered before one empty field so csv quotes them as in the full row
-    # ("<label>,"; an empty label alone would be written '""'). The writer's sink returns its
+    # for a float. A repr holds no character csv quotes, so `_row_texts` joins the values
+    # directly, calling repr once per distinct value, not per cell. Labels are arbitrary text and
+    # go through csv.writer, rendered before one empty field so csv quotes them as in the full
+    # row ("<label>,"; an empty label alone would be written '""'). The writer's sink returns its
     # argument, so `writerow` returns the line instead of writing it.
     line = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -225,6 +251,6 @@ def write_heatmap_csv(path, row_labels, col_labels, matrix) -> None:
                          f"({len(row_labels)}, {len(col_labels)})")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(line.writerow(["", *col_labels]))
-        for label, row in zip(row_labels, matrix):
-            head = line.writerow([label, ""] if row.size else [label])[:-1]
-            fh.write(head + ",".join(map(repr, row.tolist())) + "\n")
+        for label, text in zip(row_labels, _row_texts(matrix, ",")):
+            head = line.writerow([label, ""] if len(col_labels) else [label])[:-1]
+            fh.write(head + text + "\n")

@@ -196,6 +196,15 @@ def naive_write_heatmap_csv(path, row_labels, col_labels, matrix) -> None:
             writer.writerow([label, *[repr(float(x)) for x in row]])
 
 
+def first_difference(new, old):
+    """None if two texts (or byte strings) are equal, else the offset at which they first differ
+    and a few characters around it in each; pytest's own diff of texts this long takes minutes."""
+    if new == old:
+        return None
+    at = next((i for i, (x, y) in enumerate(zip(new, old)) if x != y), min(len(new), len(old)))
+    return at, new[max(at - 20, 0):at + 20], old[max(at - 20, 0):at + 20]
+
+
 def read_heatmap_csv(path):
     """Inverse of `write_heatmap_csv`: (row_labels, col_labels, matrix)."""
     with open(path, encoding="utf-8", newline="") as fh:

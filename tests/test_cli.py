@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import conllu_block, naive_write_heatmap_csv, random_sentence, read_heatmap_csv
+from conftest import (aligned_pair, conllu_block, first_difference, naive_write_heatmap_csv,
+                      random_sentence, read_heatmap_csv)
 from dafa import attention, cli, pipeline
 from dafa.attention import TWO_LANE_MIN_LEN, AttnConfig, AttnParams
 from dafa.cli import DEFAULT_D_HID, _build_parser, run
@@ -523,27 +524,33 @@ class TestDemoCommand:
             assert value.tobytes() == getattr(expected, name).tobytes(), name
 
     def test_csv_bytes_match_per_element_writer(self, tmp_path, tfidf_file):
-        # forms holding a comma and quotes make csv quote the labels
-        pair_a = [('say "hi"', 2, "nsubj"), ("a,b", 0, "root"), ('"', 2, "obj")]
-        pair_b = [("x,y", 0, "root"), ('a,"b"', 1, "obj")]
-        pairs = tmp_path / "quoted.jsonl"
-        pairs.write_text(json.dumps({"id": "q", "a": conllu_block(pair_a),
-                                     "b": conllu_block(pair_b)}) + "\n", encoding="utf-8")
-        out_dir = tmp_path / "demo"
-        assert run(["demo", "--pairs", str(pairs), "--tfidf", str(tfidf_file),
-                    "--out", str(out_dir)]) == 0
-        expected = demo_layer(pairs, tfidf_file)
-        oracle = tmp_path / "oracle.csv"
-        names = {"q.json"}
-        for head in range(2):
-            for kind in ("sem", "dep"):
-                name = f"q.{kind}.h{head}.csv"
-                naive_write_heatmap_csv(oracle, expected.tokens, expected.tokens,
-                                        getattr(expected, f"{kind}_weights")[head])
-                assert (out_dir / name).read_bytes() == oracle.read_bytes(), name
-                names.add(name)
-        assert {p.name for p in out_dir.iterdir()} == names
-        assert b'"say ""hi"""' in (out_dir / "q.sem.h0.csv").read_bytes()
+        # forms holding a comma and quotes make csv quote the labels; the long pair's (L, L)
+        # weights span several of the writer's blocks, so its rows straddle block boundaries
+        quoted_a = [('say "hi"', 2, "nsubj"), ("a,b", 0, "root"), ('"', 2, "obj")]
+        quoted_b = [("x,y", 0, "root"), ('a,"b"', 1, "obj")]
+        long_a, long_b, _ = aligned_pair(np.random.default_rng(3), 90, 4)
+        long_a, long_b = ([(t.form, t.head, t.deprel) for t in s.tokens] for s in (long_a, long_b))
+        for stem, pair_a, pair_b in (("q", quoted_a, quoted_b), ("long", long_a, long_b)):
+            pairs = tmp_path / f"{stem}.jsonl"
+            pairs.write_text(json.dumps({"id": stem, "a": conllu_block(pair_a),
+                                         "b": conllu_block(pair_b)}) + "\n", encoding="utf-8")
+            out_dir = tmp_path / f"{stem}_demo"
+            assert run(["demo", "--pairs", str(pairs), "--tfidf", str(tfidf_file),
+                        "--out", str(out_dir)]) == 0
+            expected = demo_layer(pairs, tfidf_file)
+            assert (stem == "long") == (len(expected.tokens) >= TWO_LANE_MIN_LEN)
+            oracle = tmp_path / "oracle.csv"
+            names = {f"{stem}.json"}
+            for head in range(2):
+                for kind in ("sem", "dep"):
+                    name = f"{stem}.{kind}.h{head}.csv"
+                    naive_write_heatmap_csv(oracle, expected.tokens, expected.tokens,
+                                            getattr(expected, f"{kind}_weights")[head])
+                    assert first_difference((out_dir / name).read_bytes(),
+                                            oracle.read_bytes()) is None, name
+                    names.add(name)
+            assert {p.name for p in out_dir.iterdir()} == names
+        assert b'"say ""hi"""' in (tmp_path / "q_demo" / "q.sem.h0.csv").read_bytes()
 
     def test_existing_out_dir_gains_the_outputs(self, tmp_path, pairs_file, tfidf_file):
         out_dir = tmp_path / "demo"

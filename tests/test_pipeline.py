@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (
+    first_difference,
     make_sentence,
     naive_write_heatmap_csv,
     per_head_attention,
@@ -595,6 +596,22 @@ json_payloads = st.dictionaries(
     max_size=6)
 
 
+def straddling(shape, seed):
+    """A float64 array of `shape` whose values repeat across the writers' blocks of
+    `pipeline._ROW_BLOCK_CELLS` cells and within them, beside fresh ones: signed zeros, the
+    signed smallest subnormal and other pooled values, or uniform draws, half and half."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 0.1, 1e16, 1e22, 1e-7, -1.5])
+    return np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), rng.uniform(-1, 1, shape))
+
+
+BLOCK = pipeline._ROW_BLOCK_CELLS
+# rows wider than a block; more rows than a block, which ends inside the last one; and a stack
+# whose blocks straddle its first axis
+STRADDLING_SHAPES = [(3, BLOCK + 3), (2 * (BLOCK // 7) + 5, 7), (3, BLOCK // 11 + 1, 11)]
+SIGNED_ZEROS = np.array([[0.0, -0.0, 5e-324, -5e-324], [-5e-324, 5e-324, -0.0, 0.0]])
+
+
 class TestWriteJson:
     @settings(max_examples=300, deadline=None)
     @given(payload=json_payloads)
@@ -606,6 +623,20 @@ class TestWriteJson:
         lists = {key: value.tolist() if isinstance(value, np.ndarray) else value
                  for key, value in payload.items()}
         assert text.getvalue() == json.dumps(lists, sort_keys=True, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("shape", STRADDLING_SHAPES)
+    def test_rows_straddling_blocks_match_json_dumps(self, shape):
+        a = straddling(shape, sum(shape))
+        text = io.StringIO()
+        write_json(text, {"a": a, "b": SIGNED_ZEROS})
+        expected = json.dumps({"a": a.tolist(), "b": SIGNED_ZEROS.tolist()})
+        assert first_difference(text.getvalue(), expected) is None
+
+    def test_signed_zeros_and_subnormals_in_one_block_keep_their_texts(self):
+        text = io.StringIO()
+        write_json(text, {"z": SIGNED_ZEROS})
+        assert text.getvalue() == ('{"z": [[0.0, -0.0, 5e-324, -5e-324], '
+                                   '[-5e-324, 5e-324, -0.0, 0.0]]}')
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_array_is_refused_before_any_byte(self, bad):
@@ -657,6 +688,20 @@ class TestHeatmapCsv:
         write_heatmap_csv(out_dir / "new.csv", row_labels, col_labels, matrix)
         naive_write_heatmap_csv(out_dir / "old.csv", row_labels, col_labels, matrix)
         assert (out_dir / "new.csv").read_bytes() == (out_dir / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("shape", STRADDLING_SHAPES[:2])
+    def test_rows_straddling_blocks_match_per_element_writer(self, tmp_path, shape):
+        matrix = straddling(shape, sum(shape))
+        row_labels, col_labels = [f"r{i}" for i in range(shape[0])], [""] * shape[1]
+        write_heatmap_csv(tmp_path / "new.csv", row_labels, col_labels, matrix)
+        naive_write_heatmap_csv(tmp_path / "old.csv", row_labels, col_labels, matrix)
+        new, old = ((tmp_path / name).read_bytes() for name in ("new.csv", "old.csv"))
+        assert first_difference(new, old) is None
+
+    def test_signed_zeros_and_subnormals_in_one_block_keep_their_texts(self, tmp_path):
+        write_heatmap_csv(tmp_path / "z.csv", ["a", "b"], ["w", "x", "y", "z"], SIGNED_ZEROS)
+        assert (tmp_path / "z.csv").read_text(encoding="utf-8") == (
+            ",w,x,y,z\na,0.0,-0.0,5e-324,-5e-324\nb,-5e-324,5e-324,-0.0,0.0\n")
 
     @pytest.mark.parametrize("rows, cols, shape", [(["a"], ["x", "y", "z"], (2, 2)),
                                                    (["a", "b"], ["x", "y"], (2, 3)),

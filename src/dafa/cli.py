@@ -55,6 +55,8 @@ def _parse_signals(text: str) -> tuple[np.ndarray, np.ndarray]:
     sem, dep = _float_array("sem", data["sem"]), _float_array("dep", data["dep"])
     if sem.ndim < 2 or sem.shape != dep.shape:
         raise ValueError("'sem' and 'dep' must be arrays of one shape (..., L, d_v)")
+    if 0 in sem.shape[-2:]:
+        raise ValueError(f"'sem' and 'dep' need L >= 1 and d_v >= 1, got shape {sem.shape}")
     return sem, dep
 
 

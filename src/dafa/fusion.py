@@ -139,8 +139,9 @@ class FusionParams:
     @classmethod
     def init(cls, d_seq: int, d_v: int, d_hid: int, seed) -> "FusionParams":
         """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn in _draws order."""
-        if min(d_seq, d_v, d_hid) < 1:
-            raise ValueError("d_seq, d_v, d_hid must all be >= 1")
+        for name, size in (("d_seq", d_seq), ("d_v", d_v), ("d_hid", d_hid)):
+            if size < 1:
+                raise ValueError(f"{name} must be >= 1, got {size}")
         rng = np.random.default_rng(seed)
         values = {}
         for name, shape, fan_in in _draws(d_seq, d_v, d_hid):

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -258,14 +260,20 @@ class TestFuseCommand:
         params_path = tmp_path / "params.json"
         params_path.write_text(params.to_json(), encoding="utf-8")
         rng = np.random.default_rng(9)
-        sem, dep = rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2))
-        signals = tmp_path / "signals.json"
-        signals.write_text(json.dumps({"sem": sem.tolist(), "dep": dep.tolist()}),
-                           encoding="utf-8")
-        out = tmp_path / "fused.json"
-        assert run(["fuse", "--signals", str(signals), "--params", str(params_path),
-                    "--out", str(out)]) == 0
-        assert_fused_json_is_library_output(out, sem, dep, params)
+        signals, out, seeded = (tmp_path / "signals.json", tmp_path / "fused.json",
+                                tmp_path / "seeded.json")
+        # params sized (L, d_v) serve every head of a (heads, L, d_v) stack: the file holds the
+        # draws of the same seed and d_hid, so both routes write the same bytes
+        for shape in ((3, 2), (4, 3, 2)):
+            sem, dep = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)
+            signals.write_text(json.dumps({"sem": sem.tolist(), "dep": dep.tolist()}),
+                               encoding="utf-8")
+            assert run(["fuse", "--signals", str(signals), "--params", str(params_path),
+                        "--out", str(out)]) == 0
+            assert_fused_json_is_library_output(out, sem, dep, params)
+            assert run(["fuse", "--signals", str(signals), "--seed", "8", "--d-hid", "2",
+                        "--out", str(seeded)]) == 0
+            assert out.read_bytes() == seeded.read_bytes(), shape
 
     def test_d_hid_defaults_to_8(self, tmp_path):
         signals = tmp_path / "signals.json"
@@ -311,6 +319,15 @@ class TestFuseCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {flag} and ") and "--params" in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_d_hid_named_before_writing(self, tmp_path, capsys, value):
+        signals = tmp_path / "signals.json"
+        signals.write_text(ZERO_SIGNALS, encoding="utf-8")
+        out = tmp_path / "fused.json"
+        assert run(["fuse", "--signals", str(signals), "--d-hid", value, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: d_hid must be >= 1, got {value}\n")
         assert not out.exists()
 
     def test_mismatched_signals_rejected(self, tmp_path):
@@ -382,10 +399,18 @@ def _signals_with(**changes):
     ("--tfidf", DEEP, None),
     ("--signals", DEEP, None),
     ("--params", DEEP, None),
+    ("--signals", json.dumps([1]), "sem"),
+    ("--signals", json.dumps({"sem": [[]], "dep": [[]]}), "sem"),
+    ("--params", json.dumps([]), None),
+    ("--tfidf", json.dumps({"doc_count": 1, "df": []}), "df"),
+    ("--corpus", "", "sentences"),
+    ("--pairs", "", "pair records"),
 ], ids=["params-list-scalar", "params-dict-array", "signals-dict", "signals-non-numeric",
         "signals-numeric-string", "signals-bool", "signals-null", "params-numeric-string",
         "params-bool", "params-null", "params-1d-proj", "signals-huge-int", "params-huge-int",
-        "tfidf-huge-doc-count", "pairs-deep", "tfidf-deep", "signals-deep", "params-deep"])
+        "tfidf-huge-doc-count", "pairs-deep", "tfidf-deep", "signals-deep", "params-deep",
+        "signals-list", "signals-empty-axis", "params-list", "tfidf-df-list", "corpus-empty",
+        "pairs-empty"])
 def test_malformed_input_file_is_input_error(tmp_path, capsys, flag, text, key):
     bad = tmp_path / "bad.json"
     bad.write_text(text, encoding="utf-8")
@@ -402,6 +427,7 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys, flag, text, key):
         "--signals": ["fuse", "--signals", str(bad)],
         "--pairs": ["matrix", "--pairs", str(bad), "--tfidf", str(tfidf)],
         "--tfidf": ["matrix", "--pairs", str(pairs), "--tfidf", str(bad)],
+        "--corpus": ["tfidf", "fit", "--corpus", str(bad)],
     }[flag]
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -1282,6 +1308,17 @@ class TestArgumentErrors:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
 
+    def test_main_exits_the_process_with_the_code_of_run(self, tmp_path):
+        # the installed `dafa` script calls main(); a usage error there is exit 2 of the process
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "dafa.cli", "gradcheck", "--op", "fuse",
+                                 "--d-k", "5"], capture_output=True, text=True, env=env,
+                                cwd=tmp_path)
+        assert result.returncode == 2
+        assert (result.stdout, result.stderr) == ("", "error: --d-k does not apply to --op fuse\n")
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "tfidf" in capsys.readouterr().out
@@ -1303,7 +1340,9 @@ class TestArgumentErrors:
          "--seed"),
         (["demo", "--pairs", "{pairs}", "--heads", "3", "--heads", "2", "--out", "{out}"],
          "--heads"),
-    ], ids=["fuse-signals-and-seed", "fuse-abbreviated-seed", "demo-heads"])
+        (["fuse", "--signals", "{signals}", "--seed", "1", "--seed", "42", "--out", "{out}"],
+         "--seed"),
+    ], ids=["fuse-signals-and-seed", "fuse-abbreviated-seed", "demo-heads", "fuse-seed"])
     def test_repeated_flag_rejected_before_writing(self, tmp_path, capsys, pairs_file, args,
                                                    flag):
         signals = tmp_path / "signals.json"

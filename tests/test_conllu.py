@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import children, conllu_block, make_sentence, random_sentence, trigrams
+from dafa.cli import run
 from dafa.conllu import (
     ROOT_FORM,
     ConlluError,
@@ -276,6 +277,24 @@ class TestReadPairs:
         bad = json.dumps({"id": pair_id, "a": TWO_TOKEN_BLOCK, "b": TWO_TOKEN_BLOCK})
         with pytest.raises(ConlluError, match=r"^line 2: record id must be a string"):
             read_pairs(good + "\n" + bad)
+
+    # a token ID of 0, a negative HEAD, a block of only a multiword range line and a record
+    # block holding two sentences: the pairs file is refused with exit 2, naming the record
+    @pytest.mark.parametrize("a, message", [
+        ("0\tw\t_\t_\t_\t_\t0\troot\t_\t_\n",
+         "sentence 1, line 1: token index must be >= 1, got 0"),
+        ("1\tw\t_\t_\t_\t_\t-1\troot\t_\t_\n", "sentence 1, line 1: token 1 has negative head -1"),
+        ("1-2\tdon't\t_\t_\t_\t_\t_\t_\t_\t_\n", "sentence 1, line 1: sentence has no tokens"),
+        (TWO_TOKEN_BLOCK + "\n" + TWO_TOKEN_BLOCK, "expected exactly one sentence block, found 2"),
+    ], ids=["id-0", "negative-head", "range-line-only", "two-blocks"])
+    def test_bad_block_is_input_error(self, tmp_path, capsys, a, message):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": "p", "a": a, "b": TWO_TOKEN_BLOCK}) + "\n",
+                         encoding="utf-8")
+        out = tmp_path / "attend.json"
+        assert run(["attend", "--pair", str(pairs), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {pairs}: line 1: record 'p': {message}\n")
+        assert not out.exists()
 
     def test_missing_id_named_by_line(self):
         record = json.dumps({"a": TWO_TOKEN_BLOCK, "b": TWO_TOKEN_BLOCK})

@@ -356,6 +356,14 @@ class _StoreOnce(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+def _path(text: str) -> str:
+    """The argparse type of every path flag: an empty path would name the working directory
+    (a read fails on it, `demo --out` writes into it), so it is a usage error naming the flag."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser whose flags, and those of its subparsers, are `_StoreOnce` actions."""
 
@@ -397,36 +405,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tfidf = sub.add_parser("tfidf", help="corpus tf-idf statistics")
     tfidf_sub = p_tfidf.add_subparsers(dest="action", required=True)
     p_fit = tfidf_sub.add_parser("fit", help="fit a model on a CoNLL-U corpus")
-    p_fit.add_argument("--corpus", required=True, help="CoNLL-U file, one sentence per block")
-    p_fit.add_argument("--out", required=True, help="output model JSON")
+    p_fit.add_argument("--corpus", type=_path, required=True,
+                       help="CoNLL-U file, one sentence per block")
+    p_fit.add_argument("--out", type=_path, required=True, help="output model JSON")
     p_fit.set_defaults(func=_cmd_tfidf_fit)
 
     p_matrix = sub.add_parser("matrix", help="emit M, S, MF matrices per pair")
-    p_matrix.add_argument("--pairs", required=True, help="JSONL pair records")
-    p_matrix.add_argument("--tfidf", required=True, help="fitted tf-idf model JSON")
+    p_matrix.add_argument("--pairs", type=_path, required=True, help="JSONL pair records")
+    p_matrix.add_argument("--tfidf", type=_path, required=True, help="fitted tf-idf model JSON")
     _add_dep_flags(p_matrix)
-    p_matrix.add_argument("--out", required=True, help="output JSONL")
+    p_matrix.add_argument("--out", type=_path, required=True, help="output JSONL")
     p_matrix.set_defaults(func=_cmd_matrix)
 
     p_attend = sub.add_parser("attend", help="attention weights/signals for one pair")
-    p_attend.add_argument("--pair", required=True, help="JSONL file; the first record is used")
-    p_attend.add_argument("--tfidf", default=None, help="fitted model JSON (default: fit on the pair)")
+    p_attend.add_argument("--pair", type=_path, required=True,
+                          help="JSONL file; the first record is used")
+    p_attend.add_argument("--tfidf", type=_path, default=None,
+                          help="fitted model JSON (default: fit on the pair)")
     _add_attn_flags(p_attend)
     _add_dep_flags(p_attend)
     _add_seed_flag(p_attend)
-    p_attend.add_argument("--out", required=True, help="output JSON")
+    p_attend.add_argument("--out", type=_path, required=True, help="output JSON")
     p_attend.set_defaults(func=_cmd_attend)
 
     p_fuse = sub.add_parser("fuse", help="adaptive fusion over sem/dep signals")
-    p_fuse.add_argument("--signals", required=True,
+    p_fuse.add_argument("--signals", type=_path, required=True,
                         help="JSON with 'sem' and 'dep' arrays of one shape (..., L, d_v), "
                              "such as attend's output")
-    p_fuse.add_argument("--params", default=None,
+    p_fuse.add_argument("--params", type=_path, default=None,
                         help="fusion params JSON file (default: params drawn from --seed)")
     p_fuse.add_argument("--d-hid", type=int, default=DEFAULT_D_HID,
                         help="hidden size for seeded params (default %(default)s)")
     _add_seed_flag(p_fuse)
-    p_fuse.add_argument("--out", required=True, help="output JSON")
+    p_fuse.add_argument("--out", type=_path, required=True, help="output JSON")
     p_fuse.set_defaults(func=_cmd_fuse)
 
     p_grad = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
@@ -439,18 +450,19 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, value in vars(GradCheckConfig()).items():
         p_grad.add_argument(f"--{name.replace('_', '-')}", type=int, default=value,
                             help=f"{name} of the checked op (default %(default)s)")
-    p_grad.add_argument("--out", default=None, help="also write the JSON report here")
+    p_grad.add_argument("--out", type=_path, default=None, help="also write the JSON report here")
     p_grad.set_defaults(func=_cmd_gradcheck)
 
     p_demo = sub.add_parser("demo", help="full layer evaluation with heatmap CSVs")
-    p_demo.add_argument("--pairs", required=True, help="JSONL pair records")
-    p_demo.add_argument("--tfidf", default=None, help="fitted model JSON (default: fit per pair)")
+    p_demo.add_argument("--pairs", type=_path, required=True, help="JSONL pair records")
+    p_demo.add_argument("--tfidf", type=_path, default=None,
+                        help="fitted model JSON (default: fit per pair)")
     _add_attn_flags(p_demo)
     p_demo.add_argument("--d-hid", type=int, default=DEFAULT_D_HID,
                         help="fusion hidden size (default %(default)s)")
     _add_dep_flags(p_demo)
     _add_seed_flag(p_demo)
-    p_demo.add_argument("--out", required=True, help="output directory")
+    p_demo.add_argument("--out", type=_path, required=True, help="output directory")
     p_demo.set_defaults(func=_cmd_demo)
 
     return parser

@@ -133,7 +133,7 @@ class FusionParams:
             value = getattr(self, name)
             if value.shape != shapes[name]:
                 raise ValueError(f"{name} has shape {value.shape}, expected {shapes[name]}")
-            if not np.all(np.isfinite(value)):
+            if not np.isfinite(value).all():
                 raise ValueError(f"fusion params {name!r} must be finite")
 
     @classmethod
@@ -279,7 +279,7 @@ def fuse_backward(sem, dep, w, trace, g_fused) -> dict:
     g["b_value"] = g_projected[..., 0, :]
     g_blend += g_projected @ w["w_value"]
 
-    g_gate = np.sum(g_blend * (t["h_sem"] - t["h_dep"]), axis=-1)  # (..., 1)
+    g_gate = (g_blend * (t["h_sem"] - t["h_dep"])).sum(axis=-1)  # (..., 1)
     g_hidden = {"sem": t["fusion_gate"][..., None] * g_blend,
                 "dep": (1.0 - t["fusion_gate"])[..., None] * g_blend}
     g_zg = g_gate * t["fusion_gate"] * (1.0 - t["fusion_gate"])

@@ -8,15 +8,15 @@ import numpy as np
 
 def softmax_in_place(x: np.ndarray) -> np.ndarray:
     """Last-axis softmax with per-row max subtraction, written over the float64 `x`; returns `x`."""
-    x -= np.max(x, axis=-1, keepdims=True)
+    x -= x.max(axis=-1, keepdims=True)
     np.exp(x, out=x)
-    x /= np.sum(x, axis=-1, keepdims=True)
+    x /= x.sum(axis=-1, keepdims=True)
     return x
 
 
 def softmax_backward(weights: np.ndarray, g_weights: np.ndarray) -> np.ndarray:
     """Gradient through a last-axis softmax, from its output `weights` and their gradient."""
-    return weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
+    return weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
 
 
 def sigmoid(x):

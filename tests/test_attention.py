@@ -7,6 +7,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import per_head_attention
 from dafa import attention
@@ -18,7 +21,7 @@ from dafa.attention import (
     multi_head_dafa,
     sem_attention,
 )
-from dafa.nnops import softmax_in_place
+from dafa.nnops import softmax_backward, softmax_in_place
 
 
 def naive_attention(q, k, v, calibration=None):
@@ -214,7 +217,52 @@ class TestInPlaceSteps:
             dep_attention(q, k, v, np.ones((*c_lead, 4, 6)))
 
 
+def formula_softmax(x):
+    """The softmax with `np.max` and `np.sum` reductions, on a copy of `x` in its layout
+    (reference)."""
+    x = x.copy(order="K")
+    x -= np.max(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.sum(x, axis=-1, keepdims=True)
+    return x
+
+
+def formula_softmax_backward(weights, g_weights):
+    """The softmax backward with an `np.sum` reduction (reference)."""
+    return weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
+
+
+@st.composite
+def logit_stacks(draw):
+    """Logits and an upstream gradient of one shape, with up to two leading axes."""
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=4, min_side=1, max_side=6))
+    x = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e300, 1e300)))
+    g = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e150, 1e150)))
+    return x, g
+
+
+SIGNED_ZEROS = (np.array([[[-0.0, 0.0, -0.0]], [[0.0, -0.0, -0.0]]]),
+                np.array([[[-0.0, 1.0, 0.0]], [[-0.0, -0.0, 2.0]]]))
+HUGE_ROWS = (np.array([[[1e300, -1e300, 5e299], [-1e300, -1e300, -1e300]]]),
+             np.array([[[1e150, -1e150, -0.0], [3e149, 0.0, -1e150]]]))
+
+
 class TestSoftmaxProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(stack=logit_stacks(), strided=st.booleans())
+    @example(stack=SIGNED_ZEROS, strided=False)
+    @example(stack=HUGE_ROWS, strided=True)
+    def test_ufunc_method_reductions_keep_the_formula_bits(self, stack, strided):
+        # softmax_in_place and softmax_backward reduce through the arrays' own methods; each
+        # result has the bits of the np.max / np.sum form, on C-ordered and strided stacks
+        x, g = stack
+        if strided:
+            x, g = (np.ascontiguousarray(a.swapaxes(0, -2)).swapaxes(0, -2) for a in (x, g))
+        expected = formula_softmax(x)
+        assert softmax_in_place(x).tobytes() == expected.tobytes()
+        assert (softmax_backward(expected, g).tobytes()
+                == formula_softmax_backward(expected, g).tobytes())
+
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         row = rng.normal(size=(1, 8))

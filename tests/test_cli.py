@@ -1355,6 +1355,46 @@ class TestArgumentErrors:
         assert captured.out == ""
         assert not out.exists()
 
+    # an empty path would name the working directory, which `demo --out` would write into and
+    # `--tfidf` would read as no model; each path flag refuses it before anything is read
+    @pytest.mark.parametrize("args, flag", [
+        (["tfidf", "fit", "--corpus", "", "--out", "{out}"], "--corpus"),
+        (["tfidf", "fit", "--corpus", "{corpus}", "--out", ""], "--out"),
+        (["matrix", "--pairs", "", "--tfidf", "{tfidf}", "--out", "{out}"], "--pairs"),
+        (["matrix", "--pairs", "{pairs}", "--tfidf", "", "--out", "{out}"], "--tfidf"),
+        (["matrix", "--pairs", "{pairs}", "--tfidf", "{tfidf}", "--out", ""], "--out"),
+        (["attend", "--pair", "", "--out", "{out}"], "--pair"),
+        (["attend", "--pair", "{pairs}", "--tfidf", "", "--out", "{out}"], "--tfidf"),
+        (["attend", "--pair", "{pairs}", "--out", ""], "--out"),
+        (["fuse", "--signals", "", "--out", "{out}"], "--signals"),
+        (["fuse", "--signals", "{signals}", "--params", "", "--out", "{out}"], "--params"),
+        (["fuse", "--signals", "{signals}", "--out", ""], "--out"),
+        (["gradcheck", "--op", "fuse", "--out", ""], "--out"),
+        (["demo", "--pairs", "", "--out", "{out}"], "--pairs"),
+        (["demo", "--pairs", "{pairs}", "--tfidf", "", "--out", "{out}"], "--tfidf"),
+        (["demo", "--pairs", "{pairs}", "--ou", ""], "--out"),
+    ], ids=["tfidf-fit-corpus", "tfidf-fit-out", "matrix-pairs", "matrix-tfidf", "matrix-out",
+            "attend-pair", "attend-tfidf", "attend-out", "fuse-signals", "fuse-params",
+            "fuse-out", "gradcheck-out", "demo-pairs", "demo-tfidf", "demo-abbreviated-out"])
+    def test_empty_path_rejected_naming_its_flag(self, tmp_path, capsys, monkeypatch,
+                                                 corpus_file, pairs_file, tfidf_file, args, flag):
+        signals = tmp_path / "signals.json"
+        signals.write_text(ZERO_SIGNALS, encoding="utf-8")
+        paths = {"corpus": corpus_file, "pairs": pairs_file, "tfidf": tfidf_file,
+                 "signals": signals, "out": tmp_path / "out"}
+        fail_on_draws(monkeypatch)
+        for owner, name in ((cli, "_load"), (TfIdfModel, "fit")):  # every input read, every fit
+            monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: pytest.fail(_name))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        assert run([arg.format(**paths) for arg in args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f"error: argument {flag}: must not be empty\n")
+        assert captured.out == ""
+        assert list(work.iterdir()) == [] and not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("command", ["attend", "demo"])
 def test_attend_and_demo_check_their_inputs_in_one_order(tmp_path, capsys, pairs_file, command):

@@ -121,6 +121,21 @@ class TestFdGradient:
         for value in g.values():
             assert np.all(np.isfinite(value))
 
+    def test_mixed_shapes_come_back_in_their_input_shapes(self):
+        # a 0-d value, an empty array and a (2, 3) array share one perturbation row; each
+        # gradient is sliced back out in its input's shape
+        coeff = np.arange(6.0).reshape(2, 3) - 2.5
+
+        def loss(p):
+            return (0.5 * p["s"] ** 2 + p["e"].sum(axis=(-2, -1))
+                    + (p["w"] * coeff).sum(axis=(-2, -1)))
+
+        g = fd_gradient(loss, {"s": 0.75, "e": np.empty((0, 4)), "w": np.ones((2, 3))}, eps=1e-5)
+        assert list(g) == ["s", "e", "w"]
+        assert (g["s"].shape, g["e"].shape, g["w"].shape) == ((), (0, 4), (2, 3))
+        assert g["s"] == pytest.approx(0.75, abs=1e-9)
+        assert np.allclose(g["w"], coeff, rtol=0.0, atol=1e-9)
+
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
             fd_gradient(lambda p: p["x"], {"x": 1.0}, eps=0.0)

@@ -77,23 +77,10 @@ def _naming(pair: SentencePair):
         raise MemoryError(f"pair {pair.pair_id!r}: {str(exc) or 'out of memory'}") from None
 
 
-def _non_negative(source: str, seed: int) -> int:
-    if seed < 0:
-        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
-
-
 def _seed(args) -> int:
-    if args.seed is not None:
-        return _non_negative("--seed", args.seed)
-    env = os.environ.get("DAFA_SEED")
-    if not env:
-        return DEFAULT_SEED
-    try:
-        seed = int(env)
-    except ValueError:
-        raise ValueError(f"DAFA_SEED must be an integer, got {env!r}") from None
-    return _non_negative("DAFA_SEED", seed)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def _dep_config(args) -> DepMatrixConfig:
@@ -382,8 +369,8 @@ def _add_dep_flags(parser) -> None:
 
 
 def _add_seed_flag(parser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default 42, or env DAFA_SEED)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="RNG seed (default %(default)s)")
 
 
 def _add_attn_flags(parser) -> None:

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .attention import TWO_LANE_MIN_LEN, AttnConfig, AttnParams, _two_lanes, multi_head_dafa
+from .attention import AttnConfig, AttnParams, _two_lanes, multi_head_dafa
 from .conllu import DepSentence
 from .depmatrix import DepMatrixConfig, embed_calibration, final_matrix
 from .fusion import FusionParams, fuse
@@ -79,19 +79,17 @@ def _check_budget(source: str, needs: int, unit: str = "bytes") -> None:
 def _layer_estimate(layout: PairLayout, heads: int) -> tuple[str, int]:
     """The pair named by its sizes, and its estimated `dafa_layer` peak in bytes at `heads` heads.
 
-    The traced peak holds about 2 (L, L) float64 arrays per head plus 2.5 on one lane. The 2 per
-    head are the sem and dep weights, one (2, heads, L, L) block (the peak two stacks had); the
-    2.5 are the calibration, one fresh array beside it (a head's logits in attention, then its
-    tanh block in fuse) and about half an array of scoring and vectors. From TWO_LANE_MIN_LEN on,
-    each of the two lanes holds its own fresh array, so 3.5. At L = n + m + 3 it is
-    (2·heads + 2.5)·8·L² = 4·(4·heads + 5)·L² bytes on one lane and (2·heads + 3.5)·8·L² =
-    4·(4·heads + 7)·L² bytes on two; traced at L = 203 and 1, 2, 4 and 8 heads, the peak was
-    1.02-1.06 times the first on one lane and 1.02-1.08 times the second on two.
+    The traced peak holds about 2 (L, L) float64 arrays per head plus 3.5. The 2 per head are the
+    sem and dep weights, one (2, heads, L, L) block (the peak two stacks had); the 3.5 are the
+    calibration, one fresh array on each of the two lanes (a head's logits in attention, then its
+    tanh block in fuse) and about half an array of scoring and vectors. At L = n + m + 3 that is
+    (2·heads + 3.5)·8·L² = 4·(4·heads + 7)·L² bytes at every length; a pair short enough to run
+    on one lane holds one fresh array less, under 203 KB below L = 160. Traced at L = 203 and
+    1, 2, 4 and 8 heads, on two lanes, the peak was 1.02-1.08 times the estimate.
     """
     d_seq = layout.d_seq
-    fresh = 7 if d_seq >= TWO_LANE_MIN_LEN else 5
     return (f"packed length L = {d_seq} (n = {layout.n}, m = {len(layout.b_span)}) "
-            f"with heads = {heads}", 4 * (4 * heads + fresh) * d_seq ** 2)
+            f"with heads = {heads}", 4 * (4 * heads + 7) * d_seq ** 2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (
+    aligned_pair,
     first_difference,
     make_sentence,
     naive_write_heatmap_csv,
@@ -100,12 +101,10 @@ class TestBuildLayout:
 
 
 def layer_estimate(d_seq, heads):
-    """The layer budget's rule: 2 (L, L) float64 arrays per head plus 2.5 (the calibration, one
-    fresh array beside the weight stacks and what does not scale with heads),
-    (2·heads + 2.5)·8·L² bytes; plus one when the pair runs on two lanes, each with its own
-    fresh array, (2·heads + 3.5)·8·L² bytes."""
-    fresh = 7 if d_seq >= TWO_LANE_MIN_LEN else 5
-    return 4 * (4 * heads + fresh) * d_seq ** 2
+    """The layer budget's rule: 2 (L, L) float64 arrays per head plus 3.5 (the calibration, one
+    fresh array on each of the two lanes and what does not scale with heads),
+    (2·heads + 3.5)·8·L² bytes at every length."""
+    return 4 * (4 * heads + 7) * d_seq ** 2
 
 
 class TestLayerBudget:
@@ -115,7 +114,7 @@ class TestLayerBudget:
         assert layout.d_seq == 11
         # the budget admits the pair at 2 heads, to the byte, and not at 4
         monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", layer_estimate(11, 2))
-        assert pipeline.MAX_LAYER_BYTES == 6_292
+        assert _layer_estimate(layout, 2)[1] == pipeline.MAX_LAYER_BYTES == 7_260
         _check_budget(*_layer_estimate(layout, 2))
         monkeypatch.setattr(pipeline, "final_matrix", lambda *args: pytest.fail("scored"))
         config = AttnConfig(d_model=16, heads=4, d_k=6, d_v=5, d_seq=11)
@@ -123,11 +122,11 @@ class TestLayerBudget:
         for call in (lambda: _check_budget(*_layer_estimate(layout, 4)),
                      lambda: dafa_layer(a, a, *[None] * 4, config)):
             with pytest.raises(ValueError, match=r"^packed length L = 11 \(n = 4, m = 4\) with "
-                                                 r"heads = 4 needs about 10,164 bytes, over the "
-                                                 r"budget of 6,292 bytes$"):
+                                                 r"heads = 4 needs about 11,132 bytes, over the "
+                                                 r"budget of 7,260 bytes$"):
                 call()
         monkeypatch.setattr(pipeline, "MAX_LAYER_BYTES", layer_estimate(11, 2) - 1)
-        with pytest.raises(ValueError, match=r"with heads = 2 needs about 6,292 bytes"):
+        with pytest.raises(ValueError, match=r"with heads = 2 needs about 7,260 bytes"):
             _check_budget(*_layer_estimate(layout, 2))
 
     def test_estimate_matches_a_measured_layer(self):
@@ -462,6 +461,70 @@ class TestDafaLayer:
         fusion_params = FusionParams.init(99, 3, 3, 0)
         with pytest.raises(ValueError, match="d_seq"):
             dafa_layer(a, b, tfidf, embeddings, attn_params, fusion_params, config)
+
+
+def reordered(sentence, order):
+    """`sentence` with its tokens taken in `order` (0-based) and every head re-indexed: the same
+    tree, written in another token order."""
+    new_index = {0: 0} | {old + 1: new for new, old in enumerate(order, start=1)}
+    return make_sentence([(tok.form, new_index[tok.head], tok.deprel)
+                          for tok in (sentence.tokens[i] for i in order)])
+
+
+def symmetry_cases():
+    """30 seeded (a, b, heads) cases at 1-3 heads; every fifth packs to L >= TWO_LANE_MIN_LEN,
+    so both lanes run."""
+    rng = np.random.default_rng(25)
+    for case in range(30):
+        n = int(rng.integers(80, 121) if case % 5 == 4 else rng.integers(3, 31))
+        a, b, _ = aligned_pair(rng, n, edits=2)
+        yield a, b, 1 + case % 3
+
+
+def assert_permuted(out, base, perm):
+    """Every array of the LayerOutput `out` is that of `base` with its position axes taken in
+    the order `perm`: within 1e-12, and relative to the largest value for `fused`."""
+    expected = {   # in the order the layer computes them, so a failure names the first
+        "tokens": [base.tokens[i] for i in perm],
+        "calibration": base.calibration[np.ix_(perm, perm)],
+        "sem_weights": base.sem_weights[:, perm][:, :, perm],
+        "dep_weights": base.dep_weights[:, perm][:, :, perm],
+        "fusion_gates": base.fusion_gates,
+        "filter_gates": base.filter_gates[:, perm],
+        "fused": base.fused[perm],
+    }
+    assert set(expected) == set(vars(out)) - {"pair_id"}
+    assert out.tokens == expected.pop("tokens")
+    scale = {"fused": np.abs(base.fused).max()}
+    for name, value in expected.items():
+        error = np.abs(getattr(out, name) - value).max() / scale.get(name, 1.0)
+        assert error <= 1e-12, (name, error)
+
+
+class TestLayerSymmetries:
+    """Metamorphic relations of the whole layer, from sentences to every LayerOutput array: two
+    runs whose inputs differ only in token order must give the same arrays, permuted."""
+
+    def test_reordering_each_sentence_permutes_every_output(self):
+        rng = np.random.default_rng(26)
+        lanes = set()
+        for a, b, heads in symmetry_cases():
+            order_a, order_b = rng.permutation(a.n), rng.permutation(b.n)
+            layout = build_layout(a, b)
+            lanes.add(layout.d_seq >= TWO_LANE_MIN_LEN)
+            base = layer_fixture(a, b, heads=heads)[0]
+            out = layer_fixture(reordered(a, order_a), reordered(b, order_b), heads=heads)[0]
+            perm = [0, *(1 + order_a), a.n + 1, *(a.n + 2 + order_b), layout.d_seq - 1]
+            assert_permuted(out, base, perm)
+        assert lanes == {False, True}
+
+    def test_swapping_the_sentences_swaps_their_blocks(self):
+        for a, b, heads in symmetry_cases():
+            n, d_seq = a.n, build_layout(a, b).d_seq
+            base = layer_fixture(a, b, heads=heads)[0]
+            out = layer_fixture(b, a, heads=heads)[0]
+            perm = [0, *range(n + 2, d_seq - 1), n + 1, *range(1, n + 1), d_seq - 1]
+            assert_permuted(out, base, perm)
 
 
 # a fresh process scores 4 chain pairs (L = 383-488) once to warm up, then 3 rounds back to

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,7 +142,7 @@ class GradReport:
     passed: bool
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, allow_nan=False)
+        return json.dumps(vars(self), sort_keys=True, allow_nan=False)
 
 
 def compare_gradients(analytic: dict, fd: dict, tol: float):

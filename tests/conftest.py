@@ -1,6 +1,6 @@
-"""Shared test helpers: sentence builders, random trees, packed layouts of any length, the
-per-cell scoring oracles, the per-head attention loop, all-zero fusion parameters, the
-per-element heatmap CSV writer and the heatmap CSV reader."""
+"""Shared test helpers: sentence builders, random trees, role-swapped twins, packed layouts of
+any length, the per-cell scoring oracles, the per-head attention loop, all-zero fusion
+parameters, the per-element heatmap CSV writer and the heatmap CSV reader."""
 
 import csv
 from dataclasses import dataclass
@@ -106,6 +106,22 @@ def aligned_pair(rng, n, edits):
 
     at_b = {node["id"]: k for k, node in enumerate(b)}
     return sentence(a), sentence(b), [at_b.get(i) for i in range(n)]
+
+
+def role_swap(sentence, rng):
+    """A twin of `sentence` on the same tree, with the forms of two tokens swapped whose forms
+    (case-insensitively) and relations both differ: one bag of forms, another structure. None
+    when no two tokens qualify."""
+    tokens = sentence.tokens
+    swappable = [(i, j) for i in range(len(tokens)) for j in range(i + 1, len(tokens))
+                 if tokens[i].form.lower() != tokens[j].form.lower()
+                 and tokens[i].deprel != tokens[j].deprel]
+    if not swappable:
+        return None
+    i, j = swappable[int(rng.integers(len(swappable)))]
+    forms = [tok.form for tok in tokens]
+    forms[i], forms[j] = forms[j], forms[i]
+    return make_sentence([(form, tok.head, tok.deprel) for form, tok in zip(forms, tokens)])
 
 
 def word_match(a, b):

@@ -46,9 +46,10 @@ from .nnops import sigmoid, softmax_backward, softmax_in_place
 def _draws(d_seq: int, d_v: int, d_hid: int) -> list[tuple[str | None, tuple, int]]:
     """(field, shape, fan_in) of every seeded draw, in draw order.
 
-    A None field is drawn and discarded: the pooling query weights, the query half of each
-    score vector and the score biases, which the row softmax cancels. Drawing them keeps
-    every kept value at the bits it had when they were parameters.
+    A None field is cancelled: the pooling query weights, the query half of each score vector
+    and the score biases, which the row softmax cancels. `FusionParams.init` builds no array
+    for them, but advances the generator past their cells, so every kept value, and any later
+    draw from the same generator, has the bits it had when they were parameters.
     """
     return [
         ("w_dep_proj", (d_seq, d_v), d_v),
@@ -128,11 +129,15 @@ class FusionParams:
             raise ValueError("w_dep_proj and w_dep_hidden, which fix d_seq, d_v and d_hid, "
                              "must be 2-D")
         sizes = (*self.w_dep_proj.shape, self.w_dep_hidden.shape[0])  # d_seq, d_v, d_hid
-        shapes = {name: shape for name, shape, _ in _draws(*sizes)}
-        for name in PARAM_FIELDS:
-            value = getattr(self, name)
-            if value.shape != shapes[name]:
-                raise ValueError(f"{name} has shape {value.shape}, expected {shapes[name]}")
+        shapes = [shape for name, shape, _ in _draws(*sizes) if name]  # PARAM_FIELDS order
+        values = [getattr(self, name) for name in PARAM_FIELDS]
+        if ([value.shape for value in values] == shapes
+                and np.isfinite(np.concatenate([value.ravel() for value in values])).all()):
+            return
+        # name the first bad field, its shape checked before its values
+        for name, value, shape in zip(PARAM_FIELDS, values, shapes):
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
             if not np.isfinite(value).all():
                 raise ValueError(f"fusion params {name!r} must be finite")
 
@@ -143,11 +148,16 @@ class FusionParams:
             if size < 1:
                 raise ValueError(f"{name} must be >= 1, got {size}")
         rng = np.random.default_rng(seed)
-        values = {}
+        values, cancelled = {}, 0
         for name, shape, fan_in in _draws(d_seq, d_v, d_hid):
+            if name is None:
+                cancelled += math.prod(shape)
+                continue
+            if cancelled:  # one draw per run of cancelled cells moves the stream as theirs did
+                rng.random(cancelled)
+                cancelled = 0
             bound = 1.0 / math.sqrt(fan_in)
             values[name] = rng.uniform(-bound, bound, shape)
-        values.pop(None)
         return cls(**values)
 
     def to_dict(self) -> dict:

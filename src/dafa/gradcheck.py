@@ -65,7 +65,7 @@ def fd_gradient(f, params: dict, eps: float = DEFAULT_EPS, row_cells: int = 0) -
     within `_FD_CELLS`, and at least one.
     """
     _require_positive("eps", eps)
-    base = {name: np.array(value, dtype=np.float64) for name, value in params.items()}
+    base = {name: np.asarray(value, dtype=np.float64) for name, value in params.items()}
     spans, end = [], 0
     for name, value in base.items():
         spans.append((name, end, end + value.size, value.shape))
@@ -84,9 +84,11 @@ def fd_gradient(f, params: dict, eps: float = DEFAULT_EPS, row_cells: int = 0) -
     for lo in range(0, point.size, block):
         count = min(block, point.size - lo)
         rows = np.repeat(point[None], 2 * count, axis=0)
-        j = np.arange(count)
-        rows[2 * j, lo + j] += eps
-        rows[2 * j + 1, lo + j] -= eps
+        # of the n-wide rows laid end to end, row 2j's scalar lo + j is cell lo + j(2n + 1) and
+        # row 2j + 1's is n cells on; as lo + count <= n, each slice holds `count` cells
+        flat = rows.reshape(-1)
+        flat[lo::2 * point.size + 1] += eps
+        flat[point.size + lo::2 * point.size + 1] -= eps
         losses = np.asarray(f(unflatten(rows)), dtype=np.float64)
         if not np.isfinite(losses).all():
             raise ValueError("function under test returned a non-finite value")

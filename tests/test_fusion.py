@@ -489,11 +489,17 @@ class TestFullMatrixOracle:
 class TestFusionParams:
     @pytest.mark.parametrize("d_seq, d_v, d_hid", [(1, 1, 1), (4, 3, 5), (9, 8, 8)])
     def test_init_keeps_the_paper_draw(self, d_seq, d_v, d_hid):
-        # the cancelled weights are still drawn, so every kept value has the paper draw's bits
-        params = FusionParams.init(d_seq, d_v, d_hid, seed=d_seq)
-        expected = read_params(paper_init(d_seq, d_v, d_hid, seed=d_seq))
-        for name in PARAM_FIELDS:
-            assert getattr(params, name).tobytes() == getattr(expected, name).tobytes(), name
+        # the stream skips the cancelled weights' cells, so on every bit generator each kept
+        # value has the paper draw's bits and the generator ends where the paper draw leaves it
+        for bit_generator in (np.random.PCG64, np.random.MT19937, np.random.Philox,
+                              np.random.SFC64):
+            rng, paper_rng = (np.random.Generator(bit_generator(d_seq)) for _ in range(2))
+            params = FusionParams.init(d_seq, d_v, d_hid, seed=rng)
+            expected = read_params(paper_init(d_seq, d_v, d_hid, seed=paper_rng))
+            for name in PARAM_FIELDS:
+                assert (getattr(params, name).tobytes()
+                        == getattr(expected, name).tobytes()), (bit_generator.__name__, name)
+            assert rng.random(4).tobytes() == paper_rng.random(4).tobytes(), bit_generator
 
     def test_init_deterministic(self):
         first = FusionParams.init(3, 2, 4, seed=20)
@@ -545,6 +551,10 @@ class TestFusionParams:
             FusionParams(**{**values, "b_output": np.array([np.nan, 0.0])})
         with pytest.raises(ValueError, match="fusion params 'w_value' must be finite"):
             FusionParams(**{**values, "w_value": np.full((2, 2), np.inf)})
+        # the first bad field is named: here a non-finite one before one of the wrong shape
+        with pytest.raises(ValueError, match="fusion params 'w_dep_score' must be finite"):
+            FusionParams(**{**values, "w_dep_score": np.array([np.nan, 0.0]),
+                            "b_output": np.zeros(3)})
 
 
 class TestForwardTraceLeadingAxes:

@@ -204,7 +204,7 @@ class TestFdGradient:
 
     @pytest.mark.parametrize("op", OP_NAMES)
     def test_block_size_does_not_change_gradients(self, op):
-        """One scalar per loss call gives the bits of the default single call."""
+        """One scalar per loss call, or three, gives the bits of the default single call."""
         cases = []
 
         def recording_fd_gradient(f, params, eps, row_cells):
@@ -224,13 +224,17 @@ class TestFdGradient:
         size = sum(np.size(value) for value in params.values())
         one_call = fd_gradient(counting, params, eps, row_cells)
         assert rows == [2 * size]
-        rows.clear()
-        with mock.patch.object(gradcheck, "_FD_CELLS", 1):
-            per_scalar = fd_gradient(counting, params, eps, row_cells)
-        assert rows == [2] * size
-        assert list(per_scalar) == list(one_call)
-        for name in one_call:
-            assert per_scalar[name].tobytes() == one_call[name].tobytes(), name
+        # a budget under one scalar's rows still takes one a call; with three a block, later
+        # blocks start at lo > 0 and perturb several rows each
+        for cells, per_block in ((1, 1), (3 * 2 * (size + row_cells), 3)):
+            rows.clear()
+            with mock.patch.object(gradcheck, "_FD_CELLS", cells):
+                blocked = fd_gradient(counting, params, eps, row_cells)
+            full, rest = divmod(size, per_block)
+            assert rows == [2 * per_block] * full + [2 * rest] * (rest > 0)
+            assert list(blocked) == list(one_call)
+            for name in one_call:
+                assert blocked[name].tobytes() == one_call[name].tobytes(), (per_block, name)
 
     # the default sizes and CI's attention check are one block; CI's fuse check (1,680 scalars
     # in blocks of 319) and the attention check at d_seq = 90 (270 in blocks of 125) take several

@@ -174,21 +174,16 @@ def _draw_cells(config: AttnConfig, d_seq: int, d_hid: int) -> int:
     return cells + (_fusion_cells(d_seq, config.d_v, d_hid) if d_hid else 0)
 
 
-def _check_size_flags(args, d_hid: int = 0) -> None:
-    """Refuse size flags whose draws alone are over the memory budget before any pair is sized,
-    in a message that names the flags: every pair would be refused, and none is the cause."""
+def _attn_config(args, pair: SentencePair, layout: PairLayout, d_hid: int = 0) -> AttnConfig:
+    """The attention config for the pair's layout, once what the size flags draw (`_draw_cells`)
+    and then the pair's layer beside those draws fit the memory budget. Draws over the budget
+    alone are refused in a message that names the flags, not the pair: every pair would be
+    refused, and none is the cause."""
     config = AttnConfig(d_model=args.d_model, heads=args.heads, d_k=args.d_k, d_v=args.d_v,
-                        d_seq=1)  # checks each size; the draws at d_seq = 0 do not read it
+                        d_seq=layout.d_seq)
     flags = (f"--heads {config.heads}, --d-model {config.d_model}, --d-k {config.d_k}, "
              f"--d-v {config.d_v}" + (f", --d-hid {d_hid}" if d_hid else ""))
     _check_budget(f"drawing the weights for {flags}", 8 * _draw_cells(config, 0, d_hid))
-
-
-def _attn_config(args, pair: SentencePair, layout: PairLayout, d_hid: int = 0) -> AttnConfig:
-    """The attention config for the pair's layout, once the pair's layer and what the size flags
-    draw beside it (`_draw_cells`) fit the memory budget."""
-    config = AttnConfig(d_model=args.d_model, heads=args.heads, d_k=args.d_k, d_v=args.d_v,
-                        d_seq=layout.d_seq)
     source, needs = _layer_estimate(layout, config.heads)
     sizes = f", d_model = {config.d_model}, d_k = {config.d_k}, d_v = {config.d_v}"
     with _naming(pair):
@@ -206,7 +201,6 @@ def _cmd_attend(args) -> int:
     model = _pair_tfidf(_load(args.tfidf, TfIdfModel.from_json) if args.tfidf else None, pair)
     seed = _seed(args)
     dep_config = _dep_config(args)
-    _check_size_flags(args)
     layout = build_layout(pair.a, pair.b)
     config = _attn_config(args, pair, layout)
     out = _out_file(args.out)
@@ -295,7 +289,6 @@ def _cmd_demo(args) -> int:
     dep_config = _dep_config(args)
     if args.d_hid < 1:
         raise ValueError(f"d_hid must be >= 1, got {args.d_hid}")
-    _check_size_flags(args, args.d_hid)
     configs = [_attn_config(args, pair, build_layout(pair.a, pair.b), args.d_hid)
                for pair in pairs]
     # --out and its missing parents are built inside a staging directory in the nearest existing

@@ -46,24 +46,20 @@ from .nnops import sigmoid, softmax_backward, softmax_in_place
 def _draws(d_seq: int, d_v: int, d_hid: int) -> list[tuple[str | None, tuple, int]]:
     """(field, shape, fan_in) of every seeded draw, in draw order.
 
-    A None field is cancelled: the pooling query weights, the query half of each score vector
-    and the score biases, which the row softmax cancels. `FusionParams.init` builds no array
-    for them, but advances the generator past their cells, so every kept value, and any later
-    draw from the same generator, has the bits it had when they were parameters.
+    A None field is a run of cancelled parameters, which the row softmax cancels, shaped as the
+    cells they had: the pooling query weights and biases, and the query half and bias of each
+    score vector. `FusionParams.init` builds no array for a run, but advances the generator past
+    its cells, so every kept value, and any later draw from the same generator, has the bits it
+    had when they were parameters. The fan_in of a run is unused.
     """
     return [
         ("w_dep_proj", (d_seq, d_v), d_v),
         ("w_sem_proj", (d_seq, d_v), d_v),
-        (None, (d_seq, d_v), d_v),          # sem query weights
-        (None, (d_seq,), d_v),              # sem query bias
-        (None, (d_seq, d_v), d_v),          # dep query weights
-        (None, (d_seq,), d_v),              # dep query bias
+        (None, (2 * d_seq * (d_v + 1),), 0),   # sem, then dep, query weights and bias
         ("w_dep_score", (d_seq,), 2 * d_seq),
-        (None, (d_seq,), 2 * d_seq),        # query half of the dep score
-        (None, (), 2 * d_seq),              # dep score bias
+        (None, (d_seq + 1,), 0),               # query half of the dep score, and its bias
         ("w_sem_score", (d_seq,), 2 * d_seq),
-        (None, (d_seq,), 2 * d_seq),        # query half of the sem score
-        (None, (), 2 * d_seq),              # sem score bias
+        (None, (d_seq + 1,), 0),               # query half of the sem score, and its bias
         ("w_dep_hidden", (d_hid, d_v), d_v),
         ("b_dep_hidden", (d_hid,), d_v),
         ("w_sem_hidden", (d_hid, d_v), d_v),
@@ -148,14 +144,11 @@ class FusionParams:
             if size < 1:
                 raise ValueError(f"{name} must be >= 1, got {size}")
         rng = np.random.default_rng(seed)
-        values, cancelled = {}, 0
+        values = {}
         for name, shape, fan_in in _draws(d_seq, d_v, d_hid):
-            if name is None:
-                cancelled += math.prod(shape)
+            if name is None:  # one draw per run of cancelled cells moves the stream as theirs did
+                rng.random(shape[0])
                 continue
-            if cancelled:  # one draw per run of cancelled cells moves the stream as theirs did
-                rng.random(cancelled)
-                cancelled = 0
             bound = 1.0 / math.sqrt(fan_in)
             values[name] = rng.uniform(-bound, bound, shape)
         return cls(**values)

@@ -84,8 +84,10 @@ def _layer_estimate(layout: PairLayout, heads: int) -> tuple[str, int]:
     calibration, one fresh array on each of the two lanes (a head's logits in attention, then its
     tanh block in fuse) and about half an array of scoring and vectors. At L = n + m + 3 that is
     (2·heads + 3.5)·8·L² = 4·(4·heads + 7)·L² bytes at every length; a pair short enough to run
-    on one lane holds one fresh array less, under 203 KB below L = 160. Traced at L = 203 and
-    1, 2, 4 and 8 heads, on two lanes, the peak was 1.02-1.08 times the estimate.
+    on one lane holds one fresh array less, under 203 KB below L = 160. Traced at L = 203 with
+    the two lanes' attention calls held in step, so both fresh arrays are alive at once, the
+    peak read 1.02-1.05, 1.03-1.05, 1.04-1.06 and 1.06 times the estimate at 1, 2, 4 and 8 heads
+    (100 rounds each, 2-vCPU VM, one BLAS thread); unforced, it reads as low as 0.83.
     """
     d_seq = layout.d_seq
     return (f"packed length L = {d_seq} (n = {layout.n}, m = {len(layout.b_span)}) "

@@ -1,12 +1,16 @@
 """Shared test helpers: sentence builders, random trees, role-swapped twins, packed layouts of
 any length, the per-cell scoring oracles, the per-head attention loop, all-zero fusion
-parameters, the per-element heatmap CSV writer and the heatmap CSV reader."""
+parameters, the per-element heatmap CSV writer, the heatmap CSV reader and the traced peaks of a
+two-lane run."""
 
 import csv
+import threading
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
+from dafa import attention
 from dafa.attention import dep_attention, sem_attention
 from dafa.conllu import ROOT_FORM, DepSentence, Token
 from dafa.fusion import FusionParams
@@ -231,3 +235,30 @@ def read_heatmap_csv(path):
     row_labels = [row[0] for row in rows[1:]]
     matrix = np.array([[float(x) for x in row[1:]] for row in rows[1:]], dtype=np.float64)
     return row_labels, col_labels, matrix
+
+
+def unforced_and_forced_peaks(monkeypatch, call):
+    """The traced peaks of `call()` (numpy reports its array memory to tracemalloc), run as the
+    threads fall and then with the two attention lanes in step: each sem_attention and
+    dep_attention call waits, its fresh weights alive, until the other lane's call has returned
+    too. That is the interleaving the layer estimate counts, one fresh (L, L) array on each lane
+    at once. It needs L >= TWO_LANE_MIN_LEN, where both lanes run: the barrier's timeout fails a
+    lone lane rather than hang it."""
+    peaks = []
+    for forced in (False, True):
+        with monkeypatch.context() as patch:
+            if forced:
+                barrier = threading.Barrier(2, timeout=30)
+                for name in ("sem_attention", "dep_attention"):
+                    def in_step(*args, _op=getattr(attention, name)):
+                        result = _op(*args)
+                        barrier.wait()
+                        return result
+                    patch.setattr(attention, name, in_step)
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    return peaks
